@@ -3,7 +3,8 @@ coherent state and a photon-added squeezed vacuum.
 
 Subpackages by task:
 
-- jets: truncated multivariate Taylor arithmetic (the derivative engine)
+- jets: truncated Taylor arithmetic and the closed-form [t^m tau^m]
+  coefficient extraction (the derivative engine)
 - states: probe-state parameters, normalization constants, energy budgets
 - parity: lossy parity signal, classical Fisher information, phase sensitivity
 - moments: photon-number moments of the pre-loss probe arm

@@ -1,4 +1,5 @@
-"""Truncated multivariate Taylor ("jet") arithmetic over complex coefficients.
+"""Truncated Taylor ("jet") arithmetic over complex coefficients, and the
+closed-form coefficient extraction built on it.
 
 A jet stores every mixed Taylor coefficient of a smooth function around 0 up
 to a per-variable truncation order (its "cap"). Sums, products, and the
@@ -7,12 +8,20 @@ an m-th mixed derivative of any composite expression can be read off a
 single coefficient. Coefficient arrays may carry a leading batch axis, which
 lets a sweep evaluate one expression at many base points in a few vector
 operations; non-batched jets broadcast against batched ones.
+
+The parity and moment generating kernels are Gaussian in their two
+photon-addition variables t and tau. `gaussian_tt_coefficient` reads their
+[t^m tau^m] coefficient off a finite closed-form sum, so production code only
+carries a univariate jet in the one remaining variable (the phase, or the
+moment order). The multivariate jets remain for tests, which use them to
+build the same kernels the long way as an independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +52,12 @@ class JetShape:
             if not isinstance(c, int) or c < 0:
                 raise CapTooSmall(f"cap for {v!r} must be a non-negative int, got {c!r}")
 
-    @property
+    # cached: every MultiJet construction checks its array against ncoeff
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(c + 1 for c in self.caps)
 
-    @property
+    @cached_property
     def ncoeff(self) -> int:
         return math.prod(self.dims)
 
@@ -301,3 +311,34 @@ class MultiJet:
 
     def __repr__(self):
         return f"MultiJet(shape={self.shape}, batch={self.batch})"
+
+
+def _hermite_terms(a, d, n_max: int) -> list:
+    """H(0..n_max), the t^n coefficients of exp(a t^2 + d t).
+
+    H(n) = sum_{j <= n/2} a^j d^(n-2j) / (j! (n-2j)!), built with the
+    recurrence n H(n) = d H(n-1) + 2 a H(n-2) that follows from
+    differentiating the exponential once.
+    """
+    h = [1.0, d]
+    two_a = a * 2.0
+    for n in range(2, n_max + 1):
+        h.append((d * h[n - 1] + two_a * h[n - 2]) * (1.0 / n))
+    return h[: n_max + 1]
+
+
+def gaussian_tt_coefficient(m: int, pref, a, b, c, d, e):
+    """[t^m tau^m] coefficient of pref * exp(a t^2 + b tau^2 + c t tau + d t + e tau).
+
+    Expanding exp(c t tau) and pairing each power with the matching
+    Hermite-type terms in t and tau gives
+    sum_{k <= m} c^k / k! * H_{a,d}(m - k) * H_{b,e}(m - k). The arguments
+    may be jets in some other variable (or plain numbers); the result is of
+    the same kind. The sum over k runs in Horner form in c.
+    """
+    ht = _hermite_terms(a, d, m)
+    hs = _hermite_terms(b, e, m)
+    acc = ht[0] * hs[0]
+    for k in range(m, 0, -1):
+        acc = ht[m - k + 1] * hs[m - k + 1] + c * acc * (1.0 / k)
+    return pref * acc

@@ -1,8 +1,11 @@
 """Photon-number moments of the probe arm just after the first splitter.
 
-The generating kernel treats the moment order as one more jet variable, so
-<n_b^w> for w up to 4 is a single coefficient extraction. These moments feed
-every quantum Fisher information bound downstream.
+The generating kernel is Gaussian in the photon-addition variables t and
+tau; its [t^m tau^m] coefficient is read off in closed form
+(`jets.gaussian_tt_coefficient`) with every kernel coefficient a univariate
+jet in the moment variable x (cap 4). <n_b^w> for w up to 4 is then the
+x^w coefficient of that one jet. These moments feed every quantum Fisher
+information bound downstream.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateDenominator, ParamOutOfRange
-from .jets import JetShape, MultiJet
+from .jets import JetShape, MultiJet, gaussian_tt_coefficient
 from .states import ProbeParams, _pasvs_norm_unchecked
 
 RESIDUE_TOL = 1e-9
@@ -32,17 +35,14 @@ class MomentSet:
     var_n2: float
 
 
-def nb_moment(p: ProbeParams, w: int) -> float:
-    """<n_b^w> of the pre-loss probe arm; w = 0..4. Loss and phi are ignored
-    (the moments describe the state before either acts)."""
-    if not isinstance(w, (int, np.integer)) or not 0 <= w <= 4:
-        raise ParamOutOfRange(f"moment order must be an int in [0, 4], got {w!r}")
-    w = int(w)
-    m = p.m
-    cap = max(m, 1)
-    shape = JetShape(("t", "tau", "x"), (cap, cap, max(w, 1)))
-    t = MultiJet.variable(shape, "t")
-    tau = MultiJet.variable(shape, "tau")
+def _moment_kernel(p: ProbeParams) -> MultiJet:
+    """Generating function of <n_b^w> (times the state norm) as a jet in x, cap 4.
+
+    The kernel is pref * exp(A t^2 + B tau^2 + C t tau + D t + E tau); its
+    [t^m tau^m] coefficient comes from `gaussian_tt_coefficient`, and the
+    coefficient of x^w / w! is then the unnormalized w-th moment.
+    """
+    shape = JetShape(("x",), (4,))
     x = MultiJet.variable(shape, "x")
     th = math.tanh(p.r)
     a = p.alpha
@@ -51,30 +51,53 @@ def nb_moment(p: ProbeParams, w: int) -> float:
     s = (ex - 1.0) * 0.5
     sp1 = s + 1.0
     m0 = 1.0 - (sp1 * sp1) * th**2
-    m0c = m0.extract({"t": 0})
+    m0c = m0.extract((0,))
     if abs(m0c) < 1e-9:
         raise DegenerateDenominator(f"moment kernel denominator {abs(m0c):.3e} at x = 0")
-    m1_factor = ((s * a) * (a + tau * 1j + (s * (a * th / 2.0)))).exp()
-    m2_lin = (s * (-1j * a)) + (ex - s) * (tau - (s * (1j * a * th)))
-    half_inv_m0 = m0.recip() * 0.5
-    expo = (
-        (m2_lin * t) * 2.0 - (m2_lin * m2_lin) * th - (sp1 * sp1) * (t * t) * th
-    ) * half_inv_m0
-    kernel = m1_factor * m0.sqrt().recip() * expo.exp()
-    raw = kernel.extract((m, m, w))
+    inv_m0 = m0.recip()
+    # the coefficient linear in t is m2_lin / m0, with m2_lin = u + v tau
+    v = ex - s
+    u = s * (-1j * a) - (s * v) * (1j * a * th)
+    quad_t = (sp1 * sp1) * inv_m0 * (-th / 2.0)
+    quad_tau = (v * v) * inv_m0 * (-th / 2.0)
+    cross = v * inv_m0
+    lin_t = u * inv_m0
+    lin_tau = s * (1j * a) - (u * v) * inv_m0 * th
+    pref = ((s * a) * (a + s * (a * th / 2.0)) - (u * u) * inv_m0 * (th / 2.0)).exp() * m0.sqrt().recip()
+    coeff = gaussian_tt_coefficient(p.m, pref, quad_t, quad_tau, cross, lin_t, lin_tau)
+    return coeff * float(math.factorial(p.m) ** 2)
+
+
+def _moment_from(kernel: MultiJet, w: int, norm: float) -> float:
+    raw = kernel.extract((w,))
     scale = max(1.0, abs(raw.real))
     if abs(raw.imag) > RESIDUE_TOL * scale:
         raise ConsistencyError(f"moment w={w}: imaginary residue {raw.imag:.3e}")
-    return raw.real / (_pasvs_norm_unchecked(p.r, m) * math.cosh(p.r))
+    return raw.real / norm
+
+
+def _state_norm(p: ProbeParams) -> float:
+    return _pasvs_norm_unchecked(p.r, p.m) * math.cosh(p.r)
+
+
+def nb_moment(p: ProbeParams, w: int) -> float:
+    """<n_b^w> of the pre-loss probe arm; w = 0..4. Loss and phi are ignored
+    (the moments describe the state before either acts)."""
+    if not isinstance(w, (int, np.integer)) or not 0 <= w <= 4:
+        raise ParamOutOfRange(f"moment order must be an int in [0, 4], got {w!r}")
+    return _moment_from(_moment_kernel(p), int(w), _state_norm(p))
 
 
 def moment_set(p: ProbeParams) -> MomentSet:
     """All four moments with variance of n and of n^2, sanity-checked.
 
-    The Hankel matrix of (1, m1..m4) must be positive semidefinite for a
-    genuine photon-number distribution; violations raise ConsistencyError.
+    One kernel yields all four moments. The Hankel matrix of (1, m1..m4)
+    must be positive semidefinite for a genuine photon-number distribution;
+    violations raise ConsistencyError.
     """
-    m1, m2, m3, m4 = (nb_moment(p, w) for w in (1, 2, 3, 4))
+    kernel = _moment_kernel(p)
+    norm = _state_norm(p)
+    m1, m2, m3, m4 = (_moment_from(kernel, w, norm) for w in (1, 2, 3, 4))
     var_n = m2 - m1 * m1
     var_n2 = m4 - m2 * m2
     scale = max(1.0, m4)

@@ -1,9 +1,12 @@
 """Parity detection signal of the lossy interferometer, and what it buys.
 
-The parity expectation of the probe arm after the second splitter is an
-analytic function of the phase; its value, slope, and curvature come out of
-one jet evaluation. From those: classical Fisher information, the phase
-sensitivity, and a deterministic optimal-phase search.
+The parity expectation of the probe arm after the second splitter is the
+[t^m tau^m] coefficient of a kernel that is Gaussian in t and tau. It is
+read off in closed form (`jets.gaussian_tt_coefficient`) with every kernel
+coefficient carried as a univariate phase jet, so the value, slope, and
+curvature come out of one evaluation. From those: classical Fisher
+information, the phase sensitivity, and a deterministic optimal-phase
+search.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import (
     DegenerateSignal,
     ParamOutOfRange,
 )
-from .jets import JetShape, MultiJet
+from .jets import JetShape, MultiJet, gaussian_tt_coefficient
 from .states import ProbeParams, _pasvs_norm_unchecked
 
 # imaginary residue allowed on physically real outputs
@@ -78,21 +81,21 @@ def loss_coefficients(phi, loss: float) -> LossCoefficients:
 def _signal_batch(p: ProbeParams, phis: np.ndarray):
     """Parity value/slope/curvature at a batch of phase points.
 
-    One jet pipeline evaluates every requested phase at once; the batch axis
+    The kernel is Gaussian in the photon-addition variables t and tau; its
+    [t^m tau^m] coefficient comes from the closed-form sum in
+    `gaussian_tt_coefficient`, with every coefficient a univariate phase jet
+    (cap 2). Every requested phase is evaluated at once; the batch axis
     rides on the coefficient arrays.
     """
     m = p.m
-    cap = max(m, 1)
-    shape = JetShape(("t", "tau", "phi"), (cap, cap, 2))
-    t = MultiJet.variable(shape, "t")
-    tau = MultiJet.variable(shape, "tau")
+    shape = JetShape(("phi",), (2,))
     phi_jet = MultiJet.constant(shape, phis) + MultiJet.variable(shape, "phi")
     lc = loss_coefficients(phi_jet, p.loss)
 
     th = math.tanh(p.r)
     hot = 1 + lc.x2  # appears everywhere the probe quadrature survives
     abar = 1 - (hot * hot) * th**2
-    const_abar = abar.extract({"t": 0})
+    const_abar = abar.extract((0,))
     min_abar = (
         float(np.min(np.abs(const_abar)))
         if isinstance(const_abar, np.ndarray)
@@ -106,16 +109,22 @@ def _signal_batch(p: ProbeParams, phis: np.ndarray):
 
     x3sq = lc.x3 * lc.x3 + lc.x3_conj * lc.x3_conj
     a1 = lc.x1 + (hot * (lc.x3 * lc.x3_conj)) * inv_abar * th**2 - x3sq * inv_abar * (th / 2.0)
-    a2 = hot * (t * tau) - (hot * hot) * (t * t + tau * tau) * (th / 2.0)
-    a3 = lc.x3_conj * t + lc.x3 * tau - (hot * (lc.x3 * t + lc.x3_conj * tau)) * th
+    # exponent (a2 + alpha a3) / abar, with
+    # a2 = hot t tau - hot^2 (t^2 + tau^2) th / 2 and
+    # a3 = (x3* - hot x3 th) t + (x3 - hot x3* th) tau
+    quad = (hot * hot) * inv_abar * (-th / 2.0)
+    cross = hot * inv_abar
+    lin_t = (lc.x3_conj - (hot * lc.x3) * th) * inv_abar * p.alpha
+    lin_tau = (lc.x3 - (hot * lc.x3_conj) * th) * inv_abar * p.alpha
 
     pm = _pasvs_norm_unchecked(p.r, m)
     pref = (a1 * p.alpha**2).exp() * abar.sqrt().recip() * (1.0 / (pm * math.cosh(p.r)))
-    kernel = ((a2 + a3 * p.alpha) * inv_abar).exp() * pref
+    coeff = gaussian_tt_coefficient(m, pref, quad, quad, cross, lin_t, lin_tau)
+    kernel = coeff * float(math.factorial(m) ** 2)
 
     vals = []
     for order in (0, 1, 2):
-        raw = kernel.extract((m, m, order))
+        raw = kernel.extract((order,))
         raw = np.atleast_1d(np.asarray(raw))
         scale = np.maximum(1.0, np.abs(raw.real))
         bad = np.abs(raw.imag) > RESIDUE_TOL * scale

@@ -14,7 +14,7 @@ from mzphase.errors import (
     SingularConstantTerm,
     UnknownVariable,
 )
-from mzphase.jets import JetShape, MultiJet
+from mzphase.jets import JetShape, MultiJet, gaussian_tt_coefficient
 
 
 def random_int_jet(shape, rng, lo=-4, hi=5):
@@ -161,3 +161,27 @@ def test_error_taxonomy():
         MultiJet.variable(other, "t").extract((3,))
     with pytest.raises(UnknownVariable):
         MultiJet.variable(other, "t").extract({"zz": 1})
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 8])
+def test_gaussian_tt_coefficient_matches_full_jet(m):
+    rng = np.random.default_rng(100 + m)
+    pref, a, b, c, d, e = rng.normal(size=6) + 1j * rng.normal(size=6)
+    shape = JetShape(("t", "tau"), (max(m, 1), max(m, 1)))
+    t = MultiJet.variable(shape, "t")
+    tau = MultiJet.variable(shape, "tau")
+    full = (a * (t * t) + b * (tau * tau) + c * (t * tau) + d * t + e * tau).exp() * pref
+    want = full.extract((m, m)) / math.factorial(m) ** 2
+    got = gaussian_tt_coefficient(m, pref, a, b, c, d, e)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_gaussian_tt_coefficient_on_batched_jets():
+    # coefficients that are jets in another variable give a jet of the same kind
+    shape = JetShape(("x",), (2,))
+    x = MultiJet.variable(shape, "x")
+    base = MultiJet.constant(shape, np.array([0.1, 0.2, 0.3])) + x
+    got = gaussian_tt_coefficient(2, base.exp(), base * 0.5, base * -0.3, base, base * 1j, base * 2.0)
+    for i, x0 in enumerate((0.1, 0.2, 0.3)):
+        want = gaussian_tt_coefficient(2, math.exp(x0), x0 * 0.5, x0 * -0.3, x0, x0 * 1j, x0 * 2.0)
+        assert abs(got.extract((0,))[i] - want) <= 1e-14 * max(1.0, abs(want))

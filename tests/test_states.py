@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from jet_reference import pasvs_norm_reference
 
 from mzphase.errors import (
     BracketExceeded,
@@ -19,6 +20,7 @@ from mzphase.errors import (
 )
 from mzphase.states import (
     ProbeParams,
+    _pasvs_norm_unchecked,
     adaptive_cutoff,
     coherent_fock_amplitudes,
     energy_report,
@@ -153,6 +155,26 @@ def test_param_validation():
         pasvs_norm(-0.2, 1)
     with pytest.raises(ParamOutOfRange):
         pasvs_mean_photons(1.0, 12)
+
+
+@pytest.mark.parametrize("m", [True, False, np.bool_(True)])
+def test_bool_order_rejected(m):
+    with pytest.raises(ParamOutOfRange):
+        ProbeParams(alpha=1.0, r=0.5, m=m)
+    with pytest.raises(ParamOutOfRange):
+        pasvs_norm(0.5, m)
+    with pytest.raises(ParamOutOfRange):
+        pasvs_mean_photons(0.5, m)
+    with pytest.raises(ParamOutOfRange):
+        solve_r_for_energy(m, 2.0)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.5, 3.0])
+def test_norm_legendre_matches_jet_route(r):
+    # m = 11 is what pasvs_mean_photons(r, 10) divides by
+    for m in range(12):
+        want = pasvs_norm_reference(r, m)
+        assert abs(_pasvs_norm_unchecked(r, m) - want) <= 1e-13 * want
 
 
 def test_adaptive_cutoff_doubles_from_start():
