@@ -46,7 +46,7 @@ from .parity import (
     parity_expectation,
     phase_sensitivity,
 )
-from .qfi_kerr import KerrBound, kerr_cq, kerr_mu_opt, qfi_ideal_kerr, qfi_lossy_kerr
+from .qfi_kerr import kerr_cq, kerr_mu_opt, qfi_ideal_kerr, qfi_lossy_kerr
 from .qfi_linear import (
     BenchmarkLimits,
     QfiResult,

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 malformed spec or figure request, 2 hard numeric
-failure inside a sweep (per-row trouble is reported in the CSV instead).
+failure. Only the four `sweep.ROW_ERRORS` become a per-row status in the
+CSV; any other error inside a sweep (a `ConsistencyError`, say) aborts it
+with exit 2 and no `--out` file is written.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from dataclasses import replace
 
 from . import __version__
 from .errors import SchemaViolation, SpecInvalid, UnknownFigure
-from .qfi_linear import benchmark_limits
 from .states import ParamOutOfRange, pasvs_mean_photons, solve_r_for_energy
-from .sweep import CsvTable, figure_preset, fnum, parse_config, run_sweep
+from .sweep import CsvTable, SweepSpec, figure_preset, fnum, parse_config, run_sweep
 
 SPEC_ERRORS = (SchemaViolation, SpecInvalid, UnknownFigure, ParamOutOfRange)
 
@@ -46,14 +47,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    lim = benchmark_limits(args.nbar)
-    meta = (f"mzphase {__version__}", "quantity=limits")
-    header = ("nbar", "sql", "heisenberg", "sub_heisenberg", "super_heisenberg", "status")
-    row = (
-        fnum(lim.nbar), fnum(lim.sql), fnum(lim.heisenberg),
-        fnum(lim.sub_heisenberg), fnum(lim.super_heisenberg), "ok",
-    )
-    _emit(CsvTable(meta, header, (row,)), args.out)
+    spec = SweepSpec(quantity=("limits",), sweep_name="nbar", sweep_values=(), nbar=args.nbar)
+    _emit(run_sweep(spec), args.out)
     return 0
 
 

@@ -109,11 +109,3 @@ def moment_set(p: ProbeParams) -> MomentSet:
         raise ConsistencyError("negative mean or variance beyond tolerance")
     return MomentSet(m1, m2, m3, m4, max(var_n, 0.0), max(var_n2, 0.0))
 
-
-def poisson_reference(nbar: float) -> MomentSet:
-    """Moments of a Poisson count with the given mean (closed forms)."""
-    m1 = nbar
-    m2 = nbar + nbar**2
-    m3 = nbar + 3 * nbar**2 + nbar**3
-    m4 = nbar + 7 * nbar**2 + 6 * nbar**3 + nbar**4
-    return MomentSet(m1, m2, m3, m4, m2 - m1 * m1, m4 - m2 * m2)

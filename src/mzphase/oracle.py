@@ -85,22 +85,6 @@ class DensityGrid:
             out += np.sum(np.abs(b) ** 2, axis=0)
         return out
 
-    def matrix(self) -> np.ndarray:
-        """Dense density matrix in the flattened (n_a major) basis.
-
-        Only for small cutoffs; the dense form is quadratic in grid size.
-        """
-        if self.cutoff > 40:
-            raise ParamOutOfRange(
-                f"dense density matrix limited to cutoff <= 40, got {self.cutoff}"
-            )
-        d = (self.cutoff + 1) ** 2
-        rho = np.zeros((d, d), dtype=np.complex128)
-        for b in self.branches:
-            v = b.ravel()
-            rho += np.outer(v, v.conj())
-        return rho
-
 
 @dataclass(frozen=True)
 class KrausFamily:
@@ -128,30 +112,6 @@ class KrausFamily:
         if self.kind == "linear":
             return n - self.gamma * j
         return n * n - 2.0 * self.mu1 * n * j - self.mu2 * j * j
-
-    def operator(self, j: int, nmax: int, phi: float = 0.0) -> np.ndarray:
-        """Dense single-mode matrix of branch j on Fock levels 0..nmax."""
-        out = np.zeros((nmax + 1, nmax + 1), dtype=np.complex128)
-        if self.loss == 0.0 and j > 0:
-            return out
-        eta = 1.0 - self.loss
-        for k in range(j, nmax + 1):
-            n = k - j
-            logw = 0.5 * (
-                j * math.log(self.loss) if j else 0.0
-            ) - 0.5 * gammaln(j + 1) + 0.5 * n * math.log(eta) + 0.5 * (
-                gammaln(k + 1) - gammaln(n + 1)
-            )
-            out[n, k] = math.exp(logw) * np.exp(1j * phi * self.generator(n, j))
-        return out
-
-    def completeness_defect(self, nmax: int) -> float:
-        """max-entry deviation of sum_j K_j^dag K_j from the identity."""
-        acc = np.zeros((nmax + 1, nmax + 1), dtype=np.complex128)
-        for j in range(nmax + 1):
-            op = self.operator(j, nmax)
-            acc += op.conj().T @ op
-        return float(np.max(np.abs(acc - np.eye(nmax + 1))))
 
 
 # -- beam splitter ----------------------------------------------------------
@@ -514,17 +474,3 @@ def cq_from_table(table: LossWeightTable, family: KrausFamily) -> float:
     h2 = float(np.dot(table.weight, g))
     return 4.0 * (h1 - h2 * h2)
 
-
-def cq_numeric(p: ProbeParams, family: KrausFamily, cutoff: int | None = None) -> float:
-    """Purification bound C_Q evaluated directly from the Kraus family.
-
-    Both designated families are diagonal in the b photon-number basis, so
-    only the post-splitter b marginal enters; the j sums are finite.
-    """
-    if abs(family.loss - p.loss) > 1e-15:
-        raise ParamOutOfRange(
-            f"family loss {family.loss} does not match probe loss {p.loss}"
-        )
-    wdeg = 2 if family.kind == "linear" else 4
-    marg = probe_marginal(p, weight=wdeg, cutoff=cutoff)
-    return cq_from_table(loss_weight_table(marg, family.loss), family)

@@ -187,17 +187,14 @@ def _sensitivities_on(p: ProbeParams, phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def optimal_phase(p: ProbeParams, window: tuple[float, float] = (1e-4, 1.5)) -> tuple[float, float]:
-    """Best working phase and its sensitivity inside the window.
+def optimal_phase(p: ProbeParams) -> tuple[float, float]:
+    """Best working phase in [1e-4, 1.5] and its sensitivity there.
 
     Deterministic: a 1001-point scan brackets the minimum, then a
     golden-section refinement tightens it until the sensitivity stops
-    changing at 1e-10. The window must sit strictly inside (0, pi/2).
+    changing at 1e-10.
     """
-    lo, hi = window
-    if not (0.0 < lo < hi < math.pi / 2):
-        raise ParamOutOfRange(f"window {window} must sit strictly inside (0, pi/2)")
-    grid = np.linspace(lo, hi, 1001)
+    grid = np.linspace(1e-4, 1.5, 1001)
     sens = _sensitivities_on(p, grid)
     best = int(np.argmin(sens))
     if not np.isfinite(sens[best]):

@@ -11,7 +11,6 @@ singular or indefinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -21,16 +20,6 @@ from .moments import MomentSet
 from .oracle import KrausFamily, cq_from_table, loss_weight_table, probe_marginal
 from .qfi_linear import QfiResult, _result
 from .states import ProbeParams
-
-
-@dataclass(frozen=True)
-class KerrBound:
-    """C_Q value at specific commutation parameters."""
-
-    cq: float
-    mu1: float
-    mu2: float
-    eta: float
 
 
 def _omegas(mu1: float, mu2: float):
@@ -44,7 +33,7 @@ def _omegas(mu1: float, mu2: float):
     return w1, w2, w3, w4, w5, w6, w7
 
 
-def kerr_cq(ms: MomentSet, loss: float, mu1: float, mu2: float) -> KerrBound:
+def kerr_cq(ms: MomentSet, loss: float, mu1: float, mu2: float) -> float:
     """Closed-form C_Q at the given commutation parameters."""
     if not 0 <= loss < 1:
         raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
@@ -56,7 +45,7 @@ def kerr_cq(ms: MomentSet, loss: float, mu1: float, mu2: float) -> KerrBound:
     k4 = eta * w1**2 * (6 * eta**3 - 12 * eta**2 + 7 * eta - 1)
     k5 = 2 * (1 - eta) * eta * w1 * k1
     k6 = (1 - eta) ** 2 * eta**2 * w1**2
-    cq = 4.0 * (
+    return 4.0 * (
         k1**2 * ms.var_n2
         - k2 * ms.m3
         + k3 * ms.m2
@@ -64,7 +53,6 @@ def kerr_cq(ms: MomentSet, loss: float, mu1: float, mu2: float) -> KerrBound:
         - k5 * ms.m2 * ms.m1
         - k6 * ms.m1**2
     )
-    return KerrBound(cq=cq, mu1=mu1, mu2=mu2, eta=eta)
 
 
 # Stirling numbers of the second kind, row q: n^q = sum_k S(q,k) n^(k falling)
@@ -119,10 +107,16 @@ def kerr_quadratic(ms: MomentSet, loss: float):
 
 
 def kerr_mu_opt(ms: MomentSet, loss: float) -> tuple[float, float]:
-    """Stationary point of the C_Q quadratic (its global minimum when the
-    quadratic form is positive definite)."""
+    """Global minimizer of the C_Q quadratic.
+
+    Raises SingularNormalEquations when the quadratic form is not positive
+    definite or its stationary system is singular.
+    """
     _, b1, b2, a11, a12, a22 = kerr_quadratic(ms, loss)
     mat = np.array([[2 * a11, a12], [a12, 2 * a22]])
+    eigs = np.linalg.eigvalsh(mat)
+    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        raise SingularNormalEquations("quadratic form not positive definite")
     scale = float(np.max(np.abs(mat)))
     det = float(np.linalg.det(mat))
     if scale <= 0 or abs(det) < 1e-12 * scale * scale:
@@ -153,29 +147,24 @@ def qfi_lossy_kerr(ms: MomentSet, loss: float) -> QfiResult:
     if ms.m1 <= 1e-14 and ms.var_n2 <= 1e-14:
         return QfiResult(0.0, math.inf, "lossy", degenerate=True)
     try:
-        _, b1, b2, a11, a12, a22 = kerr_quadratic(ms, loss)
-        mat = np.array([[2 * a11, a12], [a12, 2 * a22]])
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-            raise SingularNormalEquations("quadratic form not positive definite")
         mu1, mu2 = kerr_mu_opt(ms, loss)
-        return _result(kerr_cq(ms, loss, mu1, mu2).cq, "lossy")
     except SingularNormalEquations:
         grid = np.linspace(-2.0, 1.0, 41)
         best = (math.inf, 0.0, 0.0)
         for u1 in grid:
             for u2 in grid:
-                v = kerr_cq(ms, loss, float(u1), float(u2)).cq
+                v = kerr_cq(ms, loss, float(u1), float(u2))
                 if v < best[0]:
                     best = (v, float(u1), float(u2))
         res = minimize(
-            lambda u: kerr_cq(ms, loss, u[0], u[1]).cq,
+            lambda u: kerr_cq(ms, loss, u[0], u[1]),
             x0=np.array(best[1:]),
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
         )
         val = min(best[0], float(res.fun))
         return _result(val, "lossy", fallback=True)
+    return _result(kerr_cq(ms, loss, mu1, mu2), "lossy")
 
 
 def kerr_cq_numeric(p: ProbeParams, mu1: float, mu2: float) -> float:

@@ -90,14 +90,13 @@ def benchmark_limits(nbar: float) -> BenchmarkLimits:
     )
 
 
-def qfi_lossy_numeric_check(p: ProbeParams, gamma_grid=None) -> float:
+def qfi_lossy_numeric_check(p: ProbeParams) -> float:
     """Minimum of the operator-level C_Q over the commutation parameter.
 
-    With no grid given, a 41-point scan of [-2, 2] seeds the search and the
-    bracket is pushed outward if the minimum sits on an edge (the bound is
-    an upward parabola in gamma, so this always terminates). An explicit
-    grid confines the search to its own range. Golden-section refinement
-    finishes either way. Deterministic throughout.
+    A 41-point scan of [-2, 2] seeds the search and the bracket is pushed
+    outward while the minimum sits on an edge (the bound is an upward
+    parabola in gamma, so this always terminates); golden-section
+    refinement finishes. Deterministic throughout.
     """
     marg = probe_marginal(p, weight=2)
     table = loss_weight_table(marg, p.loss)
@@ -105,30 +104,23 @@ def qfi_lossy_numeric_check(p: ProbeParams, gamma_grid=None) -> float:
     def value(gamma: float) -> float:
         return cq_from_table(table, KrausFamily("linear", p.loss, gamma=gamma))
 
-    auto = gamma_grid is None
-    grid = np.linspace(-2.0, 2.0, 41) if auto else np.asarray(gamma_grid, dtype=float)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ParamOutOfRange("gamma_grid must be strictly increasing with >= 2 points")
+    grid = np.linspace(-2.0, 2.0, 41)
     vals = np.array([value(g) for g in grid])
     best = int(np.argmin(vals))
     step = float(grid[1] - grid[0])
-    if auto:
-        lo, hi = float(grid[0]), float(grid[-1])
-        vlo, vhi = float(vals[0]), float(vals[-1])
-        for _ in range(200):
-            if best == 0:
-                lo -= step
-                v = value(lo)
-                grid = np.concatenate(([lo], grid))
-                vals = np.concatenate(([v], vals))
-            elif best == grid.size - 1:
-                hi += step
-                v = value(hi)
-                grid = np.concatenate((grid, [hi]))
-                vals = np.concatenate((vals, [v]))
-            else:
-                break
-            best = int(np.argmin(vals))
+    lo, hi = float(grid[0]), float(grid[-1])
+    for _ in range(200):
+        if best == 0:
+            lo -= step
+            grid = np.concatenate(([lo], grid))
+            vals = np.concatenate(([value(lo)], vals))
+        elif best == grid.size - 1:
+            hi += step
+            grid = np.concatenate((grid, [hi]))
+            vals = np.concatenate((vals, [value(hi)]))
+        else:
+            break
+        best = int(np.argmin(vals))
     a = float(grid[max(best - 1, 0)])
     b = float(grid[min(best + 1, grid.size - 1)])
     invphi = (math.sqrt(5) - 1) / 2

@@ -27,6 +27,8 @@ M_MAX = 10
 
 # Discarded-probability budget for truncated amplitude vectors.
 TAIL_TOL = 1e-10
+# Mean-photon-number tolerance of the energy-matching bisection.
+ENERGY_TOL = 1e-10
 
 
 def _is_order(m) -> bool:
@@ -119,12 +121,13 @@ def energy_report(p: ProbeParams) -> EnergyReport:
     )
 
 
-def solve_r_for_energy(m: int, nbar_target: float, tol: float = 1e-10) -> float:
+def solve_r_for_energy(m: int, nbar_target: float) -> float:
     """Squeeze parameter r in [0, 3] whose m-added state carries nbar_target photons.
 
     The mean photon number is m at r = 0 and increases with r, so plain
-    bisection on the bracket suffices. Raises InfeasibleTarget if the target
-    is below m and BracketExceeded if it needs r > 3.
+    bisection on the bracket suffices, to ENERGY_TOL photons. Raises
+    InfeasibleTarget if the target is below m and BracketExceeded if it
+    needs r > 3.
     """
     _check_rm(0.0, m)
     if not math.isfinite(nbar_target):
@@ -145,7 +148,7 @@ def solve_r_for_energy(m: int, nbar_target: float, tol: float = 1e-10) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = pasvs_mean_photons(mid, m)
-        if abs(val - nbar_target) <= tol:
+        if abs(val - nbar_target) <= ENERGY_TOL:
             return mid
         if val < nbar_target:
             lo = mid
@@ -154,7 +157,7 @@ def solve_r_for_energy(m: int, nbar_target: float, tol: float = 1e-10) -> float:
         if hi - lo < 1e-15:
             break
     mid = 0.5 * (lo + hi)
-    if abs(pasvs_mean_photons(mid, m) - nbar_target) > tol:
+    if abs(pasvs_mean_photons(mid, m) - nbar_target) > ENERGY_TOL:
         raise BracketExceeded(f"bisection stalled for m={m}, nbar={nbar_target}")
     return mid
 
@@ -215,15 +218,3 @@ def coherent_fock_amplitudes(alpha: float, cutoff: int) -> np.ndarray:
         raise CutoffTooSmall(f"cutoff {cutoff} leaves tail {tail:.3e} >= {TAIL_TOL:.0e}")
     return amps / math.sqrt(norm2)
 
-
-def adaptive_cutoff(build, start: int = 40, limit: int = 5120) -> int:
-    """Smallest doubling of `start` for which `build(cutoff)` passes its tail check."""
-    cutoff = start
-    while True:
-        try:
-            build(cutoff)
-            return cutoff
-        except CutoffTooSmall:
-            cutoff *= 2
-            if cutoff > limit:
-                raise

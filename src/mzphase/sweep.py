@@ -21,13 +21,14 @@ from .errors import (
     DegenerateSignal,
     InfeasibleTarget,
     SchemaViolation,
+    SingularNormalEquations,
     SpecInvalid,
     UnknownFigure,
 )
 from .moments import moment_set
 from .oracle import parity_signal_oracle
-from .parity import _fisher_from, optimal_phase, parity_expectation, phase_sensitivity
-from .qfi_kerr import kerr_cq_numeric, kerr_mu_opt, qfi_lossy_kerr
+from .parity import _fisher_from, classical_fisher, optimal_phase, parity_expectation, phase_sensitivity
+from .qfi_kerr import kerr_cq_numeric, kerr_mu_opt, kerr_mu_opt_numeric, qfi_lossy_kerr
 from .qfi_linear import benchmark_limits, qfi_lossy_linear, qfi_lossy_numeric_check
 from .states import ProbeParams, pasvs_mean_photons, solve_r_for_energy
 
@@ -369,8 +370,12 @@ def _oracle_value(q: str, p: ProbeParams, ms) -> float:
         if p.loss == 0.0:
             fq = qfi_lossy_kerr(ms, 0.0).fq
         else:
-            mu1, mu2 = kerr_mu_opt(ms, p.loss)
-            fq = kerr_cq_numeric(p, mu1, mu2)
+            try:
+                mu = kerr_mu_opt(ms, p.loss)
+            except SingularNormalEquations:  # the row's bound fell back
+                fq = kerr_mu_opt_numeric(p)[0]
+            else:
+                fq = kerr_cq_numeric(p, *mu)
         return fq if q == "qfi_kerr" else (math.inf if fq <= 0 else fq**-0.5)
     raise SpecInvalid(f"no oracle for quantity {q!r}")
 
@@ -399,7 +404,7 @@ def _compute_row(task: _RowTask) -> dict:
                 if q == "sensitivity":
                     value = opt_sens if opt_sens is not None else phase_sensitivity(p)
                 else:
-                    value = _cfi_at(p)
+                    value = classical_fisher(p)
             elif q == "qfi_linear":
                 value = qfi_lossy_linear(ms, task.loss).fq
             elif q == "qcrb_linear":
@@ -421,12 +426,6 @@ def _compute_row(task: _RowTask) -> dict:
             out["oracle"][q] = o
             out["dev"] = max(out["dev"], _guarded_dev(out["values"][q], o))
     return out
-
-
-def _cfi_at(p: ProbeParams) -> float:
-    from .parity import classical_fisher
-
-    return classical_fisher(p)
 
 
 def _code(e: Exception) -> str:

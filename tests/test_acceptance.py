@@ -139,7 +139,7 @@ def test_kerr_bound_matches_operator_and_optimum(report):
         p = _probe(alpha, r, m, l)
         ms = moment_set(p)
         for mu1, mu2 in MU_POINTS:
-            worst_fixed = max(worst_fixed, _rel(kerr_cq(ms, l, mu1, mu2).cq, kerr_cq_numeric(p, mu1, mu2)))
+            worst_fixed = max(worst_fixed, _rel(kerr_cq(ms, l, mu1, mu2), kerr_cq_numeric(p, mu1, mu2)))
 
     worst_opt = 0.0
     for alpha, r, m, l in MU_OPT_PROBES:
@@ -176,7 +176,7 @@ def test_zero_loss_reductions(report):
         worst_lin = max(worst_lin, _rel(qfi_lossy_linear(ms, 0.0).fq, qfi_ideal_linear(ms).fq))
         ideal = qfi_ideal_kerr(ms).fq
         for mu1, mu2 in MU_POINTS:
-            worst_kerr = max(worst_kerr, _rel(kerr_cq(ms, 0.0, mu1, mu2).cq, ideal))
+            worst_kerr = max(worst_kerr, _rel(kerr_cq(ms, 0.0, mu1, mu2), ideal))
     ok = worst_lin < 1e-12 and worst_kerr < 1e-10
     report(
         f"acceptance 06 zero-loss reductions: {'PASS' if ok else 'FAIL'} "

@@ -185,6 +185,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["limits", "--nbar", "8", "--out", str(out)]) == 0
     text = out.read_text()
     assert "3.53553390593e-01" in text
+    assert "# schema_version=1" in text.splitlines()
     assert main(["figure", "13"]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1, "quantity": "parity",
@@ -193,6 +194,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "$.oops" in err
+
+
+def test_oracle_check_covers_kerr_fallback_rows(tmp_path):
+    # at r = 0 the probe arm carries a Bernoulli count and the Kerr bound
+    # falls back to the numeric search; the oracle column must follow it
+    path = tmp_path / "kerr.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "quantity": "qfi_kerr",
+        "sweep": {"name": "r", "values": [0.0, 0.5]},
+        "fixed": {"alpha": 0.0}, "m_list": [1], "loss": 0.1, "oracle_check": True,
+    }))
+    out = tmp_path / "kerr.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+    assert [row["status"] for row in rows] == ["kerr_fallback", "ok"]
+    for row in rows:
+        value, oracle = float(row["qfi_kerr"]), float(row["oracle_qfi_kerr"])
+        assert abs(value - oracle) <= 1e-10 * value
+
+
+def test_unlisted_row_error_aborts_without_output(tmp_path, capsys, monkeypatch):
+    # only the ROW_ERRORS become row statuses; anything else aborts the sweep
+    import mzphase.sweep
+    from mzphase.errors import ConsistencyError
+
+    def broken(p):
+        raise ConsistencyError("injected")
+
+    monkeypatch.setattr(mzphase.sweep, "parity_expectation", broken)
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg())
+    out = tmp_path / "never.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "numeric failure: ConsistencyError" in capsys.readouterr().err
 
 
 def test_cli_match_energy(tmp_path):

@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from mzphase.errors import ParamOutOfRange
-from mzphase.moments import moment_set, nb_moment, poisson_reference
+from mzphase.moments import MomentSet, moment_set, nb_moment
 from mzphase.oracle import moments_oracle
 from mzphase.states import ProbeParams
+
+
+def poisson_reference(nbar: float) -> MomentSet:
+    """Moments of a Poisson count with the given mean (closed forms)."""
+    m1 = nbar
+    m2 = nbar + nbar**2
+    m3 = nbar + 3 * nbar**2 + nbar**3
+    m4 = nbar + 7 * nbar**2 + 6 * nbar**3 + nbar**4
+    return MomentSet(m1, m2, m3, m4, m2 - m1 * m1, m4 - m2 * m2)
 
 
 def test_normalization_order_zero():

@@ -33,7 +33,7 @@ def test_closed_form_matches_operator(alpha, r, m, l):
     p = ProbeParams(alpha=alpha, r=r, m=m, loss=l)
     ms = moment_set(p)
     for mu1, mu2 in MU_POINTS:
-        closed = kerr_cq(ms, l, mu1, mu2).cq
+        closed = kerr_cq(ms, l, mu1, mu2)
         numeric = kerr_cq_numeric(p, mu1, mu2)
         assert closed == pytest.approx(numeric, rel=1e-6, abs=1e-9)
 
@@ -46,7 +46,7 @@ def test_optimum_matches_bounded_numeric_minimum(alpha, r, m, l):
     p = ProbeParams(alpha=alpha, r=r, m=m, loss=l)
     ms = moment_set(p)
     mu1, mu2 = kerr_mu_opt(ms, l)
-    closed = kerr_cq(ms, l, mu1, mu2).cq
+    closed = kerr_cq(ms, l, mu1, mu2)
     numeric, n1, n2 = kerr_mu_opt_numeric(p)
     assert closed == pytest.approx(numeric, rel=1e-6)
     assert mu1 == pytest.approx(n1, abs=1e-4)
@@ -77,12 +77,25 @@ def test_lossy_values_frozen(alpha, r, m, l, expected):
     assert not res.fallback
 
 
+def test_fallback_matches_operator_minimum():
+    # one photon split at the first splitter: n_b is Bernoulli, so n_b^2 = n_b
+    # and the C_Q quadratic form is not positive definite
+    p = ProbeParams(alpha=0.0, r=0.0, m=1, loss=0.1)
+    ms = moment_set(p)
+    with pytest.raises(SingularNormalEquations):
+        kerr_mu_opt(ms, p.loss)
+    res = qfi_lossy_kerr(ms, p.loss)
+    assert res.fallback
+    numeric, _, _ = kerr_mu_opt_numeric(p)
+    assert abs(res.fq - numeric) <= 1e-10 * numeric
+
+
 def test_zero_loss_reduces_to_ideal_and_ignores_mu():
     ms = moment_set(ProbeParams(alpha=2.0, r=0.5, m=1))
     ideal = qfi_ideal_kerr(ms)
     assert ideal.fq == pytest.approx(4.0 * ms.var_n2, rel=0, abs=0)
     assert qfi_lossy_kerr(ms, 0.0).fq == ideal.fq
-    vals = [kerr_cq(ms, 0.0, mu1, mu2).cq for mu1, mu2 in MU_POINTS + [(0.7, 0.3)]]
+    vals = [kerr_cq(ms, 0.0, mu1, mu2) for mu1, mu2 in MU_POINTS + [(0.7, 0.3)]]
     for v in vals:
         assert abs(v - ideal.fq) <= 1e-10 * max(1.0, abs(ideal.fq))
 

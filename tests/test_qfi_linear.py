@@ -2,11 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from mzphase.errors import ParamOutOfRange
 from mzphase.moments import MomentSet, moment_set
+from mzphase.oracle import KrausFamily, cq_from_table, loss_weight_table, probe_marginal
 from mzphase.qfi_linear import (
     benchmark_limits,
     qfi_ideal_linear,
@@ -75,21 +75,16 @@ def test_closed_form_matches_operator_minimum(alpha, r, m, l, expected):
     assert closed == pytest.approx(numeric, rel=1e-6)
 
 
-def test_numeric_check_respects_explicit_grid():
-    p = ProbeParams(alpha=1.0, r=0.5, m=0, loss=0.2)
-    wide = qfi_lossy_numeric_check(p)
-    confined = qfi_lossy_numeric_check(p, gamma_grid=np.linspace(-1.0, 0.0, 11))
-    # the optimal weight lies right of this window, so the confined bound is looser
-    assert confined >= wide - 1e-9
-    assert confined > wide + 1e-3
-
-
-def test_numeric_check_rejects_bad_grid():
-    p = ProbeParams(alpha=1.0, r=0.5, m=0, loss=0.2)
-    with pytest.raises(ParamOutOfRange):
-        qfi_lossy_numeric_check(p, gamma_grid=np.array([0.5]))
-    with pytest.raises(ParamOutOfRange):
-        qfi_lossy_numeric_check(p, gamma_grid=np.array([0.2, 0.1]))
+def test_numeric_check_extends_bracket_past_scan():
+    # strong squeezing at small loss puts the optimal gamma near 2.68, right
+    # of the [-2, 2] scan; the edge push has to find it
+    p = ProbeParams(alpha=0.0, r=1.2, m=0, loss=0.01)
+    numeric = qfi_lossy_numeric_check(p)
+    table = loss_weight_table(probe_marginal(p, weight=2), p.loss)
+    at_edge = cq_from_table(table, KrausFamily("linear", p.loss, gamma=2.0))
+    assert at_edge > numeric * (1 + 5e-4)
+    closed = qfi_lossy_linear(moment_set(p), p.loss).fq
+    assert abs(numeric - closed) <= 1e-9 * closed
 
 
 def test_loss_range_validated():

@@ -21,7 +21,6 @@ from mzphase.errors import (
 from mzphase.states import (
     ProbeParams,
     _pasvs_norm_unchecked,
-    adaptive_cutoff,
     coherent_fock_amplitudes,
     energy_report,
     pasvs_fock_amplitudes,
@@ -29,6 +28,21 @@ from mzphase.states import (
     pasvs_norm,
     solve_r_for_energy,
 )
+
+
+
+def adaptive_cutoff(build, start: int = 40, limit: int = 5120) -> int:
+    """Smallest doubling of `start` for which `build(cutoff)` passes its tail check."""
+    cutoff = start
+    while True:
+        try:
+            build(cutoff)
+            return cutoff
+        except CutoffTooSmall:
+            cutoff *= 2
+            if cutoff > limit:
+                raise
+
 
 # independently derived (symbolic + Fock sum), see module docstring
 P3_AT_R1 = 151.47240518623446
