@@ -1,22 +1,29 @@
 """Kernel timings before and after a change, written to one JSON file.
 
     git archive <base-rev> src | tar -x -C /tmp/base
-    python3 scripts/bench_kernels.py --before-src /tmp/base/src --out BENCH_2.json
+    python3 scripts/bench_kernels.py --before-src /tmp/base/src --out BENCH_<n>.json
 
-Times three entry points of the currently checked-out `src/` ("after") and
-of the `src/` tree given with --before-src ("before"), each side in its own
-fresh, single-threaded process on the same machine:
+Times entry points of the currently checked-out `src/` ("after") and of the
+`src/` tree given with --before-src ("before"), each side in its own fresh,
+single-threaded processes on the same machine:
 
 - `parity._signal_batch` per photon-addition order m at batch 1, 201, 1001;
 - `parity.optimal_phase` per m (its 1001-point scan plus golden section);
-- `moments.moment_set` per m.
+- `moments.moment_set` per m;
+- the Fock oracle (`oracle` warm, `oracle_first` as the first call in a fresh
+  process, which includes building the beam-splitter blocks):
+  `parity_signal_oracle` at r = 0.3, 0.65 and 1, and `qfi_lossy_numeric_check`
+  and `kerr_cq_numeric` at r = 1.
 
-The probe is alpha = 2, r = 0.5, loss = 0.1. Each timing repeats until it
-has run at least three times and 0.3 s (a single run above 1 s is kept
-alone) and reports the minimum and the median per call in ms. The file is
-stamped with nproc and the Python and numpy versions. A tree that still builds
-the kernels as multivariate jets needs about 1.3 GB of memory and 35 s per
-call at m = 10 and batch 1001.
+The kernel probe is alpha = 2, r = 0.5, loss = 0.1; the oracle probe is the
+costliest corner of the `xcheck` benchmark workload, alpha = 1.9, m = 3,
+loss = 0.21, phi = 0.37. Each warm timing follows one untimed call and repeats
+until it has run at least three times and 0.3 s (a single run above 1 s is
+kept alone); it reports the minimum and the median per call in ms. Each
+first-call timing is taken in three fresh processes. The file is stamped with
+nproc and the Python and numpy versions. A tree that still builds the kernels
+as multivariate jets needs about 1.3 GB of memory and 35 s per call at m = 10
+and batch 1001.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ from pathlib import Path
 
 M_LIST = (0, 1, 2, 3, 6, 10)
 BATCHES = (1, 201, 1001)
+ORACLE_PROBE = {"alpha": 1.9, "m": 3, "loss": 0.21, "phi": 0.37}
+ORACLE_R = (0.3, 0.65, 1.0)
+FIRST_RUNS = 3
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -54,6 +64,33 @@ def _time(fn) -> dict:
     }
 
 
+def _oracle_calls() -> dict:
+    """Zero-argument oracle calls by name."""
+    from mzphase.moments import moment_set
+    from mzphase.oracle import parity_signal_oracle
+    from mzphase.qfi_kerr import kerr_cq_numeric, kerr_mu_opt
+    from mzphase.qfi_linear import qfi_lossy_numeric_check
+    from mzphase.states import ProbeParams
+
+    calls = {}
+    for r in ORACLE_R:
+        p = ProbeParams(r=r, **ORACLE_PROBE)
+        calls[f"parity_signal_r{r}"] = lambda p=p: parity_signal_oracle(p)
+    p = ProbeParams(r=ORACLE_R[-1], **ORACLE_PROBE)
+    mu = kerr_mu_opt(moment_set(p), p.loss)
+    calls["qfi_lossy_numeric_check"] = lambda: qfi_lossy_numeric_check(p)
+    calls["kerr_cq_numeric"] = lambda: kerr_cq_numeric(p, *mu)
+    return calls
+
+
+def measure_first(name: str) -> float:
+    """ms of the first call of one oracle entry point in this process."""
+    fn = _oracle_calls()[name]
+    t0 = time.perf_counter()
+    fn()
+    return (time.perf_counter() - t0) * 1e3
+
+
 def measure() -> dict:
     """Timings of the mzphase importable in this process."""
     import numpy as np
@@ -70,16 +107,33 @@ def measure() -> dict:
             out["signal_batch"][f"m{m}_b{batch}"] = _time(lambda: _signal_batch(p, grid))
         out["optimal_phase"][f"m{m}"] = _time(lambda: optimal_phase(p))
         out["moment_set"][f"m{m}"] = _time(lambda: moment_set(p))
+    out["oracle"] = {}
+    for name, fn in _oracle_calls().items():
+        fn()
+        out["oracle"][name] = _time(fn)
     return out
 
 
-def _side(src: Path) -> dict:
+def _run(src: Path, *args: str):
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    cmd = [sys.executable, __file__, "--measure"]
+    cmd = [sys.executable, __file__, *args]
     done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _side(src: Path) -> dict:
+    out = _run(src, "--measure")
+    out["oracle_first"] = {}
+    for name in out["oracle"]:
+        runs = [_run(src, "--measure-first", name) for _ in range(FIRST_RUNS)]
+        out["oracle_first"][name] = {
+            "min_ms": round(min(runs), 4),
+            "median_ms": round(statistics.median(runs), 4),
+            "runs": len(runs),
+        }
+    return out
 
 
 def _speedups(before: dict, after: dict) -> dict:
@@ -94,13 +148,19 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--before-src", type=Path, help="src/ directory of the tree to compare against")
     ap.add_argument("--before-label", default="parent commit", help="what --before-src holds")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_2.json")
+    ap.add_argument("--out", type=Path, help="JSON file to write (required)")
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--measure-first", metavar="NAME", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.measure:
         print(json.dumps(measure()))
         return 0
+    if args.measure_first:
+        print(json.dumps(measure_first(args.measure_first)))
+        return 0
+    if args.out is None:
+        ap.error("--out is required")
 
     import numpy as np
 
@@ -113,6 +173,7 @@ def main(argv=None) -> int:
             "blas_threads": 1,
         },
         "probe": {"alpha": 2.0, "r": 0.5, "loss": 0.1, "m": list(M_LIST), "batches": list(BATCHES)},
+        "oracle_probe": dict(ORACLE_PROBE, r=list(ORACLE_R)),
         "units": "ms per call",
     }
     if args.before_src is not None:

@@ -7,6 +7,11 @@ sector is a small orthogonal mixing computed by spectral decomposition),
 loss on the probe arm is expanded into its Kraus branches, and phases are
 diagonal. No generating-function shortcuts: this is the cross-check engine
 for the analytic modules, sharing nothing with them but the state builders.
+
+Each sector's splitter block is built once per process and shared by every
+cutoff. The blocks of sectors 0..N take sum (k+1)^2 * 16 B, which is about
+22 MB up to N = 160 and 1.16 GB up to SECTOR_LIMIT; they are freed only when
+the process ends.
 """
 
 from __future__ import annotations
@@ -117,39 +122,64 @@ class KrausFamily:
 # -- beam splitter ----------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _bs_blocks(cutoff: int):
-    """Per-sector 50:50 beam-splitter matrices exp(-i pi/4 (a^dag b + a b^dag)).
+@lru_cache(maxsize=None)
+def _bs_block(total: int) -> np.ndarray:
+    """50:50 beam-splitter matrix exp(-i pi/4 (a^dag b + a b^dag)) on one sector.
 
     Sector N (total photons) has basis |n_a, N - n_a>, n_a = 0..N; the
     coupling operator is real symmetric tridiagonal there, so the block is
-    built from its spectral decomposition. The second splitter's block is
-    the entrywise conjugate.
+    built from its spectral decomposition. The block does not depend on the
+    grid cutoff; it is cached for the life of the process and read only.
     """
-    blocks = []
-    for total in range(cutoff + 1):
-        na = np.arange(total + 1)
-        off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
-        j_op = np.diag(off, 1) + np.diag(off, -1)
-        vals, vecs = np.linalg.eigh(j_op)
-        u = (vecs * np.exp(-1j * (np.pi / 4) * vals)) @ vecs.T
-        defect = np.max(np.abs(u.conj().T @ u - np.eye(total + 1)))
-        if defect >= 1e-10:
-            raise UnitarityDrift(f"sector {total} block unitarity defect {defect:.3e}")
-        blocks.append(u)
-    return blocks
+    na = np.arange(total + 1)
+    off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
+    j_op = np.diag(off, 1) + np.diag(off, -1)
+    vals, vecs = np.linalg.eigh(j_op)
+    u = (vecs * np.exp(-1j * (np.pi / 4) * vals)) @ vecs.T
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(total + 1)))
+    if defect >= 1e-10:
+        raise UnitarityDrift(f"sector {total} block unitarity defect {defect:.3e}")
+    u.flags.writeable = False
+    return u
+
+
+@lru_cache(maxsize=4)  # its cache_info() counts cutoff changes in the traced benchmark
+def _bs_blocks(cutoff: int) -> list:
+    """The shared blocks of sectors 0..cutoff. The second splitter's block is
+    the entrywise conjugate of the first's."""
+    return [_bs_block(total) for total in range(cutoff + 1)]
+
+
+def _sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat grid indices of sectors 0..cutoff, sector after sector with n_a
+    ascending, and the offset at which each sector starts (cutoff + 2 entries)."""
+    d = cutoff + 1
+    total = np.repeat(np.arange(d), np.arange(1, d + 1))
+    start = np.concatenate(([0], np.cumsum(np.arange(1, d + 1))))
+    na = np.arange(total.size) - start[total]
+    return na * d + (total - na), start
 
 
 def _apply_bs_array(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray:
-    blocks = _bs_blocks(cutoff)
-    out = arr.copy()
-    for total in range(cutoff + 1):
-        na = np.arange(total + 1)
-        vec = arr[na, total - na]
-        u = blocks[total]
-        if second:
-            u = u.conj()
-        out[na, total - na] = u @ vec
+    """Splitter on one grid (d, d) or a stack of grids (k, d, d).
+
+    Sector entries are gathered sector-major, (entries, k), so each sector
+    takes one matrix product for the whole stack; the second splitter is
+    conj(U conj(v)). Entries outside sectors 0..cutoff pass through.
+    """
+    idx, start = _sectors(cutoff)
+    out = np.array(arr, dtype=np.complex128)
+    d = cutoff + 1
+    flat = out.reshape(*arr.shape[:-2], d * d).T  # (d*d,) or (d*d, k), a view of out
+    packed = flat[idx]
+    if second:
+        np.conjugate(packed, out=packed)
+    for total, u in enumerate(_bs_blocks(cutoff)):
+        seg = packed[start[total] : start[total + 1]]
+        seg[...] = u @ seg
+    if second:
+        np.conjugate(packed, out=packed)
+    flat[idx] = packed
     return out
 
 
@@ -190,11 +220,11 @@ def apply_beam_splitter(state, which: str):
         return FockGrid(state.cutoff, out)
     if isinstance(state, DensityGrid):
         before = state.trace()
-        branches = []
         for b in state.branches:
             _sector_mass_check(b, state.cutoff)
-            branches.append(_apply_bs_array(b, state.cutoff, second))
-        out = DensityGrid(state.cutoff, branches)
+        d = state.cutoff + 1
+        stack = np.asarray(state.branches).reshape(-1, d, d)
+        out = DensityGrid(state.cutoff, list(_apply_bs_array(stack, state.cutoff, second)))
         drift = abs(out.trace() - before)
         if drift >= 1e-9 * max(before, 1e-300):
             raise UnitarityDrift(f"trace drifted by {drift:.3e} across the splitter")
@@ -383,28 +413,34 @@ def parity_signal_oracle(
     The phase enters each pure branch as v(phi) = e^{i phi n_b} u, so
     v' = i n_b v and v'' = -n_b^2 v; pushing v, v', v'' through the second
     splitter gives the derivatives without finite differencing:
-    f' = 2 Re<w0|P|w1>, f'' = 2 Re<w0|P|w2> + 2 <w1|P|w1>.
+    f' = 2 Re<w0|P|w1>, f'' = 2 Re<w0|P|w2> + 2 <w1|P|w1>. The splitter and
+    P act within each total-photon sector, so the sums are taken sector by
+    sector, with all loss branches and all three vectors in one product.
     """
     nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
     after_bs1 = _prepared_after_first_splitter(p, nc)
     lossy = apply_loss_channel(after_bs1, p.loss)
-    n = np.arange(nc + 1, dtype=float)[None, :]
-    signs = np.where(np.arange(nc + 1) % 2 == 0, 1.0, -1.0)[None, :]
+    idx, start = _sectors(nc)
+    nb = (idx % (nc + 1)).astype(float)[:, None]
+    sign = np.where(nb % 2 == 0, 1.0, -1.0)
+    k = len(lossy.branches)
+    # conj(v0) per (sector entry, branch): the second splitter is conj(U conj(v)),
+    # and every sum below is unchanged when all of w is conjugated
+    cv0 = np.empty((idx.size, k), dtype=np.complex128)
+    for j, b in enumerate(lossy.branches):
+        cv0[:, j] = b.ravel()[idx]
+    np.conjugate(cv0, out=cv0)
+    cv0 *= np.exp(-1j * p.phi * nb)
     f = d1 = d2 = 0.0
-    for u in lossy.branches:
-        v0 = u * np.exp(1j * p.phi * n)
-        v1 = 1j * n * v0
-        v2 = -(n * n) * v0
-        w0 = _apply_bs_array(v0, nc, second=True)
-        w1 = _apply_bs_array(v1, nc, second=True)
-        w2 = _apply_bs_array(v2, nc, second=True)
-        pw0 = signs * w0
-        f += float(np.sum((pw0.conj() * w0).real))
-        d1 += 2.0 * float(np.sum((pw0.conj() * w1).real))
-        d2 += 2.0 * float(np.sum((pw0.conj() * w2).real)) + 2.0 * float(
-            np.sum((signs * w1.conj() * w1).real)
-        )
-    return f, d1, d2
+    for total, u in enumerate(_bs_blocks(nc)):
+        sec = slice(start[total], start[total + 1])
+        x, n = cv0[sec], nb[sec]
+        w0, w1, w2 = u @ np.stack((x, -1j * n * x, -(n * n) * x))
+        pw0 = sign[sec] * w0
+        f += np.vdot(pw0, w0).real
+        d1 += 2.0 * np.vdot(pw0, w1).real
+        d2 += 2.0 * (np.vdot(pw0, w2).real + np.vdot(sign[sec] * w1, w1).real)
+    return float(f), float(d1), float(d2)
 
 
 def moments_oracle(p: ProbeParams, w: int, cutoff: int | None = None) -> float:

@@ -14,6 +14,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     BracketExceeded,
@@ -26,7 +28,7 @@ from .errors import (
     UnknownFigure,
 )
 from .moments import moment_set
-from .oracle import parity_signal_oracle
+from .oracle import parity_signal_oracle, probe_marginal
 from .parity import _fisher_from, classical_fisher, optimal_phase, parity_expectation, phase_sensitivity
 from .qfi_kerr import kerr_cq_numeric, kerr_mu_opt, kerr_mu_opt_numeric, qfi_lossy_kerr
 from .qfi_linear import benchmark_limits, qfi_lossy_linear, qfi_lossy_numeric_check
@@ -367,8 +369,11 @@ def _oracle_value(q: str, p: ProbeParams, ms) -> float:
         fq = qfi_lossy_numeric_check(p)
         return fq if q == "qfi_linear" else (math.inf if fq <= 0 else fq**-0.5)
     if q in ("qfi_kerr", "qcrb_kerr"):
-        if p.loss == 0.0:
-            fq = qfi_lossy_kerr(ms, 0.0).fq
+        if p.loss == 0.0:  # F_Q = 4 Var(n_b^2) on the probe-arm distribution
+            marg = probe_marginal(p, weight=4)
+            n2 = np.arange(marg.size, dtype=float) ** 2
+            m2, m4 = float(np.dot(marg, n2)), float(np.dot(marg, n2 * n2))
+            fq = 4.0 * (m4 - m2 * m2)
         else:
             try:
                 mu = kerr_mu_opt(ms, p.loss)

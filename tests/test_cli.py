@@ -8,8 +8,10 @@ import pytest
 from mzphase.cli import main
 from mzphase.errors import SchemaViolation, SpecInvalid, UnknownFigure
 from mzphase.parity import parity_expectation
+from mzphase.moments import moment_set
+from mzphase.qfi_kerr import qfi_ideal_kerr
 from mzphase.states import ProbeParams
-from mzphase.sweep import SweepSpec, figure_preset, parse_config, run_sweep, validate_spec
+from mzphase.sweep import SweepSpec, _oracle_value, figure_preset, parse_config, run_sweep, validate_spec
 
 MINIMAL = {
     "schema_version": 1,
@@ -214,6 +216,16 @@ def test_oracle_check_covers_kerr_fallback_rows(tmp_path):
     for row in rows:
         value, oracle = float(row["qfi_kerr"]), float(row["oracle_qfi_kerr"])
         assert abs(value - oracle) <= 1e-10 * value
+
+
+@pytest.mark.parametrize("r,m", [(0.3, 0), (1.0, 3)])
+@pytest.mark.parametrize("q", ["qfi_kerr", "qcrb_kerr"])
+def test_zero_loss_kerr_oracle_is_computed_without_moments(q, r, m):
+    # without loss the oracle column comes from the Fock probe marginal alone
+    p = ProbeParams(alpha=1.8, r=r, m=m)
+    fq = qfi_ideal_kerr(moment_set(p)).fq
+    want = fq if q == "qfi_kerr" else fq**-0.5
+    assert _oracle_value(q, p, None) == pytest.approx(want, rel=1e-8)
 
 
 def test_unlisted_row_error_aborts_without_output(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,9 @@ from scipy.special import gammaln
 from mzphase.errors import CutoffTooSmall, ParamOutOfRange
 from mzphase.oracle import (
     DensityGrid,
+    _apply_bs_array,
+    _bs_block,
+    _bs_blocks,
     FockGrid,
     KrausFamily,
     apply_beam_splitter,
@@ -24,6 +27,8 @@ from mzphase.oracle import (
     probe_marginal,
 )
 from mzphase.states import ProbeParams
+from mzphase.sweep import _guarded_dev
+from oracle_reference import apply_bs_reference, parity_signal_reference
 
 
 def kraus_operator(fam: KrausFamily, j: int, nmax: int, phi: float = 0.0) -> np.ndarray:
@@ -220,6 +225,41 @@ def test_parity_signal_derivatives_match_analytic(alpha, r, m, l, phi):
     assert f == pytest.approx(sig.value, abs=1e-9)
     assert d1 == pytest.approx(sig.dvalue, abs=1e-9)
     assert d2 == pytest.approx(sig.ddvalue, abs=1e-9)
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.21])
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("r", [0.3, 0.65, 1.0])
+def test_parity_signal_matches_per_branch_reference(r, m, loss):
+    p = ProbeParams(alpha=1.9, r=r, m=m, loss=loss, phi=0.37)
+    nc = default_cutoff(p, weight=2)
+    got = parity_signal_oracle(p, cutoff=nc)
+    want = parity_signal_reference(p, cutoff=nc)
+    assert max(_guarded_dev(g, w) for g, w in zip(got, want)) <= 1e-13
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_stacked_splitter_matches_one_grid_at_a_time(second):
+    # random entries everywhere, so the corner outside the sectors is covered
+    rng = np.random.default_rng(7)
+    cutoff = 16
+    stack = rng.normal(size=(5, cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(5, cutoff + 1, cutoff + 1))
+    got = _apply_bs_array(stack, cutoff, second)
+    for g, grid in zip(got, stack):
+        np.testing.assert_allclose(g, _apply_bs_array(grid, cutoff, second), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g, apply_bs_reference(grid, cutoff, second), rtol=0, atol=1e-13)
+
+
+def test_splitter_blocks_built_once_per_sector():
+    shared = _bs_blocks(160)
+    misses = _bs_block.cache_info().misses
+    assert all(a is b for a, b in zip(_bs_blocks(136), shared))
+    assert _bs_block.cache_info().misses == misses
+    assert not shared[40].flags.writeable
+    size = _bs_block.cache_info().currsize
+    _bs_blocks(168)
+    info = _bs_block.cache_info()
+    assert info.misses - misses == info.currsize - size <= 8
 
 
 def test_parity_signal_value_consistent_with_plain_oracle():
