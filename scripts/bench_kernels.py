@@ -15,12 +15,24 @@ single-threaded processes on the same machine:
   `parity_signal_oracle` at r = 0.3, 0.65 and 1, and `qfi_lossy_numeric_check`
   and `kerr_cq_numeric` at r = 1.
 
+- the `rows` group: many sweep rows of one m at once. `parity_signals` at 1,
+  48 and 1001 rows (`kernel_*`) against the same rows as a loop of
+  `parity_expectation` calls (`row_loop_*`); `optimal_phases` for groups of
+  1, 2 and 21 rows (`optimal_*`) against a loop of `optimal_phase` calls
+  (`optimal_loop_*`); and the wall time of `run_sweep` on figure presets
+  2a, 5a and 7a, with `threads` 1 and 2 (`preset_<n><panel>_t<threads>`;
+  each threaded call starts its own process pool, as the CLI does). A tree
+  without the batch functions reports only the loops and the presets.
+
 The kernel probe is alpha = 2, r = 0.5, loss = 0.1; the oracle probe is the
 costliest corner of the `xcheck` benchmark workload, alpha = 1.9, m = 3,
 loss = 0.21, phi = 0.37. Each warm timing follows one untimed call and repeats
 until it has run at least three times and 0.3 s (a single run above 1 s is
 kept alone); it reports the minimum and the median per call in ms. Each
-first-call timing is taken in three fresh processes. The file is stamped with
+first-call timing is taken in three fresh processes. Each side is measured
+ROUNDS times, in alternating order (before, after, after, before), and every
+entry keeps the round with the lower minimum, so a slow spell of a shared
+machine does not land on one side only. The file is stamped with
 nproc and the Python and numpy versions. A tree that still builds the kernels
 as multivariate jets needs about 1.3 GB of memory and 35 s per call at m = 10
 and batch 1001.
@@ -40,9 +52,15 @@ from pathlib import Path
 
 M_LIST = (0, 1, 2, 3, 6, 10)
 BATCHES = (1, 201, 1001)
+ROW_M = (0, 3)
+ROWS = (1, 48, 1001)
+GROUPS = (1, 2, 21)
+PRESETS = ((2, "a"), (5, "a"), (7, "a"))
+THREADS = (1, 2)
 ORACLE_PROBE = {"alpha": 1.9, "m": 3, "loss": 0.21, "phi": 0.37}
 ORACLE_R = (0.3, 0.65, 1.0)
 FIRST_RUNS = 3
+ROUNDS = 2
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -111,6 +129,42 @@ def measure() -> dict:
     for name, fn in _oracle_calls().items():
         fn()
         out["oracle"][name] = _time(fn)
+    out["rows"] = _measure_rows()
+    return out
+
+
+def _measure_rows() -> dict:
+    """Sweep rows of one m evaluated together, against one call per row."""
+    import numpy as np
+
+    from mzphase import parity
+    from mzphase.states import ProbeParams
+    from mzphase.sweep import figure_preset, run_sweep
+
+    batched = hasattr(parity, "parity_signals")
+    out = {}
+    for m in ROW_M:
+        for n in ROWS:
+            # a phi sweep at two losses, as in presets 2a and 3a
+            probes = [
+                ProbeParams(2.0, 0.5, m, 0.1 * (i % 2), float(phi))
+                for i, phi in enumerate(np.linspace(-1.5, 1.5, n))
+            ]
+            cols = [[getattr(p, f) for p in probes] for f in ("alpha", "r", "loss", "phi")]
+            out[f"row_loop_b{n}_m{m}"] = _time(lambda: [parity.parity_expectation(p) for p in probes])
+            if batched:
+                out[f"kernel_b{n}_m{m}"] = _time(lambda: parity.parity_signals(m, *cols))
+        for g in GROUPS:
+            # a loss sweep at the optimal phase, as in preset 5a
+            probes = [ProbeParams(2.0, 0.5, m, float(l)) for l in np.linspace(0.0, 0.4, g)]
+            cols = [[getattr(p, f) for p in probes] for f in ("alpha", "r", "loss")]
+            out[f"optimal_loop_g{g}_m{m}"] = _time(lambda: [parity.optimal_phase(p) for p in probes])
+            if batched:
+                out[f"optimal_g{g}_m{m}"] = _time(lambda: parity.optimal_phases(m, *cols))
+    for n, panel in PRESETS:
+        spec = figure_preset(n, panel)
+        for threads in THREADS:
+            out[f"preset_{n}{panel}_t{threads}"] = _time(lambda: run_sweep(spec, threads=threads))
     return out
 
 
@@ -136,11 +190,31 @@ def _side(src: Path) -> dict:
     return out
 
 
+def _best(a: dict, b: dict) -> dict:
+    """Per entry, the timing of the two with the lower minimum."""
+    return {
+        group: {key: min(t, b[group][key], key=lambda x: x["min_ms"]) for key, t in rows.items()}
+        for group, rows in a.items()
+    }
+
+
 def _speedups(before: dict, after: dict) -> dict:
     return {
         f"{group}.{key}": round(before[group][key]["min_ms"] / a["min_ms"], 2)
         for group, rows in after.items()
         for key, a in rows.items()
+        if key in before.get(group, {})
+    }
+
+
+def _batch_gains(after: dict) -> dict:
+    """Row loop over batched call, per entry of the after tree's rows group."""
+    rows = after.get("rows", {})
+    pairs = {k: k.replace("kernel_", "row_loop_").replace("optimal_g", "optimal_loop_g") for k in rows}
+    return {
+        k: round(rows[loop]["min_ms"] / rows[k]["min_ms"], 2)
+        for k, loop in pairs.items()
+        if loop != k and loop in rows
     }
 
 
@@ -173,14 +247,29 @@ def main(argv=None) -> int:
             "blas_threads": 1,
         },
         "probe": {"alpha": 2.0, "r": 0.5, "loss": 0.1, "m": list(M_LIST), "batches": list(BATCHES)},
+        "rows_probe": {
+            "alpha": 2.0, "r": 0.5, "m": list(ROW_M), "rows": list(ROWS), "groups": list(GROUPS),
+            "kernel_rows": "phi from -1.5 to 1.5, loss alternating 0 and 0.1",
+            "optimal_rows": "loss from 0 to 0.4",
+            "presets": [f"{n}{p}" for n, p in PRESETS],
+            "threads": list(THREADS),
+        },
         "oracle_probe": dict(ORACLE_PROBE, r=list(ORACLE_R)),
         "units": "ms per call",
+        "rounds": ROUNDS,
     }
+    sides = [("after", "working tree", ROOT / "src")]
     if args.before_src is not None:
-        report["before"] = {"label": args.before_label, "ms": _side(args.before_src.resolve())}
-    report["after"] = {"label": "working tree", "ms": _side(ROOT / "src")}
+        sides.insert(0, ("before", args.before_label, args.before_src.resolve()))
+    for i in range(ROUNDS):
+        for name, label, src in sides if i % 2 == 0 else sides[::-1]:
+            ms = _side(src)
+            if name in report:
+                ms = _best(report[name]["ms"], ms)
+            report[name] = {"label": label, "ms": ms}
     if args.before_src is not None:
         report["speedup_min"] = _speedups(report["before"]["ms"], report["after"]["ms"])
+    report["rows_batch_gain_min"] = _batch_gains(report["after"]["ms"])
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     return 0

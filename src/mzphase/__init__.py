@@ -43,7 +43,9 @@ from .parity import (
     ParitySignal,
     classical_fisher,
     optimal_phase,
+    optimal_phases,
     parity_expectation,
+    parity_signals,
     phase_sensitivity,
 )
 from .qfi_kerr import kerr_cq, kerr_mu_opt, qfi_ideal_kerr, qfi_lossy_kerr

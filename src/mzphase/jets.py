@@ -7,7 +7,8 @@ analytic maps exp / 1/x / sqrt act on jets exactly modulo the truncation, so
 an m-th mixed derivative of any composite expression can be read off a
 single coefficient. Coefficient arrays may carry a leading batch axis, which
 lets a sweep evaluate one expression at many base points in a few vector
-operations; non-batched jets broadcast against batched ones.
+operations; non-batched jets broadcast against batched ones, and a 1-D
+array with one number per batch point acts as a per-point constant.
 
 The parity and moment generating kernels are Gaussian in their two
 photon-addition variables t and tau. `gaussian_tt_coefficient` reads their
@@ -191,12 +192,26 @@ class MultiJet:
 
     # -- ring operations ---------------------------------------------------
 
+    # numpy defers to the reflected jet operators, so `array - jet` and
+    # `array * jet` reach __rsub__ / __rmul__ instead of broadcasting
+    __array_ufunc__ = None
+
+    def _point_values(self, other):
+        """A 1-D array of one value per batch point as an (n, 1) column, else None."""
+        if not isinstance(other, np.ndarray):
+            return None
+        if other.ndim != 1 or self.batch not in (1, other.shape[0]):
+            raise ShapeMismatch(f"per-point values {other.shape} do not match batch {self.batch}")
+        return other[:, None]
+
     def _coerce(self, other):
         if isinstance(other, MultiJet):
             if other.shape != self.shape:
                 raise ShapeMismatch(f"jet shapes differ: {self.shape} vs {other.shape}")
             return other
         if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+            return MultiJet.constant(self.shape, other)
+        if self._point_values(other) is not None:
             return MultiJet.constant(self.shape, other)
         return None
 
@@ -230,6 +245,9 @@ class MultiJet:
             return MultiJet(self.shape, _mul_flat(self._flat, other._flat, self.shape.caps))
         if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
             return MultiJet(self.shape, self._flat * other)
+        col = self._point_values(other)
+        if col is not None:
+            return MultiJet(self.shape, self._flat * col)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -239,6 +257,9 @@ class MultiJet:
             return self * other.recip()
         if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
             return MultiJet(self.shape, self._flat / other)
+        col = self._point_values(other)
+        if col is not None:
+            return MultiJet(self.shape, self._flat / col)
         return NotImplemented
 
     def __pow__(self, n):

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     ConsistencyError,
@@ -237,6 +236,8 @@ def apply_beam_splitter(state, which: str):
 
 def _loss_branches(arr: np.ndarray, l: float, total_in: float):
     """Kraus branches of single-arm loss on the b mode of one pure branch."""
+    from scipy.special import gammaln  # scipy loads only when the oracle runs
+
     size = arr.shape[1]
     eta = 1.0 - l
     branches = []
@@ -331,6 +332,8 @@ def _pasvs_probs(r: float, m: int, length: int) -> np.ndarray:
 
 
 def _coherent_probs(alpha: float, length: int) -> np.ndarray:
+    from scipy.special import gammaln
+
     n = np.arange(length)
     logp = -alpha * alpha + n * (2.0 * math.log(alpha) if alpha > 0 else 0.0) - gammaln(n + 1)
     if alpha == 0.0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ParamOutOfRange, SingularNormalEquations
 from .moments import MomentSet
@@ -149,6 +148,8 @@ def qfi_lossy_kerr(ms: MomentSet, loss: float) -> QfiResult:
     try:
         mu1, mu2 = kerr_mu_opt(ms, loss)
     except SingularNormalEquations:
+        from scipy.optimize import minimize  # scipy loads only on this fallback
+
         grid = np.linspace(-2.0, 1.0, 41)
         best = (math.inf, 0.0, 0.0)
         for u1 in grid:
@@ -180,6 +181,8 @@ def kerr_mu_opt_numeric(p: ProbeParams) -> tuple[float, float, float]:
     Returns (cq, mu1, mu2). Grid seed on [-2, 1]^2 then simplex polish;
     deterministic.
     """
+    from scipy.optimize import minimize
+
     marg = probe_marginal(p, weight=4)
     table = loss_weight_table(marg, p.loss)
 

@@ -5,13 +5,20 @@ energy) crossed with the photon-addition orders and the loss scenarios. Rows
 are computed by pure functions of the resolved probe parameters, so the
 output is deterministic and byte-stable; numeric trouble at isolated points
 becomes a per-row status code instead of an abort.
+
+The parity-family quantities (parity, sensitivity, cfi) are evaluated for
+all rows of one photon-addition order together, before the per-row pass:
+one `parity.parity_signals` call per m, and one lockstep
+`parity.optimal_phases` search per m for rows at the optimal phase. A row's
+values are the same bits a one-row evaluation gives. Moments, QFI bounds and
+oracle checks stay per row, and only they go to the `--threads` workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +36,16 @@ from .errors import (
 )
 from .moments import moment_set
 from .oracle import parity_signal_oracle, probe_marginal
-from .parity import _fisher_from, classical_fisher, optimal_phase, parity_expectation, phase_sensitivity
+from .parity import (  # the one-row entry points stay importable here: tracing wraps them by name
+    _fisher_from,
+    _result,
+    _sensitivity_from,
+    optimal_phase,  # noqa: F401
+    optimal_phases,
+    parity_expectation,  # noqa: F401
+    parity_signals,
+    phase_sensitivity,  # noqa: F401
+)
 from .qfi_kerr import kerr_cq_numeric, kerr_mu_opt, kerr_mu_opt_numeric, qfi_lossy_kerr
 from .qfi_linear import benchmark_limits, qfi_lossy_linear, qfi_lossy_numeric_check
 from .states import ProbeParams, pasvs_mean_photons, solve_r_for_energy
@@ -385,7 +401,9 @@ def _oracle_value(q: str, p: ProbeParams, ms) -> float:
     raise SpecInvalid(f"no oracle for quantity {q!r}")
 
 
-def _compute_row(task: _RowTask) -> dict:
+def _compute_row(task: _RowTask, signal=None, optimum=None) -> dict:
+    """One CSV row. `signal` and `optimum` are the row's entries from
+    `_parity_outcomes`."""
     out = {"status": task.status, "phi": None, "values": {}, "oracle": {}, "dev": 0.0}
     if task.status != "ok":
         for q in task.quantities:
@@ -400,16 +418,19 @@ def _compute_row(task: _RowTask) -> dict:
     for q in task.quantities:
         try:
             if q == "parity":
-                value = parity_expectation(p).value
+                value = _result(signal).value
             elif q in ("sensitivity", "cfi"):
                 if task.phi_spec == "optimal" and opt_sens is None:
-                    phi_star, opt_sens = optimal_phase(p)
+                    phi_star, opt_sens = _result(optimum)
                     resolved_phi = phi_star
                     p = replace(p, phi=phi_star)
-                if q == "sensitivity":
-                    value = opt_sens if opt_sens is not None else phase_sensitivity(p)
+                if q == "sensitivity" and opt_sens is not None:
+                    value = opt_sens
                 else:
-                    value = classical_fisher(p)
+                    sig = _result(signal)
+                    value = _fisher_from(sig.value, sig.dvalue, sig.ddvalue)
+                    if q == "sensitivity":
+                        value = _sensitivity_from(value)
             elif q == "qfi_linear":
                 value = qfi_lossy_linear(ms, task.loss).fq
             elif q == "qcrb_linear":
@@ -431,6 +452,41 @@ def _compute_row(task: _RowTask) -> dict:
             out["oracle"][q] = o
             out["dev"] = max(out["dev"], _guarded_dev(out["values"][q], o))
     return out
+
+
+def _parity_outcomes(tasks: list[_RowTask], quantities: tuple[str, ...]) -> tuple[list, list]:
+    """Parity-family outcomes of every row, evaluated for all rows of one m together.
+
+    Returns two lists aligned with `tasks`: the ParitySignal at each row's
+    phase (at phi* for phi "optimal"), and (phi*, sensitivity) for phi
+    "optimal" rows. An entry is None where the row needs none, or the row
+    error (DegenerateSignal, DegenerateDenominator) in place of the value.
+    Per m, one `parity_signals` call covers the rows at a numeric phase, one
+    `optimal_phases` call searches the "optimal" rows, and when cfi is asked
+    for, one more `parity_signals` call evaluates those rows at their phi*.
+    """
+    signals, optima = [None] * len(tasks), [None] * len(tasks)
+    if not any(q in PHI_QUANTITIES for q in quantities):
+        return signals, optima
+    fixed, optimal = defaultdict(list), defaultdict(list)
+    for i, task in enumerate(tasks):
+        if task.status == "ok":
+            (optimal if task.phi_spec == "optimal" else fixed)[task.m].append(i)
+
+    def params(rows):
+        return [[getattr(tasks[i], f) for i in rows] for f in ("alpha", "r", "loss")]
+
+    for m, rows in optimal.items():
+        for i, res in zip(rows, optimal_phases(m, *params(rows))):
+            optima[i] = res
+        found = [i for i in rows if not isinstance(optima[i], Exception)]
+        if "cfi" in quantities and found:
+            for i, sig in zip(found, parity_signals(m, *params(found), [optima[i][0] for i in found])):
+                signals[i] = sig
+    for m, rows in fixed.items():
+        for i, sig in zip(rows, parity_signals(m, *params(rows), [tasks[i].phi_spec for i in rows])):
+            signals[i] = sig
+    return signals, optima
 
 
 def _code(e: Exception) -> str:
@@ -562,11 +618,14 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> CsvTable:
         meta.append(f"oracle_stride={stride}")
         meta.append("oracle_dev_metric=guarded_relative")
 
+    signals, optima = _parity_outcomes(tasks, spec.quantity)
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_compute_row, tasks, chunksize=8))
+            results = list(pool.map(_compute_row, tasks, signals, optima, chunksize=8))
     else:
-        results = [_compute_row(t) for t in tasks]
+        results = [_compute_row(*args) for args in zip(tasks, signals, optima)]
 
     uses_phi = any(q in PHI_QUANTITIES for q in spec.quantity)
     header = ["panel", spec.sweep_name]

@@ -1,0 +1,226 @@
+"""Batched parity evaluation: every row's result equals its one-row result.
+
+A sweep evaluates all its rows of one photon-addition order in one kernel
+call (`parity_signals`) and searches their optimal phases in lockstep
+(`optimal_phases`). The values it prints must be the bits a row evaluated
+alone gets, so every comparison here is `==`, never approximate.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mzphase
+from mzphase import parity
+from mzphase.errors import DegenerateDenominator, DegenerateSignal
+from mzphase.parity import (
+    _GRID,
+    _INVPHI,
+    _fisher_from,
+    _signal_batch,
+    classical_fisher,
+    optimal_phase,
+    optimal_phases,
+    parity_expectation,
+    parity_signals,
+    phase_sensitivity,
+)
+from mzphase.states import ProbeParams
+from mzphase.sweep import SweepSpec, fnum, run_sweep
+
+
+def _rows(m, rng, count):
+    alpha = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 4.0, count - 2)])
+    r = np.concatenate([[0.0, 3.0], rng.uniform(0.0, 3.0, count - 2)])
+    loss = np.concatenate([[0.0, 0.0], rng.choice([0.0, 0.1, 0.5, 0.9], count - 2)])
+    phi = rng.uniform(-math.pi, math.pi, count)
+    return [ProbeParams(float(a), float(rr), m, float(l), float(p)) for a, rr, l, p in zip(alpha, r, loss, phi)]
+
+
+def _signal(sig):
+    return (sig.value, sig.dvalue, sig.ddvalue)
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_batched_signal_equals_one_row_calls(m):
+    probes = _rows(m, np.random.default_rng(100 + m), 48)
+    batch = parity_signals(
+        m, [p.alpha for p in probes], [p.r for p in probes], [p.loss for p in probes], [p.phi for p in probes]
+    )
+    assert [_signal(s) for s in batch] == [_signal(parity_expectation(p)) for p in probes]
+    # the same rows in another order, and one probe at many phases
+    back = parity_signals(
+        m, [p.alpha for p in probes][::-1], [p.r for p in probes][::-1],
+        [p.loss for p in probes][::-1], [p.phi for p in probes][::-1],
+    )
+    assert back[::-1] == batch
+    phis = np.array([p.phi for p in probes])
+    got = _signal_batch(probes[5], phis)
+    want = [_signal(parity_expectation(replace(probes[5], phi=float(x)))) for x in phis]
+    assert list(zip(*(g.tolist() for g in got))) == want
+
+
+def _serial_optimal_phase(p):
+    """The one-row search written out serially: 1001-point scan, then golden
+    section with one kernel evaluation per new point."""
+
+    def sens(phis):
+        value, dvalue, ddvalue = _signal_batch(p, phis)
+        out = np.full(phis.shape, np.inf)
+        for i in range(phis.size):
+            try:
+                f = _fisher_from(float(value[i]), float(dvalue[i]), float(ddvalue[i]))
+            except DegenerateSignal:
+                continue
+            if f > 0:
+                out[i] = 1.0 / math.sqrt(f)
+        return out
+
+    scan = sens(_GRID)
+    best = int(np.argmin(scan))
+    if not np.isfinite(scan[best]):
+        raise DegenerateSignal("no finite sensitivity")
+    a, b = _GRID[max(best - 1, 0)], _GRID[min(best + 1, _GRID.size - 1)]
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+
+    def f(x):
+        return float(sens(np.array([x]))[0])
+
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+        if abs(fc - fd) <= 1e-10 * max(1.0, abs(fc)) and (b - a) < 1e-8:
+            break
+    return float(c if fc < fd else d), float(min(fc, fd))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegenerateSignal, DegenerateDenominator) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_lockstep_search_equals_serial_search(m):
+    # the l >= 0.6 rows include the m = 3 hop of the optimum to a secondary
+    # fringe; the vacuum row (alpha = r = 0, m = 0) has no signal at all
+    probes = [ProbeParams(2.0, 0.5, m, l) for l in (0.0, 0.1, 0.3, 0.6, 0.65, 0.7, 0.8)]
+    probes += [ProbeParams(1.0, 1.0, m, 0.2), ProbeParams(0.0, 0.0, m, 0.1), ProbeParams(0.4, 0.2, m, 0.0)]
+    got = [
+        type(x) if isinstance(x, Exception) else x
+        for x in optimal_phases(m, [p.alpha for p in probes], [p.r for p in probes], [p.loss for p in probes])
+    ]
+    assert got == [_outcome(_serial_optimal_phase, p) for p in probes]
+    assert got == [_outcome(optimal_phase, p) for p in probes]
+    if m == 0:
+        assert got[-2] is DegenerateSignal
+
+
+def test_degenerate_points_fail_alone(monkeypatch):
+    # a raised floor makes abar degenerate near phi = 0 and pi at r = 1 only
+    monkeypatch.setattr(parity, "DENOM_TOL", 0.7)
+    probes = [ProbeParams(1.5, rr, 2, 0.1, phi) for rr in (0.3, 1.0) for phi in (0.05, 1.5, 3.1)]
+    batch = parity_signals(
+        2, [p.alpha for p in probes], [p.r for p in probes], [p.loss for p in probes], [p.phi for p in probes]
+    )
+    kinds = [type(s) for s in batch]
+    assert kinds.count(DegenerateDenominator) == 2
+    for p, s in zip(probes, batch):
+        if isinstance(s, DegenerateDenominator):
+            with pytest.raises(DegenerateDenominator):
+                parity_expectation(p)
+        else:
+            assert s == parity_expectation(p)
+    rows = [ProbeParams(1.5, rr, 2, 0.1) for rr in (0.3, 1.0, 0.5)]
+    found = optimal_phases(2, [p.alpha for p in rows], [p.r for p in rows], [p.loss for p in rows])
+    assert isinstance(found[1], DegenerateDenominator)
+    assert [found[0], found[2]] == [optimal_phase(rows[0]), optimal_phase(rows[2])]
+
+
+def _code(e):
+    return "".join("_" + ch.lower() if ch.isupper() else ch for ch in e.__name__).lstrip("_")
+
+
+def _row_alone(p, quantities, phi):
+    """Status, values and phi cell of one sweep row, from the one-row functions."""
+    status, values, opt = "ok", {}, None
+    for q in quantities:
+        try:
+            if phi == "optimal" and q != "parity" and opt is None:
+                opt = optimal_phase(p)
+                p = replace(p, phi=opt[0])
+            if q == "parity":
+                values[q] = parity_expectation(p).value
+            elif q == "sensitivity":
+                values[q] = opt[1] if opt else phase_sensitivity(p)
+            else:
+                values[q] = classical_fisher(p)
+        except (DegenerateSignal, DegenerateDenominator) as e:
+            values[q] = math.nan
+            status = _code(type(e)) if status == "ok" else status
+    phi_cell = fnum(opt[0]) if opt else ("" if phi == "optimal" else fnum(phi))
+    return status, values, phi_cell
+
+
+@pytest.mark.parametrize(
+    "quantity,phi",
+    [(("parity", "sensitivity", "cfi"), 0.3), (("cfi", "sensitivity"), "optimal"), (("sensitivity", "cfi"), "optimal")],
+)
+@pytest.mark.parametrize("denom_tol", [None, 0.9])
+def test_sweep_rows_equal_row_at_a_time(quantity, phi, denom_tol, monkeypatch):
+    # alpha = r = 0 at m = 0 is the vacuum: DegenerateSignal; the raised
+    # denominator floor fails the r = 0.8 rows, which share their kernel
+    # calls with the r = 0 and r = 0.3 rows
+    if denom_tol is not None:
+        monkeypatch.setattr(parity, "DENOM_TOL", denom_tol)
+    statuses = []
+    for alpha in (0.0, 1.3):
+        spec = SweepSpec(
+            quantity=quantity, sweep_name="r", sweep_values=(0.0, 0.3, 0.8),
+            m_list=(0, 1, 3), loss=(0.0, 0.2), phi=(phi,), alpha=alpha,
+        )
+        table = run_sweep(spec)
+        for row in table.rows:
+            cells = dict(zip(table.header, row))
+            p = ProbeParams(alpha, float(cells["r"]), int(cells["m"]), float(cells["l"]), phi if phi != "optimal" else 0.0)
+            status, values, phi_cell = _row_alone(p, quantity, phi)
+            assert cells["status"] == status
+            assert cells["phi"] == phi_cell
+            assert [cells[q] for q in quantity] == [fnum(values[q]) for q in quantity]
+            statuses.append((float(cells["r"]), status))
+    assert (0.0, "degenerate_signal") in statuses
+    assert ((0.8, "degenerate_denominator") in statuses) == (denom_tol is not None)
+    assert (0.3, "ok") in statuses
+    assert ((0.8, "ok") in statuses) == (denom_tol is None)
+
+
+def test_cli_sweeps_do_not_load_scipy(tmp_path):
+    # scipy's optimizers and special functions load only where the oracle
+    # or the Kerr fallback runs
+    code = (
+        "import sys, mzphase.cli\n"
+        "from mzphase.sweep import SweepSpec, run_sweep\n"
+        "for phi in (0.3, 'optimal'):\n"
+        "    run_sweep(SweepSpec(quantity=('sensitivity', 'cfi'), sweep_name='l', sweep_values=(0.0, 0.2),"
+        " m_list=(0, 1), phi=(phi,), alpha=2.0, r=0.5))\n"
+        "run_sweep(SweepSpec(quantity=('parity',), sweep_name='phi', sweep_values=(0.1, 0.2), alpha=1.0, r=0.5))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))\n"
+    )
+    src = str(Path(mzphase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -178,8 +178,17 @@ def test_preset_shapes():
 
 
 def test_threads_reproduce_sequential_output():
-    spec = parse_config(cfg(m_list=[0, 1]))
-    assert run_sweep(spec, threads=2).render() == run_sweep(spec, threads=1).render()
+    # the second spec sends batched optimal-phase outcomes to the workers
+    # alongside per-row bound work
+    optimal = cfg(
+        quantity=["sensitivity", "qcrb_linear"],
+        sweep={"name": "l", "values": [0.0, 0.2, 0.4]},
+        fixed={"alpha": 2.0, "r": 0.5, "phi": "optimal"},
+        m_list=[0, 2],
+    )
+    for text in (cfg(m_list=[0, 1]), optimal):
+        spec = parse_config(text)
+        assert run_sweep(spec, threads=2).render() == run_sweep(spec, threads=1).render()
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -233,10 +242,11 @@ def test_unlisted_row_error_aborts_without_output(tmp_path, capsys, monkeypatch)
     import mzphase.sweep
     from mzphase.errors import ConsistencyError
 
-    def broken(p):
+    def broken(*args):
         raise ConsistencyError("injected")
 
-    monkeypatch.setattr(mzphase.sweep, "parity_expectation", broken)
+    # the batched parity pass is where a parity sweep's kernel runs
+    monkeypatch.setattr(mzphase.sweep, "parity_signals", broken)
     path = tmp_path / "cfg.json"
     path.write_text(cfg())
     out = tmp_path / "never.csv"

@@ -140,6 +140,29 @@ def test_batched_constants_broadcast():
     assert out.shape == (3,)
 
 
+def test_per_point_array_constants():
+    # a 1-D array with one number per batch point acts like a constant jet
+    # at each point, from either side of the operator, bit for bit
+    shape = JetShape(("t",), (2,))
+    x = MultiJet.constant(shape, np.array([0.5, -1.0, 2.0])) + MultiJet.variable(shape, "t")
+    w = np.array([3.0, 0.25, -7.0])
+    for i in range(3):
+        xi = MultiJet.constant(shape, x.array[i, 0]) + MultiJet.variable(shape, "t")
+        assert np.array_equal((x * w).array[i], (xi * float(w[i])).array)
+        assert np.array_equal((w * x).array[i], (float(w[i]) * xi).array)
+        assert np.array_equal((x / w).array[i], (xi / float(w[i])).array)
+        assert np.array_equal((x + w).array[i], (xi + float(w[i])).array)
+        assert np.array_equal((w - x).array[i], (float(w[i]) - xi).array)
+        assert np.array_equal((x - 1j * w).array[i], (xi - 1j * float(w[i])).array)
+    # a non-batched jet takes the batch of the array
+    t = MultiJet.variable(shape, "t")
+    assert (t * w).batch == 3
+    with pytest.raises(ShapeMismatch):
+        x * np.ones(2)
+    with pytest.raises(ShapeMismatch):
+        x + np.ones((3, 1))
+
+
 def test_error_taxonomy():
     shape = JetShape(("t", "u"), (2, 0))
     with pytest.raises(UnknownVariable):
