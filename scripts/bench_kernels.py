@@ -8,7 +8,7 @@ Times entry points of the currently checked-out `src/` ("after") and of the
 single-threaded processes on the same machine:
 
 - `parity._signal_batch` per photon-addition order m at batch 1, 201, 1001;
-- `parity.optimal_phase` per m (its 1001-point scan plus golden section);
+- `parity.optimal_phase` per m (its 1001-point scan plus the refinement);
 - `moments.moment_set` per m;
 - the Fock oracle (`oracle` warm, `oracle_first` as the first call in a fresh
   process, which includes building the beam-splitter blocks):
@@ -23,6 +23,15 @@ single-threaded processes on the same machine:
   2a, 5a and 7a, with `threads` 1 and 2 (`preset_<n><panel>_t<threads>`;
   each threaded call starts its own process pool, as the CLI does). A tree
   without the batch functions reports only the loops and the presets.
+- the `refine` group, counts rather than times: the kernel calls the
+  optimal-phase search makes after its scan, per row (the mean and maximum
+  over rows with a result, one `optimal_phase` call each) and per lockstep
+  group (the maximum over `optimal_phases` calls), for the `optimal_*`
+  groups of the rows group and for the optimal-phase rows of presets 5a, 5b
+  and 9b (one group per m, as the sweep forms them).
+
+`--groups` picks some of `signal_batch`, `optimal_phase`, `moment_set`,
+`oracle` (with `oracle_first`), `rows` and `refine`; all run by default.
 
 The kernel probe is alpha = 2, r = 0.5, loss = 0.1; the oracle probe is the
 costliest corner of the `xcheck` benchmark workload, alpha = 1.9, m = 3,
@@ -59,6 +68,8 @@ PRESETS = ((2, "a"), (5, "a"), (7, "a"))
 THREADS = (1, 2)
 ORACLE_PROBE = {"alpha": 1.9, "m": 3, "loss": 0.21, "phi": 0.37}
 ORACLE_R = (0.3, 0.65, 1.0)
+REFINE_PRESETS = ((5, "a"), (5, "b"), (9, "b"))
+GROUP_NAMES = ("signal_batch", "optimal_phase", "moment_set", "oracle", "rows", "refine")
 FIRST_RUNS = 3
 ROUNDS = 2
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,27 +120,87 @@ def measure_first(name: str) -> float:
     return (time.perf_counter() - t0) * 1e3
 
 
-def measure() -> dict:
-    """Timings of the mzphase importable in this process."""
+def measure(groups) -> dict:
+    """Timings of the mzphase importable in this process, for the timed groups asked for."""
     import numpy as np
 
     from mzphase.moments import moment_set
     from mzphase.parity import _signal_batch, optimal_phase
     from mzphase.states import ProbeParams
 
-    out: dict = {"signal_batch": {}, "optimal_phase": {}, "moment_set": {}}
+    out: dict = {group: {} for group in ("signal_batch", "optimal_phase", "moment_set") if group in groups}
     for m in M_LIST:
         p = ProbeParams(alpha=2.0, r=0.5, m=m, loss=0.1)
-        for batch in BATCHES:
-            grid = np.linspace(1e-4, 1.5, batch)
-            out["signal_batch"][f"m{m}_b{batch}"] = _time(lambda: _signal_batch(p, grid))
-        out["optimal_phase"][f"m{m}"] = _time(lambda: optimal_phase(p))
-        out["moment_set"][f"m{m}"] = _time(lambda: moment_set(p))
-    out["oracle"] = {}
-    for name, fn in _oracle_calls().items():
-        fn()
-        out["oracle"][name] = _time(fn)
-    out["rows"] = _measure_rows()
+        if "signal_batch" in out:
+            for batch in BATCHES:
+                grid = np.linspace(1e-4, 1.5, batch)
+                out["signal_batch"][f"m{m}_b{batch}"] = _time(lambda: _signal_batch(p, grid))
+        if "optimal_phase" in out:
+            out["optimal_phase"][f"m{m}"] = _time(lambda: optimal_phase(p))
+        if "moment_set" in out:
+            out["moment_set"][f"m{m}"] = _time(lambda: moment_set(p))
+    if "oracle" in groups:
+        out["oracle"] = {}
+        for name, fn in _oracle_calls().items():
+            fn()
+            out["oracle"][name] = _time(fn)
+    if "rows" in groups:
+        out["rows"] = _measure_rows()
+    return out
+
+
+def measure_refine() -> dict:
+    """Kernel calls of the optimal-phase search after its scan (the `refine` group)."""
+    import math
+    import statistics
+
+    import numpy as np
+
+    from mzphase import parity, sweep
+    from mzphase.errors import DegenerateDenominator, DegenerateSignal
+    from mzphase.states import ProbeParams
+    from mzphase.sweep import figure_preset, run_sweep
+
+    signal, optimal_phases, count = parity._signal, parity.optimal_phases, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return signal(*args)
+
+    cases = {}
+    for m in ROW_M:
+        for g in GROUPS:
+            cases[f"optimal_g{g}_m{m}"] = [(m, (g * [2.0], g * [0.5], np.linspace(0.0, 0.4, g).tolist()))]
+    for n, panel in REFINE_PRESETS:
+        found = cases[f"preset_{n}{panel}"] = []
+        sweep.optimal_phases = lambda m, *cols: found.append((m, cols)) or optimal_phases(m, *cols)
+        run_sweep(figure_preset(n, panel))
+    sweep.optimal_phases = optimal_phases
+
+    parity._signal = counted
+    rows_per_scan = max(1, parity.MAX_POINTS // parity._GRID.size)
+    out = {}
+    for name, row_groups in cases.items():
+        per_row, per_group = [], []
+        for m, (alpha, r, loss) in row_groups:
+            count[0] = 0
+            optimal_phases(m, alpha, r, loss)
+            per_group.append(count[0] - math.ceil(len(alpha) / rows_per_scan))
+            for row in zip(alpha, r, loss):
+                count[0] = 0
+                try:
+                    parity.optimal_phase(ProbeParams(*row[:2], m, row[2]))
+                except (DegenerateSignal, DegenerateDenominator):
+                    continue
+                per_row.append(count[0] - 1)
+        out[name] = {
+            "rows": len(per_row),
+            "rows_without_refinement": per_row.count(0),
+            "mean_per_row": round(statistics.mean(per_row), 3),
+            "max_per_row": max(per_row),
+            "max_per_group": max(per_group),
+        }
+    parity._signal = signal
     return out
 
 
@@ -177,8 +248,10 @@ def _run(src: Path, *args: str):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def _side(src: Path) -> dict:
-    out = _run(src, "--measure")
+def _side(src: Path, groups: str) -> dict:
+    out = _run(src, "--measure", groups)
+    if "oracle" not in out:
+        return out
     out["oracle_first"] = {}
     for name in out["oracle"]:
         runs = [_run(src, "--measure-first", name) for _ in range(FIRST_RUNS)]
@@ -223,18 +296,28 @@ def main(argv=None) -> int:
     ap.add_argument("--before-src", type=Path, help="src/ directory of the tree to compare against")
     ap.add_argument("--before-label", default="parent commit", help="what --before-src holds")
     ap.add_argument("--out", type=Path, help="JSON file to write (required)")
-    ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--groups", default=",".join(GROUP_NAMES), help="comma-separated groups to run (default: all)")
+    ap.add_argument("--measure", metavar="GROUPS", help=argparse.SUPPRESS)
     ap.add_argument("--measure-first", metavar="NAME", help=argparse.SUPPRESS)
+    ap.add_argument("--measure-refine", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.measure:
-        print(json.dumps(measure()))
+        print(json.dumps(measure(args.measure.split(","))))
         return 0
     if args.measure_first:
         print(json.dumps(measure_first(args.measure_first)))
         return 0
+    if args.measure_refine:
+        print(json.dumps(measure_refine()))
+        return 0
     if args.out is None:
         ap.error("--out is required")
+    groups = args.groups.split(",")
+    unknown = sorted(set(groups) - set(GROUP_NAMES))
+    if unknown:
+        ap.error(f"unknown groups {unknown}; choose from {', '.join(GROUP_NAMES)}")
+    timed = ",".join(g for g in groups if g != "refine")
 
     import numpy as np
 
@@ -253,20 +336,26 @@ def main(argv=None) -> int:
             "optimal_rows": "loss from 0 to 0.4",
             "presets": [f"{n}{p}" for n, p in PRESETS],
             "threads": list(THREADS),
+            "refine_presets": [f"{n}{p}" for n, p in REFINE_PRESETS],
         },
         "oracle_probe": dict(ORACLE_PROBE, r=list(ORACLE_R)),
         "units": "ms per call",
         "rounds": ROUNDS,
+        "groups": groups,
     }
     sides = [("after", "working tree", ROOT / "src")]
     if args.before_src is not None:
         sides.insert(0, ("before", args.before_label, args.before_src.resolve()))
-    for i in range(ROUNDS):
+    for i in range(ROUNDS if timed else 0):
         for name, label, src in sides if i % 2 == 0 else sides[::-1]:
-            ms = _side(src)
+            ms = _side(src, timed)
             if name in report:
                 ms = _best(report[name]["ms"], ms)
             report[name] = {"label": label, "ms": ms}
+    for name, label, src in sides:
+        report.setdefault(name, {"label": label, "ms": {}})
+        if "refine" in groups:
+            report[name]["refine_calls"] = _run(src, "--measure-refine")
     if args.before_src is not None:
         report["speedup_min"] = _speedups(report["before"]["ms"], report["after"]["ms"])
     report["rows_batch_gain_min"] = _batch_gains(report["after"]["ms"])

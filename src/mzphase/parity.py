@@ -6,7 +6,9 @@ read off in closed form (`jets.gaussian_tt_coefficient`) with every kernel
 coefficient carried as a univariate phase jet, so the value, slope, and
 curvature come out of one evaluation. From those: classical Fisher
 information, the phase sensitivity, and a deterministic optimal-phase
-search.
+search. The three numbers also give the sign of the Fisher information's
+slope, so the search refines its scan with a root search on that slope
+rather than by comparing sensitivities.
 
 There is one kernel, and it evaluates many points of one photon-addition
 order m in a single call, each point with its own alpha, r, loss and phase.
@@ -16,7 +18,9 @@ functions (`parity_expectation`, `classical_fisher`, `phase_sensitivity`,
 `optimal_phase`) are the same calls with a single row. A point's result does
 not depend on what shares its call: the per-row constants come from the same
 `math` calls whatever the batch, and every array operation acts point by
-point.
+point. The batched sensitivity (`_sensitivities`) is array arithmetic with
+the branches and operation order of the scalar `_fisher_from`, so it too
+gives each point the scalar bits.
 """
 
 from __future__ import annotations
@@ -45,9 +49,12 @@ DENOM_TOL = 1e-9
 MAX_POINTS = 1 << 15
 
 _PHASE = JetShape(("phi",), (2,))
-# optimal-phase window scan and golden-section ratio
+# optimal-phase window scan
 _GRID = np.linspace(1e-4, 1.5, 1001)
-_INVPHI = (math.sqrt(5) - 1) / 2
+# the refinement stops once its bracket is narrower than BRACKET_TOL * max(1, phi),
+# or after MAX_STEPS kernel calls
+BRACKET_TOL = 1e-13
+MAX_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -272,56 +279,85 @@ def phase_sensitivity(p: ProbeParams) -> float:
     return _sensitivity_from(classical_fisher(p))
 
 
-def _sensitivities(m: int, phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
-    """1/sqrt(F) at each point (inf where the signal carries no information),
-    and the mask of degenerate points."""
-    vals, degenerate = _signal(m, phi, c)
-    out = np.full(phi.shape, np.inf)
-    for i in np.flatnonzero(~degenerate):
-        try:
-            f = _fisher_from(float(vals[0, i]), float(vals[1, i]), float(vals[2, i]))
-        except DegenerateSignal:
-            continue
-        if f > 0:
-            out[i] = 1.0 / math.sqrt(f)
-    return out, degenerate
+def _sensitivities(vals: np.ndarray) -> np.ndarray:
+    """1/sqrt(F) at each point of a (3, n) value/slope/curvature array.
+
+    The branches and arithmetic of `_fisher_from` and `_sensitivity_from`,
+    point by point, so every entry has the bits of the scalar pair: inf where
+    the signal is phase-stationary (DegenerateSignal there), where F = 0, and
+    at the NaN points of a degenerate denominator (NaN fails every branch
+    test, as it does in the scalar form). A point with |parity| = 1 and a
+    nonzero slope raises the scalar form's ConsistencyError.
+    """
+    value, dvalue, ddvalue = vals
+    live = ~((np.abs(dvalue) < 1e-12) & (np.abs(ddvalue) < 1e-12))
+    denom = 1.0 - value * value
+    edge = live & (denom < 1e-12)
+    bad = edge & ~(np.abs(dvalue) < 1e-6)
+    if bad.any():
+        raise ConsistencyError(
+            f"|parity| = 1 with nonzero slope {float(dvalue[bad][0]):.3e}: inconsistent signal"
+        )
+    plain = live & ~edge
+    fisher = np.zeros(value.shape)
+    fisher[plain] = dvalue[plain] * dvalue[plain] / denom[plain]
+    fisher[edge] = np.abs(ddvalue[edge])
+    out = np.full(value.shape, np.inf)
+    info = fisher > 0
+    out[info] = 1.0 / np.sqrt(fisher[info])
+    return out
 
 
-class _Golden:
-    """Golden-section search of one row: bracket [a, b], inner points c < d."""
+def _fisher_slope_sign(vals: np.ndarray) -> np.ndarray:
+    """q = P'(P''(1 - P^2) + P P'^2) at each point of a (3, n) array.
 
-    __slots__ = ("a", "b", "c", "d", "fc", "fd", "lower", "steps")
+    F = P'^2 / (1 - P^2) has dF/dphi = 2q / (1 - P^2)^2, so q carries the
+    sign of the Fisher information's slope from the cap-2 signal alone.
+    """
+    value, dvalue, ddvalue = vals
+    return dvalue * (ddvalue * (1.0 - value * value) + value * (dvalue * dvalue))
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.c = b - _INVPHI * (b - a)
-        self.d = a + _INVPHI * (b - a)
+
+class _Illinois:
+    """Illinois regula falsi of one row on q over [a, b], q(a) > 0 > q(b).
+
+    The root is a maximum of F. Each step tries where the chord through the
+    bracket ends crosses zero, and an end kept twice in a row has its q
+    halved, so both ends close in. The point stays at least half the stopping
+    width inside the bracket: once one end sits on the root, the chord points
+    at that end, and the step next to it closes the bracket. The row's result
+    is the best (phi, sensitivity) seen, the scan point included.
+    """
+
+    __slots__ = ("a", "b", "qa", "qb", "side", "steps", "best")
+
+    def __init__(self, a: float, b: float, qa: float, qb: float, best: tuple[float, float]):
+        self.a, self.b, self.qa, self.qb = a, b, qa, qb
+        self.side = 0  # +1 after a step that moved a, -1 after one that moved b
         self.steps = 0
+        self.best = best
 
-    def step(self):
-        """Drop one end of the bracket; return the one new point to evaluate."""
-        self.lower = self.fc < self.fd
-        if self.lower:
-            self.b, self.d, self.fd = self.d, self.c, self.fc
-            self.c = self.b - _INVPHI * (self.b - self.a)
-            return self.c
-        self.a, self.c, self.fc = self.c, self.d, self.fd
-        self.d = self.a + _INVPHI * (self.b - self.a)
-        return self.d
+    def point(self) -> float:
+        x = self.b - self.qb * (self.b - self.a) / (self.qb - self.qa)
+        step = 0.5 * BRACKET_TOL * max(1.0, self.b)
+        return min(max(x, self.a + step), self.b - step)
 
-    def done(self, f: float) -> bool:
-        """Take f at the new point; True once converged or out of steps."""
-        if self.lower:
-            self.fc = f
-        else:
-            self.fd = f
+    def done(self, x: float, q: float, sens: float) -> bool:
+        """Take q and the sensitivity at x; True once the bracket is closed."""
+        if sens < self.best[1]:
+            self.best = (x, sens)
         self.steps += 1
-        converged = abs(self.fc - self.fd) <= 1e-10 * max(1.0, abs(self.fc)) and (self.b - self.a) < 1e-8
-        return converged or self.steps == 200
-
-    def result(self) -> tuple[float, float]:
-        x = self.c if self.fc < self.fd else self.d
-        return float(x), float(min(self.fc, self.fd))
+        if q > 0:
+            if self.side == 1:
+                self.qb *= 0.5
+            self.a, self.qa, self.side = x, q, 1
+        elif q < 0:
+            if self.side == -1:
+                self.qa *= 0.5
+            self.b, self.qb, self.side = x, q, -1
+        else:  # an exact root
+            return True
+        return self.b - self.a < BRACKET_TOL * max(1.0, self.b) or self.steps == MAX_STEPS
 
 
 def optimal_phases(m: int, alpha, r, loss) -> list:
@@ -330,52 +366,46 @@ def optimal_phases(m: int, alpha, r, loss) -> list:
     `alpha`, `r` and `loss` hold one number per row of order m. Every row
     runs the search `optimal_phase` describes, all of them in lockstep: the
     1001-point scans share kernel calls (up to MAX_POINTS points each), and
-    each golden-section iteration makes one call holding the next point of
-    every row still running. A row visits the same points as a search run
-    alone, so its result is the same bit for bit. Each entry of the result is
+    each refinement step makes one call holding the next point of every row
+    still refining. A row visits the same points as a search run alone, so
+    its result is the same bit for bit. Each entry of the result is
     (phi*, sensitivity), or the DegenerateSignal or DegenerateDenominator
     that ended that row's search.
     """
     consts = _row_consts(m, alpha, r, loss)
     n, k = consts.alpha.size, _GRID.size
     out: list = [None] * n
-    search: dict[int, _Golden] = {}
+    search: dict[int, _Illinois] = {}
     rows_per_call = max(1, MAX_POINTS // k)
     for lo in range(0, n, rows_per_call):
         rows = np.arange(lo, min(lo + rows_per_call, n))
-        sens, degenerate = _sensitivities(m, np.tile(_GRID, rows.size), consts.take(np.repeat(rows, k)))
-        for i, row_sens, row_bad in zip(rows, sens.reshape(-1, k), degenerate.reshape(-1, k)):
-            best = int(np.argmin(row_sens))
-            if row_bad.any():
+        vals, degenerate = _signal(m, np.tile(_GRID, rows.size), consts.take(np.repeat(rows, k)))
+        sens = _sensitivities(vals)
+        for j, i in enumerate(rows):
+            row = slice(j * k, (j + 1) * k)
+            best = int(np.argmin(sens[row]))
+            if degenerate[row].any():
                 out[i] = _degenerate()
-            elif not np.isfinite(row_sens[best]):
+            elif not np.isfinite(sens[row][best]):
                 out[i] = DegenerateSignal("no finite sensitivity anywhere in the window")
             else:
-                search[int(i)] = _Golden(_GRID[max(best - 1, 0)], _GRID[min(best + 1, k - 1)])
+                out[i] = (float(_GRID[best]), float(sens[row][best]))
+                ends = [max(best - 1, 0), min(best + 1, k - 1)]
+                qa, qb = _fisher_slope_sign(vals[:, j * k + np.array(ends)]).tolist()
+                if qa > 0 > qb:
+                    search[int(i)] = _Illinois(float(_GRID[ends[0]]), float(_GRID[ends[1]]), qa, qb, out[i])
 
     live = list(search)
-    if live:
-        sens, degenerate = _sensitivities(
-            m,
-            np.array([search[i].c for i in live] + [search[i].d for i in live]),
-            consts.take(live + live),
-        )
-        for j, i in enumerate(live):
-            if degenerate[j] or degenerate[j + len(live)]:
-                out[i] = _degenerate()
-                del search[i]
-            else:
-                search[i].fc, search[i].fd = float(sens[j]), float(sens[j + len(live)])
-        live = list(search)
     while live:
-        points = np.array([search[i].step() for i in live])
-        sens, degenerate = _sensitivities(m, points, consts.take(live))
+        points = np.array([search[i].point() for i in live])
+        vals, degenerate = _signal(m, points, consts.take(live))
+        sens, q = _sensitivities(vals), _fisher_slope_sign(vals)
         running = []
         for j, i in enumerate(live):
             if degenerate[j]:
                 out[i] = _degenerate()
-            elif search[i].done(float(sens[j])):
-                out[i] = search[i].result()
+            elif search[i].done(float(points[j]), float(q[j]), float(sens[j])):
+                out[i] = search[i].best
             else:
                 running.append(i)
         live = running
@@ -385,8 +415,17 @@ def optimal_phases(m: int, alpha, r, loss) -> list:
 def optimal_phase(p: ProbeParams) -> tuple[float, float]:
     """Best working phase in [1e-4, 1.5] and its sensitivity there.
 
-    Deterministic: a 1001-point scan brackets the minimum, then a
-    golden-section refinement tightens it until the sensitivity stops
-    changing at 1e-10.
+    Deterministic. A 1001-point scan picks the best grid point, which fixes
+    the fringe; the bracket is that point's two grid neighbours (clamped to
+    the window). There the optimum is a root of dF/dphi, whose sign is that
+    of q = P'(P''(1 - P^2) + P P'^2), known from the signal's value, slope
+    and curvature; the q of the bracket ends come from the scan itself. If q
+    changes sign from + to - across the bracket, an Illinois regula falsi
+    closes in on the root, one kernel call per step, until the bracket is
+    narrower than BRACKET_TOL * max(1, phi) (about six steps; at most
+    MAX_STEPS). Otherwise, as at a window edge (the lossless rows, whose
+    optimum is phi -> 0), the result is the best scan point. The result is
+    the best (phi, sensitivity) evaluated, so its sensitivity is never worse
+    than the best scan point's.
     """
     return _result(optimal_phases(p.m, [p.alpha], [p.r], [p.loss])[0])

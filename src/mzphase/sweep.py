@@ -11,7 +11,8 @@ all rows of one photon-addition order together, before the per-row pass:
 one `parity.parity_signals` call per m, and one lockstep
 `parity.optimal_phases` search per m for rows at the optimal phase. A row's
 values are the same bits a one-row evaluation gives. Moments, QFI bounds and
-oracle checks stay per row, and only they go to the `--threads` workers.
+oracle checks stay per row, and only they go to the `--threads` workers; a
+sweep without them runs in the calling process whatever `threads` says.
 """
 
 from __future__ import annotations
@@ -619,7 +620,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> CsvTable:
         meta.append("oracle_dev_metric=guarded_relative")
 
     signals, optima = _parity_outcomes(tasks, spec.quantity)
-    if threads > 1:
+    # parity-family values are all in hand now: only moments, bounds and
+    # oracle checks are worth a worker pool
+    per_row_work = spec.oracle_check or any(q not in PHI_QUANTITIES for q in spec.quantity)
+    if threads > 1 and per_row_work:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
 
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -18,11 +18,13 @@ import pytest
 
 import mzphase
 from mzphase import parity
-from mzphase.errors import DegenerateDenominator, DegenerateSignal
+from mzphase.errors import ConsistencyError, DegenerateDenominator, DegenerateSignal
 from mzphase.parity import (
     _GRID,
-    _INVPHI,
+    BRACKET_TOL,
+    MAX_STEPS,
     _fisher_from,
+    _sensitivities,
     _signal_batch,
     classical_fisher,
     optimal_phase,
@@ -66,41 +68,76 @@ def test_batched_signal_equals_one_row_calls(m):
     assert list(zip(*(g.tolist() for g in got))) == want
 
 
+def _serial_evaluate(p, phis):
+    """Sensitivity and q = P'(P''(1 - P^2) + P P'^2) at each phase, one
+    scalar `_fisher_from` call per point."""
+    sens, q = [], []
+    for v, d, dd in zip(*(x.tolist() for x in _signal_batch(p, phis))):
+        try:
+            f = _fisher_from(v, d, dd)
+        except DegenerateSignal:
+            f = 0.0
+        sens.append(1.0 / math.sqrt(f) if f > 0 else math.inf)
+        q.append(d * (dd * (1.0 - v * v) + v * (d * d)))
+    return sens, q
+
+
 def _serial_optimal_phase(p):
-    """The one-row search written out serially: 1001-point scan, then golden
-    section with one kernel evaluation per new point."""
-
-    def sens(phis):
-        value, dvalue, ddvalue = _signal_batch(p, phis)
-        out = np.full(phis.shape, np.inf)
-        for i in range(phis.size):
-            try:
-                f = _fisher_from(float(value[i]), float(dvalue[i]), float(ddvalue[i]))
-            except DegenerateSignal:
-                continue
-            if f > 0:
-                out[i] = 1.0 / math.sqrt(f)
-        return out
-
-    scan = sens(_GRID)
+    """The one-row search written out serially: 1001-point scan, then Illinois
+    regula falsi on q with one kernel evaluation per new point."""
+    scan, scan_q = _serial_evaluate(p, _GRID)
     best = int(np.argmin(scan))
-    if not np.isfinite(scan[best]):
+    if not math.isfinite(scan[best]):
         raise DegenerateSignal("no finite sensitivity")
+    result = (float(_GRID[best]), scan[best])
+    lo, hi = max(best - 1, 0), min(best + 1, _GRID.size - 1)
+    a, b, qa, qb = float(_GRID[lo]), float(_GRID[hi]), scan_q[lo], scan_q[hi]
+    if not qa > 0 > qb:
+        return result
+    side = 0
+    for _ in range(MAX_STEPS):
+        step = 0.5 * BRACKET_TOL * max(1.0, b)
+        x = min(max(b - qb * (b - a) / (qb - qa), a + step), b - step)
+        (sens,), (q,) = _serial_evaluate(p, np.array([x]))
+        if sens < result[1]:
+            result = (x, sens)
+        if q > 0:
+            if side == 1:
+                qb *= 0.5
+            a, qa, side = x, q, 1
+        elif q < 0:
+            if side == -1:
+                qa *= 0.5
+            b, qb, side = x, q, -1
+        else:
+            break
+        if b - a < BRACKET_TOL * max(1.0, b):
+            break
+    return result
+
+
+def _golden_optimal_phase(p):
+    """The former refinement, kept as a yardstick: golden section on the
+    sensitivity over the same bracket, until it changes by at most 1e-10
+    and the bracket is under 1e-8."""
+    invphi = (math.sqrt(5) - 1) / 2
+    scan, _ = _serial_evaluate(p, _GRID)
+    best = int(np.argmin(scan))
     a, b = _GRID[max(best - 1, 0)], _GRID[min(best + 1, _GRID.size - 1)]
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
 
     def f(x):
-        return float(sens(np.array([x]))[0])
+        return _serial_evaluate(p, np.array([x]))[0][0]
 
     fc, fd = f(c), f(d)
     for _ in range(200):
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
+            c = b - invphi * (b - a)
             fc = f(c)
         else:
             a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
+            d = a + invphi * (b - a)
             fd = f(d)
         if abs(fc - fd) <= 1e-10 * max(1.0, abs(fc)) and (b - a) < 1e-8:
             break
@@ -128,6 +165,86 @@ def test_lockstep_search_equals_serial_search(m):
     assert got == [_outcome(optimal_phase, p) for p in probes]
     if m == 0:
         assert got[-2] is DegenerateSignal
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_refinement_beats_golden_section_and_scan(m, monkeypatch):
+    # the probes of the lockstep test plus more lossless rows; their optimum
+    # is the phi -> 0 window edge, where 1 - P^2 cancels to about 1e-8
+    probes = [ProbeParams(2.0, 0.5, m, l) for l in (0.0, 0.1, 0.3, 0.6, 0.65, 0.7, 0.8)]
+    probes += [ProbeParams(1.0, 1.0, m, 0.2), ProbeParams(0.0, 0.0, m, 0.1), ProbeParams(0.4, 0.2, m, 0.0)]
+    probes += [ProbeParams(1.0, 1.0, m, 0.0), ProbeParams(3.0, 0.2, m, 0.0)]
+    sizes = []
+    signal = parity._signal
+    monkeypatch.setattr(parity, "_signal", lambda *args: sizes.append(args[1].size) or signal(*args))
+    found = optimal_phases(m, [p.alpha for p in probes], [p.r for p in probes], [p.loss for p in probes])
+    monkeypatch.undo()
+    assert sizes[0] == len(probes) * _GRID.size and len(sizes) - 1 <= 12
+    edges = 0
+    for p, res in zip(probes, found):
+        if isinstance(res, Exception):  # the vacuum row at m = 0
+            assert p.alpha == p.r == 0.0
+            continue
+        phi, dphi = res
+        assert _GRID[0] <= phi <= 1.5
+        assert dphi <= min(_serial_evaluate(p, _GRID)[0])
+        edge = phi == _GRID[0]
+        edges += edge
+        assert not edge or p.loss == 0.0
+        assert dphi <= _golden_optimal_phase(p)[1] * (1 + (1e-8 if edge else 1e-12))
+    assert edges >= 3
+
+
+def test_vectorised_fisher_step_equals_scalar_calls(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 120
+    value, dvalue, ddvalue = rng.uniform(-1, 1, n), rng.normal(size=n), rng.normal(size=n)
+    # |P| = 1 extrema with a vanishing slope: the limit branch |P''|
+    value[:10], dvalue[:10] = np.where(np.arange(10) % 2, 1.0, -1.0), rng.uniform(-9e-7, 9e-7, 10)
+    # 1 - P^2 on both sides of its 1e-12 floor, slope small
+    value[10:20], dvalue[10:20] = 1.0 - np.geomspace(1e-14, 1e-11, 10), rng.uniform(-9e-7, 9e-7, 10)
+    # phase-stationary to second order: DegenerateSignal, so inf
+    dvalue[20:30], ddvalue[20:30] = rng.uniform(-9e-13, 9e-13, 10), rng.uniform(-9e-13, 9e-13, 10)
+    # no slope away from |P| = 1: F = 0, so inf
+    dvalue[30:40] = 0.0
+    # a degenerate denominator: the kernel leaves NaN, inf here
+    value[40:45] = dvalue[40:45] = ddvalue[40:45] = np.nan
+    # real signals: the lossless scan runs into the cancellation near phi = 0
+    scans = [np.array(_signal_batch(ProbeParams(2.0, 0.5, m, l), _GRID)) for m in (0, 3) for l in (0.0, 0.3)]
+    vals = np.concatenate([np.array([value, dvalue, ddvalue])] + scans, axis=1)
+
+    want = []
+    for point in vals.T.tolist():
+        try:
+            f = _fisher_from(*point)
+        except DegenerateSignal:
+            f = 0.0
+        want.append(1.0 / math.sqrt(f) if f > 0 else math.inf)
+    assert _sensitivities(vals).tolist() == want
+    assert np.isinf(want[20:45]).all() and np.isfinite(want[:10]).all()
+
+    # |P| = 1 with a nonzero slope is inconsistent, in the batch as alone,
+    # and it still aborts a sweep at the optimal phase
+    bad = vals.copy()
+    bad[:, 7] = (1.0, 1e-3, 0.5)
+    with pytest.raises(ConsistencyError):
+        _fisher_from(*bad[:, 7])
+    with pytest.raises(ConsistencyError):
+        _sensitivities(bad)
+    signal = parity._signal
+
+    def inconsistent(m, phi, c):
+        out, flagged = signal(m, phi, c)
+        out[:, 0] = (1.0, 1e-3, 0.5)
+        return out, flagged
+
+    monkeypatch.setattr(parity, "_signal", inconsistent)
+    spec = SweepSpec(
+        quantity=("sensitivity",), sweep_name="l", sweep_values=(0.1, 0.2), m_list=(1,), phi=("optimal",),
+        alpha=2.0, r=0.5,
+    )
+    with pytest.raises(ConsistencyError):
+        run_sweep(spec)
 
 
 def test_degenerate_points_fail_alone(monkeypatch):

@@ -1,5 +1,6 @@
 """Sweep engine and command-line surface: schema, determinism, presets."""
 
+import concurrent.futures
 import json
 import math
 
@@ -189,6 +190,26 @@ def test_threads_reproduce_sequential_output():
     for text in (cfg(m_list=[0, 1]), optimal):
         spec = parse_config(text)
         assert run_sweep(spec, threads=2).render() == run_sweep(spec, threads=1).render()
+
+
+def test_threads_without_per_row_work_start_no_pool(monkeypatch):
+    # parity, sensitivity and cfi are all computed before the per-row pass,
+    # so such a sweep runs in the calling process whatever threads says
+    fixed = cfg(quantity=["parity", "sensitivity", "cfi"], m_list=[0, 2], loss=[0.0, 0.1])
+    optimal = cfg(
+        quantity=["cfi", "sensitivity"],
+        sweep={"name": "l", "values": [0.0, 0.2]},
+        fixed={"alpha": 2.0, "r": 0.5, "phi": "optimal"},
+        m_list=[0, 3],
+    )
+    specs = [parse_config(text) for text in (fixed, optimal)]
+    want = [run_sweep(spec, threads=1).render() for spec in specs]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert [run_sweep(spec, threads=2).render() for spec in specs] == want
 
 
 def test_cli_exit_codes(tmp_path, capsys):
