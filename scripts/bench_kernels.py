@@ -28,10 +28,8 @@ single-threaded processes on the same machine:
   over rows with a result, one `optimal_phase` call each) and per lockstep
   group (the maximum over `optimal_phases` calls), for the `optimal_*`
   groups of the rows group and for the optimal-phase rows of presets 5a, 5b
-  and 9b (one group per m, as the sweep forms them).
-
-`--groups` picks some of `signal_batch`, `optimal_phase`, `moment_set`,
-`oracle` (with `oracle_first`), `rows` and `refine`; all run by default.
+  and 9b (one group per m, as the sweep forms them). It is taken once per
+  side, after the timed rounds.
 
 The kernel probe is alpha = 2, r = 0.5, loss = 0.1; the oracle probe is the
 costliest corner of the `xcheck` benchmark workload, alpha = 1.9, m = 3,
@@ -69,7 +67,6 @@ THREADS = (1, 2)
 ORACLE_PROBE = {"alpha": 1.9, "m": 3, "loss": 0.21, "phi": 0.37}
 ORACLE_R = (0.3, 0.65, 1.0)
 REFINE_PRESETS = ((5, "a"), (5, "b"), (9, "b"))
-GROUP_NAMES = ("signal_batch", "optimal_phase", "moment_set", "oracle", "rows", "refine")
 FIRST_RUNS = 3
 ROUNDS = 2
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,32 +117,27 @@ def measure_first(name: str) -> float:
     return (time.perf_counter() - t0) * 1e3
 
 
-def measure(groups) -> dict:
-    """Timings of the mzphase importable in this process, for the timed groups asked for."""
+def measure() -> dict:
+    """Timings of the mzphase importable in this process."""
     import numpy as np
 
     from mzphase.moments import moment_set
     from mzphase.parity import _signal_batch, optimal_phase
     from mzphase.states import ProbeParams
 
-    out: dict = {group: {} for group in ("signal_batch", "optimal_phase", "moment_set") if group in groups}
+    out: dict = {"signal_batch": {}, "optimal_phase": {}, "moment_set": {}}
     for m in M_LIST:
         p = ProbeParams(alpha=2.0, r=0.5, m=m, loss=0.1)
-        if "signal_batch" in out:
-            for batch in BATCHES:
-                grid = np.linspace(1e-4, 1.5, batch)
-                out["signal_batch"][f"m{m}_b{batch}"] = _time(lambda: _signal_batch(p, grid))
-        if "optimal_phase" in out:
-            out["optimal_phase"][f"m{m}"] = _time(lambda: optimal_phase(p))
-        if "moment_set" in out:
-            out["moment_set"][f"m{m}"] = _time(lambda: moment_set(p))
-    if "oracle" in groups:
-        out["oracle"] = {}
-        for name, fn in _oracle_calls().items():
-            fn()
-            out["oracle"][name] = _time(fn)
-    if "rows" in groups:
-        out["rows"] = _measure_rows()
+        for batch in BATCHES:
+            grid = np.linspace(1e-4, 1.5, batch)
+            out["signal_batch"][f"m{m}_b{batch}"] = _time(lambda: _signal_batch(p, grid))
+        out["optimal_phase"][f"m{m}"] = _time(lambda: optimal_phase(p))
+        out["moment_set"][f"m{m}"] = _time(lambda: moment_set(p))
+    out["oracle"] = {}
+    for name, fn in _oracle_calls().items():
+        fn()
+        out["oracle"][name] = _time(fn)
+    out["rows"] = _measure_rows()
     return out
 
 
@@ -248,10 +240,8 @@ def _run(src: Path, *args: str):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def _side(src: Path, groups: str) -> dict:
-    out = _run(src, "--measure", groups)
-    if "oracle" not in out:
-        return out
+def _side(src: Path) -> dict:
+    out = _run(src, "--measure")
     out["oracle_first"] = {}
     for name in out["oracle"]:
         runs = [_run(src, "--measure-first", name) for _ in range(FIRST_RUNS)]
@@ -296,14 +286,13 @@ def main(argv=None) -> int:
     ap.add_argument("--before-src", type=Path, help="src/ directory of the tree to compare against")
     ap.add_argument("--before-label", default="parent commit", help="what --before-src holds")
     ap.add_argument("--out", type=Path, help="JSON file to write (required)")
-    ap.add_argument("--groups", default=",".join(GROUP_NAMES), help="comma-separated groups to run (default: all)")
-    ap.add_argument("--measure", metavar="GROUPS", help=argparse.SUPPRESS)
+    ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--measure-first", metavar="NAME", help=argparse.SUPPRESS)
     ap.add_argument("--measure-refine", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.measure:
-        print(json.dumps(measure(args.measure.split(","))))
+        print(json.dumps(measure()))
         return 0
     if args.measure_first:
         print(json.dumps(measure_first(args.measure_first)))
@@ -313,11 +302,6 @@ def main(argv=None) -> int:
         return 0
     if args.out is None:
         ap.error("--out is required")
-    groups = args.groups.split(",")
-    unknown = sorted(set(groups) - set(GROUP_NAMES))
-    if unknown:
-        ap.error(f"unknown groups {unknown}; choose from {', '.join(GROUP_NAMES)}")
-    timed = ",".join(g for g in groups if g != "refine")
 
     import numpy as np
 
@@ -341,21 +325,18 @@ def main(argv=None) -> int:
         "oracle_probe": dict(ORACLE_PROBE, r=list(ORACLE_R)),
         "units": "ms per call",
         "rounds": ROUNDS,
-        "groups": groups,
     }
     sides = [("after", "working tree", ROOT / "src")]
     if args.before_src is not None:
         sides.insert(0, ("before", args.before_label, args.before_src.resolve()))
-    for i in range(ROUNDS if timed else 0):
+    for i in range(ROUNDS):
         for name, label, src in sides if i % 2 == 0 else sides[::-1]:
-            ms = _side(src, timed)
+            ms = _side(src)
             if name in report:
                 ms = _best(report[name]["ms"], ms)
             report[name] = {"label": label, "ms": ms}
-    for name, label, src in sides:
-        report.setdefault(name, {"label": label, "ms": {}})
-        if "refine" in groups:
-            report[name]["refine_calls"] = _run(src, "--measure-refine")
+    for name, _, src in sides:
+        report[name]["refine_calls"] = _run(src, "--measure-refine")
     if args.before_src is not None:
         report["speedup_min"] = _speedups(report["before"]["ms"], report["after"]["ms"])
     report["rows_batch_gain_min"] = _batch_gains(report["after"]["ms"])
