@@ -12,8 +12,9 @@ single-threaded processes on the same machine:
 - `moments.moment_set` per m;
 - the Fock oracle (`oracle` warm, `oracle_first` as the first call in a fresh
   process, which includes building the beam-splitter blocks):
-  `parity_signal_oracle` at r = 0.3, 0.65 and 1, and `qfi_lossy_numeric_check`
-  and `kerr_cq_numeric` at r = 1.
+  `parity_signal_oracle` at r = 0.3, 0.65 and 1, and `qfi_lossy_numeric_check`,
+  `kerr_cq_numeric`, `loss_weight_table` (on the probe's weight-2 marginal)
+  and `default_cutoff` at r = 1.
 
 - the `rows` group: many sweep rows of one m at once. `parity_signals` at 1,
   48 and 1001 rows (`kernel_*`) against the same rows as a loop of
@@ -93,7 +94,7 @@ def _time(fn) -> dict:
 def _oracle_calls() -> dict:
     """Zero-argument oracle calls by name."""
     from mzphase.moments import moment_set
-    from mzphase.oracle import parity_signal_oracle
+    from mzphase.oracle import default_cutoff, loss_weight_table, parity_signal_oracle, probe_marginal
     from mzphase.qfi_kerr import kerr_cq_numeric, kerr_mu_opt
     from mzphase.qfi_linear import qfi_lossy_numeric_check
     from mzphase.states import ProbeParams
@@ -106,6 +107,9 @@ def _oracle_calls() -> dict:
     mu = kerr_mu_opt(moment_set(p), p.loss)
     calls["qfi_lossy_numeric_check"] = lambda: qfi_lossy_numeric_check(p)
     calls["kerr_cq_numeric"] = lambda: kerr_cq_numeric(p, *mu)
+    marg = probe_marginal(p, weight=2)
+    calls["loss_weight_table"] = lambda: loss_weight_table(marg, p.loss)
+    calls["default_cutoff"] = lambda: default_cutoff(p)
     return calls
 
 

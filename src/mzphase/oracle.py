@@ -182,13 +182,19 @@ def _apply_bs_array(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4)
+def _outside_sectors(cutoff: int) -> np.ndarray:
+    """Read-only (d, d) mask of the grid corner n_a + n_b > cutoff."""
+    n = np.arange(cutoff + 1)
+    mask = n[:, None] + n[None, :] > cutoff
+    mask.flags.writeable = False
+    return mask
+
+
 def _sector_mass_check(arr: np.ndarray, cutoff: int):
     """Probability mass outside total-photon sectors 0..cutoff must be negligible."""
-    flipped = arr[::-1, :]
-    mass = 0.0
-    for k in range(1, cutoff + 1):  # diagonals with n_a + n_b > cutoff
-        d = np.diagonal(flipped, offset=k)
-        mass += float(np.vdot(d, d).real)
+    corner = arr[_outside_sectors(cutoff)]
+    mass = float(np.vdot(corner, corner).real)
     total = float(np.vdot(arr, arr).real)
     if mass > 1e-12 * max(total, 1e-300):
         raise CutoffTooSmall(
@@ -234,13 +240,20 @@ def apply_beam_splitter(state, which: str):
 # -- loss and phase ---------------------------------------------------------
 
 
-def _loss_branches(arr: np.ndarray, l: float, total_in: float):
-    """Kraus branches of single-arm loss on the b mode of one pure branch."""
+def _kraus_prefactors(arr: np.ndarray, l: float, total_in: float):
+    """Loss-branch prefactors on the b mode of one pure branch, and their trace.
+
+    Branch j maps arr[n_a, n_b + j] to arr[n_a, n_b + j] * pref_j[n_b], with
+    pref_j[n_b] = sqrt(Binom(n_b + j, j) l^j eta^n_b) for n_b = 0..cutoff - j.
+    Its weight is taken from the column masses of arr, and branches stop once
+    the rest of arr's norm is below 1e-14 of total_in.
+    """
     from scipy.special import gammaln  # scipy loads only when the oracle runs
 
     size = arr.shape[1]
     eta = 1.0 - l
-    branches = []
+    colmass = np.sum(np.abs(arr) ** 2, axis=0)
+    prefs = []
     acc = float(np.vdot(arr, arr).real)
     cum = 0.0
     for j in range(size):
@@ -253,14 +266,16 @@ def _loss_branches(arr: np.ndarray, l: float, total_in: float):
             - gammaln(kk + 1)
         )
         pref = np.exp(0.5 * logw2)
-        branch = np.zeros_like(arr)
-        branch[:, : size - j] = arr[:, j:] * pref[None, :]
-        w = float(np.vdot(branch, branch).real)
-        branches.append(branch)
-        cum += w
+        prefs.append(pref)
+        cum += float(np.dot(colmass[j:], pref * pref))
         if acc - cum < 1e-14 * max(total_in, 1e-300):
             break
-    return branches, cum
+    return prefs, cum
+
+
+def _loss_trace_check(cum: float, total_in: float):
+    if abs(cum - total_in) > 1e-9 * max(total_in, 1e-300):
+        raise TraceDrift(f"loss channel trace moved from {total_in!r} to {cum!r}")
 
 
 def apply_loss_channel(state, l: float) -> DensityGrid:
@@ -277,14 +292,17 @@ def apply_loss_channel(state, l: float) -> DensityGrid:
         total_in = state.trace()
     else:
         raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
+    size = cutoff + 1
     out = []
     cum = 0.0
     for b in in_branches:
-        branches, got = _loss_branches(b, l, total_in)
-        out.extend(branches)
+        prefs, got = _kraus_prefactors(b, l, total_in)
+        for j, pref in enumerate(prefs):
+            branch = np.zeros_like(b)
+            branch[:, : size - j] = b[:, j:] * pref[None, :]
+            out.append(branch)
         cum += got
-    if abs(cum - total_in) > 1e-9 * max(total_in, 1e-300):
-        raise TraceDrift(f"loss channel trace moved from {total_in!r} to {cum!r}")
+    _loss_trace_check(cum, total_in)
     return DensityGrid(cutoff, out)
 
 
@@ -318,16 +336,21 @@ def build_input_state(p: ProbeParams, cutoff: int) -> FockGrid:
 
 
 def _pasvs_probs(r: float, m: int, length: int) -> np.ndarray:
-    probs = np.zeros(length)
+    """Photon-number distribution of the photon-added squeezed vacuum on
+    0..length-1: level k + m (k even) holds |c_k|^2 (k+1)...(k+m) / norm, where
+    the squeezed-vacuum amplitude c_k grows by tanh(r) sqrt((k+1)(k+2)) / (k+2)
+    from one even level to the next."""
     th, sech = math.tanh(r), 1.0 / math.cosh(r)
-    s2n = math.sqrt(sech)
-    n = 0
-    while 2 * n + m < length:
-        k = 2 * n
-        c2 = s2n * s2n * math.prod(range(k + 1, k + m + 1))
-        probs[k + m] = c2
-        s2n *= th * math.sqrt((k + 1) * (k + 2)) / (k + 2)
-        n += 1
+    k = np.arange(0, length - m, 2)
+    steps = np.empty(k.size)
+    steps[0] = math.sqrt(sech)
+    steps[1:] = th * np.sqrt((k[:-1] + 1) * (k[:-1] + 2)) / (k[:-1] + 2)
+    amp = np.cumprod(steps)
+    rising = np.ones(k.size)
+    for i in range(1, m + 1):
+        rising *= k + i
+    probs = np.zeros(length)
+    probs[k + m] = amp * amp * rising
     return probs / pasvs_norm(r, m)
 
 
@@ -380,13 +403,10 @@ def default_cutoff(p: ProbeParams, weight: int = 0) -> int:
 
 
 def _prepared_after_first_splitter(p: ProbeParams, cutoff: int) -> FockGrid:
-    state = build_input_state(p, cutoff)
-    arr = state.amplitudes.copy()
+    arr = build_input_state(p, cutoff).amplitudes
     # clip to complete sectors; the discarded corner carries at most the
     # sector tail budget and the splitter then acts exactly
-    flipped = arr[::-1, :]
-    for k in range(1, cutoff + 1):
-        np.fill_diagonal(flipped[:, k:], 0.0)
+    arr[_outside_sectors(cutoff)] = 0.0
     nrm = float(np.linalg.norm(arr))
     if 1.0 - nrm * nrm > 1e-9:
         raise CutoffTooSmall(f"sector clip removed {1 - nrm * nrm:.3e} probability")
@@ -419,19 +439,31 @@ def parity_signal_oracle(
     f' = 2 Re<w0|P|w1>, f'' = 2 Re<w0|P|w2> + 2 <w1|P|w1>. The splitter and
     P act within each total-photon sector, so the sums are taken sector by
     sector, with all loss branches and all three vectors in one product.
+    No branch grid is built: loss branch j's entry at (n_a, n_b) is gathered
+    straight from the post-splitter grid's entry (n_a, n_b + j), times the
+    branch's prefactor at n_b, into one (sector entries, branches) array. The
+    branch stop and the trace check are those of `apply_loss_channel`.
     """
     nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
     after_bs1 = _prepared_after_first_splitter(p, nc)
-    lossy = apply_loss_channel(after_bs1, p.loss)
+    total_in = after_bs1.norm ** 2
+    prefs, cum = _kraus_prefactors(after_bs1.amplitudes, p.loss, total_in)
+    _loss_trace_check(cum, total_in)
     idx, start = _sectors(nc)
-    nb = (idx % (nc + 1)).astype(float)[:, None]
+    nbi = idx % (nc + 1)
+    nb = nbi.astype(float)[:, None]
     sign = np.where(nb % 2 == 0, 1.0, -1.0)
-    k = len(lossy.branches)
+    # pad[n_b] = pref_j[n_b], 0 where n_b + j > cutoff; there idx + j reads
+    # the next grid row, but never past the grid's end
+    pad = np.zeros(nc + 1)
+    flat = after_bs1.amplitudes.ravel()
     # conj(v0) per (sector entry, branch): the second splitter is conj(U conj(v)),
     # and every sum below is unchanged when all of w is conjugated
-    cv0 = np.empty((idx.size, k), dtype=np.complex128)
-    for j, b in enumerate(lossy.branches):
-        cv0[:, j] = b.ravel()[idx]
+    cv0 = np.empty((idx.size, len(prefs)), dtype=np.complex128)
+    for j, pref in enumerate(prefs):
+        pad[: pref.size] = pref
+        pad[pref.size :] = 0.0
+        cv0[:, j] = flat[idx + j] * pad[nbi]
     np.conjugate(cv0, out=cv0)
     cv0 *= np.exp(-1j * p.phi * nb)
     f = d1 = d2 = 0.0
@@ -467,9 +499,11 @@ def probe_marginal(p: ProbeParams, weight: int = 2, cutoff: int | None = None) -
 class LossWeightTable:
     """Joint distribution of (surviving photons, lost photons) under the channel.
 
-    Rows enumerate (k - j, j) with weight P_k * Binom(k, j) l^j eta^(k-j);
-    j sums are cut adaptively once the rest of a row cannot move any fourth-
-    degree phase generator by one part in 1e14.
+    Entries enumerate (k - j, j) with weight P_k * Binom(k, j) l^j eta^(k-j),
+    k-major with j ascending, over every k with P_k != 0. Each k's j run is
+    cut once the rest of its binomial mass times k^8 + 1 is below 1e-14, so
+    that it cannot move any fourth-degree phase generator by one part in 1e14.
+    The weights are not renormalised.
     """
 
     survived: np.ndarray
@@ -481,28 +515,35 @@ def loss_weight_table(marginal: np.ndarray, loss: float) -> LossWeightTable:
     if not 0 <= loss < 1:
         raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
     eta = 1.0 - loss
-    survived = []
-    lost = []
-    weight = []
-    for k in range(marginal.size):
-        pk = float(marginal[k])
-        if pk == 0.0:
-            continue
-        wj = eta**k
-        rem = 1.0
-        gmax2 = float(k) ** 8 + 1.0  # kerr generator is O(k^2); squared and padded
-        for j in range(k + 1):
-            survived.append(k - j)
-            lost.append(j)
-            weight.append(pk * wj)
-            rem -= wj
-            if rem * gmax2 < 1e-14:
-                break
-            wj = wj * (k - j) / (j + 1) * (loss / eta)
+    ks = np.flatnonzero(marginal)
+    if not ks.size:
+        empty = np.zeros(0)
+        return LossWeightTable(empty, empty, empty)
+    kf = ks.astype(float)
+    width = int(ks[-1]) + 1
+    # w[j] = Binom(k, j) l^j eta^(k-j) over the rows k, by the recurrence in j.
+    # It is 0 from j = k + 1 on and never above 1, so every row runs to width.
+    # The start is Python float pow: numpy's power can differ in the last bit.
+    w = np.empty((width, ks.size))
+    w[0] = [eta**k for k in ks.tolist()]
+    scale = loss / eta
+    for j, (prev, nxt, k_minus_j) in enumerate(zip(w, w[1:], kf - np.arange(width - 1.0)[:, None])):
+        np.multiply(prev, k_minus_j, out=nxt)
+        np.divide(nxt, j + 1, out=nxt)
+        np.multiply(nxt, scale, out=nxt)
+    w = w.T  # (row, j) from here on: k-major, j ascending
+    # rem after step j is 1 - w0 - w1 - ... - wj, subtracted in that order
+    rem = np.subtract.accumulate(np.hstack((np.ones((ks.size, 1)), w)), axis=1)[:, 1:]
+    gmax2 = np.array([float(k) ** 8 + 1.0 for k in ks.tolist()])  # kerr generator is O(k^2); squared and padded
+    j = np.arange(width, dtype=float)
+    # a row ends at its first j with rem * gmax2 < 1e-14, or at j = k
+    last = np.argmax((rem * gmax2[:, None] < 1e-14) | (j >= kf[:, None]), axis=1)
+    kept = j <= last[:, None]
+    lost = np.broadcast_to(j, kept.shape)[kept]
     return LossWeightTable(
-        np.array(survived, dtype=float),
-        np.array(lost, dtype=float),
-        np.array(weight, dtype=float),
+        np.broadcast_to(kf[:, None], kept.shape)[kept] - lost,
+        lost,
+        (np.asarray(marginal, dtype=float)[ks][:, None] * w)[kept],
     )
 
 

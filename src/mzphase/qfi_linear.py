@@ -3,7 +3,7 @@
 Ideal: F_Q = 4 Var(n_b) of the probe arm. Lossy: the purification bound
 minimized over the loss-commutation parameter has the closed form
 4 eta <n> V / (l V + eta <n>); the numeric check below reproduces it from
-the Kraus family directly.
+the Kraus family's loss weight table directly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParamOutOfRange
 from .moments import MomentSet
-from .oracle import KrausFamily, cq_from_table, loss_weight_table, probe_marginal
+from .oracle import loss_weight_table, probe_marginal
 from .states import ProbeParams
 
 DEGENERATE_TOL = 1e-14
@@ -93,48 +93,19 @@ def benchmark_limits(nbar: float) -> BenchmarkLimits:
 def qfi_lossy_numeric_check(p: ProbeParams) -> float:
     """Minimum of the operator-level C_Q over the commutation parameter.
 
-    A 41-point scan of [-2, 2] seeds the search and the bracket is pushed
-    outward while the minimum sits on an edge (the bound is an upward
-    parabola in gamma, so this always terminates); golden-section
-    refinement finishes. Deterministic throughout.
+    The linear generator is g = n - gamma * j on the loss table's (surviving,
+    lost) entries, so C_Q(gamma) / 4 = c - 2 gamma b + gamma^2 a, with
+    a = Var_w(j), b = Cov_w(n, j) and c = Var_w(n) over the table's
+    (unnormalised) weights, as `cq_from_table` takes them. The sums are taken
+    once; the vertex gamma = b / a gives 4 (c - b^2 / a). Without loss the
+    table holds only j = 0, a is 0 and the value is 4c. No scan, no search.
     """
-    marg = probe_marginal(p, weight=2)
-    table = loss_weight_table(marg, p.loss)
-
-    def value(gamma: float) -> float:
-        return cq_from_table(table, KrausFamily("linear", p.loss, gamma=gamma))
-
-    grid = np.linspace(-2.0, 2.0, 41)
-    vals = np.array([value(g) for g in grid])
-    best = int(np.argmin(vals))
-    step = float(grid[1] - grid[0])
-    lo, hi = float(grid[0]), float(grid[-1])
-    for _ in range(200):
-        if best == 0:
-            lo -= step
-            grid = np.concatenate(([lo], grid))
-            vals = np.concatenate(([value(lo)], vals))
-        elif best == grid.size - 1:
-            hi += step
-            grid = np.concatenate((grid, [hi]))
-            vals = np.concatenate((vals, [value(hi)]))
-        else:
-            break
-        best = int(np.argmin(vals))
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, grid.size - 1)])
-    invphi = (math.sqrt(5) - 1) / 2
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = value(c), value(d)
-    for _ in range(200):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value(d)
-        if b - a < 1e-10:
-            break
-    return float(min(float(vals[best]), fc, fd))
+    table = loss_weight_table(probe_marginal(p, weight=2), p.loss)
+    w, n, j = table.weight, table.survived, table.lost
+    wn, wj = float(np.dot(w, n)), float(np.dot(w, j))
+    a = float(np.dot(w, j * j)) - wj * wj
+    b = float(np.dot(w, n * j)) - wn * wj
+    c = float(np.dot(w, n * n)) - wn * wn
+    if a <= 0.0:
+        return 4.0 * c
+    return 4.0 * (c - b * b / a)

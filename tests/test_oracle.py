@@ -1,17 +1,22 @@
 """Operator-level reference engine: splitters, loss, phase, and C_Q tables."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mzphase.errors import CutoffTooSmall, ParamOutOfRange
+from mzphase import oracle
+from mzphase.errors import CutoffTooSmall, ParamOutOfRange, TraceDrift
 from mzphase.oracle import (
     DensityGrid,
     _apply_bs_array,
     _bs_block,
     _bs_blocks,
+    _pasvs_probs,
+    _prepared_after_first_splitter,
+    _sector_mass_check,
     FockGrid,
     KrausFamily,
     apply_beam_splitter,
@@ -28,7 +33,18 @@ from mzphase.oracle import (
 )
 from mzphase.states import ProbeParams
 from mzphase.sweep import _guarded_dev
-from oracle_reference import apply_bs_reference, parity_signal_reference
+from oracle_reference import (
+    GRID_ALPHA,
+    GRID_LOSS,
+    GRID_M,
+    GRID_R,
+    apply_bs_reference,
+    grid_marginal,
+    loss_weight_table_reference,
+    parity_signal_reference,
+    pasvs_probs_reference,
+    prepared_after_first_splitter_reference,
+)
 
 
 def kraus_operator(fam: KrausFamily, j: int, nmax: int, phi: float = 0.0) -> np.ndarray:
@@ -108,6 +124,32 @@ def test_second_splitter_inverts_first():
     st = FockGrid(cutoff, amps)
     back = apply_beam_splitter(apply_beam_splitter(st, "first"), "second")
     assert np.max(np.abs(back.amplitudes - amps)) < 1e-12
+
+
+def test_sector_mass_check_threshold():
+    cutoff = 6
+    arr = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    arr[0, 0] = 1.0
+    arr[2, 4] = arr[cutoff, 0] = 0.5  # total photons == cutoff: inside
+    _sector_mass_check(arr, cutoff)
+    arr[3, 4] = math.sqrt(0.5e-12)  # total 7: outside, below 1e-12 of the mass
+    _sector_mass_check(arr, cutoff)
+    arr[cutoff, cutoff] = 1e-5j  # the far corner
+    with pytest.raises(CutoffTooSmall):
+        _sector_mass_check(arr, cutoff)
+    arr[cutoff, cutoff] = 0.0
+    arr[3, 4] = math.sqrt(3e-12)
+    with pytest.raises(CutoffTooSmall):
+        _sector_mass_check(arr, cutoff)
+
+
+@pytest.mark.parametrize("alpha,r,m", [(0.0, 0.7, 2), (1.9, 1.0, 3), (3.0, 0.3, 0)])
+def test_masked_clip_matches_fill_diagonal_clip(alpha, r, m):
+    p = ProbeParams(alpha=alpha, r=r, m=m)
+    for nc in (default_cutoff(p), default_cutoff(p, weight=4)):
+        got = _prepared_after_first_splitter(p, nc).amplitudes
+        want = prepared_after_first_splitter_reference(p, nc).amplitudes
+        assert got.tobytes() == want.tobytes()
 
 
 def test_splitter_rejects_incomplete_sector_mass():
@@ -227,7 +269,7 @@ def test_parity_signal_derivatives_match_analytic(alpha, r, m, l, phi):
     assert d2 == pytest.approx(sig.ddvalue, abs=1e-9)
 
 
-@pytest.mark.parametrize("loss", [0.0, 0.21])
+@pytest.mark.parametrize("loss", [0.0, 0.21, 0.6, 0.9])
 @pytest.mark.parametrize("m", [0, 3])
 @pytest.mark.parametrize("r", [0.3, 0.65, 1.0])
 def test_parity_signal_matches_per_branch_reference(r, m, loss):
@@ -262,6 +304,25 @@ def test_splitter_blocks_built_once_per_sector():
     assert info.misses - misses == info.currsize - size <= 8
 
 
+@pytest.mark.parametrize("lost,raises", [(1e-8, True), (1e-10, False)])
+def test_loss_trace_drift_fires(monkeypatch, lost, raises):
+    # a loss step whose branches miss part of the trace
+    prefactors = oracle._kraus_prefactors
+
+    def leaky(arr, l, total_in):
+        prefs, cum = prefactors(arr, l, total_in)
+        return prefs, cum * (1.0 - lost)
+
+    monkeypatch.setattr(oracle, "_kraus_prefactors", leaky)
+    p = ProbeParams(alpha=1.0, r=0.5, m=1, loss=0.3, phi=0.2)
+    for call in (parity_signal_oracle, parity_expectation_oracle):
+        if raises:
+            with pytest.raises(TraceDrift):
+                call(p)
+        else:
+            call(p)
+
+
 def test_parity_signal_value_consistent_with_plain_oracle():
     p = ProbeParams(alpha=1.5, r=0.5, m=2, loss=0.1, phi=0.4)
     f, _, _ = parity_signal_oracle(p)
@@ -290,3 +351,25 @@ def test_loss_weight_table_normalized():
     table = loss_weight_table(marg, p.loss)
     assert float(np.sum(table.weight)) == pytest.approx(1.0, abs=1e-12)
     assert np.all(table.survived + table.lost >= 0)
+
+
+def test_loss_weight_table_matches_reference_loop():
+    for alpha, r, m in itertools.product(GRID_ALPHA, GRID_R, GRID_M):
+        marg = grid_marginal(alpha, r, m)
+        for loss in GRID_LOSS:
+            got = loss_weight_table(marg, loss)
+            want = loss_weight_table_reference(marg, loss)
+            for name in ("survived", "lost", "weight"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and np.array_equal(a, b), (alpha, r, m, loss, name)
+    assert loss_weight_table(np.zeros(5), 0.3).weight.size == 0
+
+
+def test_default_cutoff_matches_reference_loop(monkeypatch):
+    probes = [ProbeParams(alpha=a, r=r, m=m) for a, r, m in itertools.product(GRID_ALPHA, GRID_R, GRID_M)]
+    for p in probes:
+        got, want = _pasvs_probs(p.r, p.m, 1024), pasvs_probs_reference(p.r, p.m, 1024)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    cutoffs = [default_cutoff(p, weight=w) for p in probes for w in (0, 2, 4)]
+    monkeypatch.setattr(oracle, "_pasvs_probs", pasvs_probs_reference)
+    assert cutoffs == [default_cutoff(p, weight=w) for p in probes for w in (0, 2, 4)]

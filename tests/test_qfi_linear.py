@@ -1,7 +1,9 @@
 """Linear-phase QFI: ideal and lossy closed forms against the operator route."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from mzphase.errors import ParamOutOfRange
@@ -14,6 +16,14 @@ from mzphase.qfi_linear import (
     qfi_lossy_numeric_check,
 )
 from mzphase.states import ProbeParams
+from oracle_reference import (
+    GRID_ALPHA,
+    GRID_LOSS,
+    GRID_M,
+    GRID_R,
+    grid_marginal,
+    numeric_check_reference,
+)
 
 
 def synthetic_moments(m1, var_n):
@@ -85,6 +95,38 @@ def test_numeric_check_extends_bracket_past_scan():
     assert at_edge > numeric * (1 + 5e-4)
     closed = qfi_lossy_linear(moment_set(p), p.loss).fq
     assert abs(numeric - closed) <= 1e-9 * closed
+
+
+def _grid_probes(losses=GRID_LOSS):
+    for alpha, r, m, loss in itertools.product(GRID_ALPHA, GRID_R, GRID_M, losses):
+        yield ProbeParams(alpha=alpha, r=r, m=m, loss=loss), loss_weight_table(grid_marginal(alpha, r, m), loss)
+
+
+def test_numeric_check_matches_scan_and_golden_section():
+    for p, table in _grid_probes():
+        got = qfi_lossy_numeric_check(p)
+        want = numeric_check_reference(table, p.loss)
+        assert abs(got - want) <= 1e-12 * abs(want), p
+
+
+def test_numeric_check_without_loss_is_four_weighted_variances():
+    for p, table in _grid_probes(losses=(0.0,)):
+        # every branch keeps its photons, so g = n whatever gamma is
+        assert not table.lost.any()
+        assert qfi_lossy_numeric_check(p) == cq_from_table(table, KrausFamily("linear", 0.0))
+
+
+def test_numeric_check_is_the_vertex_minimum():
+    for p, table in _grid_probes(losses=GRID_LOSS[1:]):
+        w, n, j = table.weight, table.survived, table.lost
+        if not j.any():
+            continue  # vacuum: no photon to lose, C_Q is flat in gamma
+        got = qfi_lossy_numeric_check(p)
+        wn, wj = np.dot(w, n), np.dot(w, j)
+        vertex = (np.dot(w, n * j) - wn * wj) / (np.dot(w, j * j) - wj * wj)
+        for gamma in (vertex - 1e-3, vertex, vertex + 1e-3):
+            at = cq_from_table(table, KrausFamily("linear", p.loss, gamma=gamma))
+            assert got <= at + 1e-12 * abs(at), (p, gamma)
 
 
 def test_loss_range_validated():
