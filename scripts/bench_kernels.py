@@ -8,7 +8,7 @@ Times entry points of the currently checked-out `src/` ("after") and of the
 single-threaded processes on the same machine:
 
 - `parity._signal_batch` per photon-addition order m at batch 1, 201, 1001;
-- `parity.optimal_phase` per m (its 1001-point scan plus the refinement);
+- `parity.optimal_phase` per m (its window scan plus the refinement);
 - `moments.moment_set` per m;
 - the Fock oracle (`oracle` warm, `oracle_first` as the first call in a fresh
   process, which includes building the beam-splitter blocks):
@@ -25,12 +25,13 @@ single-threaded processes on the same machine:
   each threaded call starts its own process pool, as the CLI does). A tree
   without the batch functions reports only the loops and the presets.
 - the `refine` group, counts rather than times: the kernel calls the
-  optimal-phase search makes after its scan, per row (the mean and maximum
-  over rows with a result, one `optimal_phase` call each) and per lockstep
-  group (the maximum over `optimal_phases` calls), for the `optimal_*`
-  groups of the rows group and for the optimal-phase rows of presets 5a, 5b
-  and 9b (one group per m, as the sweep forms them). It is taken once per
-  side, after the timed rounds.
+  optimal-phase search makes after its scan (after both passes of a
+  two-pass scan, or the one call per block of rows of a one-pass one), per
+  row (the mean and maximum over rows with a result, one `optimal_phase`
+  call each) and per lockstep group (the maximum over `optimal_phases`
+  calls), for the `optimal_*` groups of the rows group and for the
+  optimal-phase rows of presets 5a, 5b and 9b (one group per m, as the
+  sweep forms them). It is taken once per side, after the timed rounds.
 
 The kernel probe is alpha = 2, r = 0.5, loss = 0.1; the oracle probe is the
 costliest corner of the `xcheck` benchmark workload, alpha = 1.9, m = 3,
@@ -158,10 +159,24 @@ def measure_refine() -> dict:
     from mzphase.sweep import figure_preset, run_sweep
 
     signal, optimal_phases, count = parity._signal, parity.optimal_phases, [0]
+    window_scan, scans = getattr(parity, "_window_scan", None), [0]
 
     def counted(*args):
         count[0] += 1
         return signal(*args)
+
+    def counted_scan(*args):
+        before = count[0]
+        out = window_scan(*args)
+        scans[0] += count[0] - before
+        return out
+
+    def refinement_calls(call, rows: int) -> int:
+        count[0] = scans[0] = 0
+        call()
+        if window_scan is None:  # a one-pass scan: one call per block of rows
+            scans[0] = math.ceil(rows / max(1, parity.MAX_POINTS // parity._GRID.size))
+        return count[0] - scans[0]
 
     cases = {}
     for m in ROW_M:
@@ -174,21 +189,19 @@ def measure_refine() -> dict:
     sweep.optimal_phases = optimal_phases
 
     parity._signal = counted
-    rows_per_scan = max(1, parity.MAX_POINTS // parity._GRID.size)
+    if window_scan is not None:
+        parity._window_scan = counted_scan
     out = {}
     for name, row_groups in cases.items():
         per_row, per_group = [], []
         for m, (alpha, r, loss) in row_groups:
-            count[0] = 0
-            optimal_phases(m, alpha, r, loss)
-            per_group.append(count[0] - math.ceil(len(alpha) / rows_per_scan))
+            per_group.append(refinement_calls(lambda: optimal_phases(m, alpha, r, loss), len(alpha)))
             for row in zip(alpha, r, loss):
-                count[0] = 0
                 try:
-                    parity.optimal_phase(ProbeParams(*row[:2], m, row[2]))
+                    probe = ProbeParams(*row[:2], m, row[2])
+                    per_row.append(refinement_calls(lambda: parity.optimal_phase(probe), 1))
                 except (DegenerateSignal, DegenerateDenominator):
                     continue
-                per_row.append(count[0] - 1)
         out[name] = {
             "rows": len(per_row),
             "rows_without_refinement": per_row.count(0),
@@ -197,6 +210,8 @@ def measure_refine() -> dict:
             "max_per_group": max(per_group),
         }
     parity._signal = signal
+    if window_scan is not None:
+        parity._window_scan = window_scan
     return out
 
 

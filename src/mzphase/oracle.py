@@ -196,7 +196,7 @@ def _sector_mass_check(arr: np.ndarray, cutoff: int):
     corner = arr[_outside_sectors(cutoff)]
     mass = float(np.vdot(corner, corner).real)
     total = float(np.vdot(arr, arr).real)
-    if mass > 1e-12 * max(total, 1e-300):
+    if not mass <= 1e-12 * max(total, 1e-300):
         raise CutoffTooSmall(
             f"state has {mass:.3e} of {total:.3e} outside retained sectors; increase cutoff"
         )
@@ -218,7 +218,7 @@ def apply_beam_splitter(state, which: str):
         out = _apply_bs_array(state.amplitudes, state.cutoff, second)
         after = float(np.linalg.norm(out))
         drift = abs(after - before)
-        if drift >= 1e-9 * max(before, 1e-300):
+        if not drift < 1e-9 * max(before, 1e-300):
             raise UnitarityDrift(f"norm drifted by {drift:.3e} across the splitter")
         if after > 0:
             out *= before / after
@@ -231,7 +231,7 @@ def apply_beam_splitter(state, which: str):
         stack = np.asarray(state.branches).reshape(-1, d, d)
         out = DensityGrid(state.cutoff, list(_apply_bs_array(stack, state.cutoff, second)))
         drift = abs(out.trace() - before)
-        if drift >= 1e-9 * max(before, 1e-300):
+        if not drift < 1e-9 * max(before, 1e-300):
             raise UnitarityDrift(f"trace drifted by {drift:.3e} across the splitter")
         return out
     raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
@@ -274,7 +274,7 @@ def _kraus_prefactors(arr: np.ndarray, l: float, total_in: float):
 
 
 def _loss_trace_check(cum: float, total_in: float):
-    if abs(cum - total_in) > 1e-9 * max(total_in, 1e-300):
+    if not abs(cum - total_in) <= 1e-9 * max(total_in, 1e-300):
         raise TraceDrift(f"loss channel trace moved from {total_in!r} to {cum!r}")
 
 

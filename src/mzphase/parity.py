@@ -6,15 +6,20 @@ read off in closed form (`jets.gaussian_tt_coefficient`) with every kernel
 coefficient carried as a univariate phase jet, so the value, slope, and
 curvature come out of one evaluation. From those: classical Fisher
 information, the phase sensitivity, and a deterministic optimal-phase
-search. The three numbers also give the sign of the Fisher information's
-slope, so the search refines its scan with a root search on that slope
-rather than by comparing sensitivities.
+search. The search scans a fixed phase window in two passes: every s-th
+point of a 1001-point grid, with the stride s set by the probe's photon
+number, then the grid points around each local minimum of that coarse
+pass. On every row checked, it picks the grid point a scan of all 1001
+points picks. The three numbers also give the sign of the Fisher
+information's slope, so the search refines its best grid point with a root
+search on that slope rather than by comparing sensitivities.
 
 There is one kernel, and it evaluates many points of one photon-addition
 order m in a single call, each point with its own alpha, r, loss and phase.
 A sweep hands it all its rows of one m at once (`parity_signals`) and runs
-their optimal-phase searches in lockstep (`optimal_phases`); the one-row
-functions (`parity_expectation`, `classical_fisher`, `phase_sensitivity`,
+their optimal-phase searches in lockstep (`optimal_phases`), one call per
+scan pass and per refinement step; the one-row functions
+(`parity_expectation`, `classical_fisher`, `phase_sensitivity`,
 `optimal_phase`) are the same calls with a single row. A point's result does
 not depend on what shares its call: the per-row constants come from the same
 `math` calls whatever the batch, and every array operation acts point by
@@ -51,6 +56,11 @@ MAX_POINTS = 1 << 15
 _PHASE = JetShape(("phi",), (2,))
 # optimal-phase window scan
 _GRID = np.linspace(1e-4, 1.5, 1001)
+# its coarse pass takes every s-th grid point, s = floor(1 / (N GRID_STEP)) in
+# [1, MAX_STRIDE] for a probe of N mean photons; GRID_STEP is the _GRID step
+# rounded up, so the coarse spacing stays at or below 1/N
+GRID_STEP = 1.5e-3
+MAX_STRIDE = 10
 # the refinement stops once its bracket is narrower than BRACKET_TOL * max(1, phi),
 # or after MAX_STEPS kernel calls
 BRACKET_TOL = 1e-13
@@ -360,38 +370,95 @@ class _Illinois:
         return self.b - self.a < BRACKET_TOL * max(1.0, self.b) or self.steps == MAX_STEPS
 
 
+def _strides(m: int, alpha, r) -> np.ndarray:
+    """Coarse-scan stride of each row: floor(1 / (N GRID_STEP)), clamped to
+    [1, MAX_STRIDE], where N = alpha^2 + the photon-added squeezed vacuum's
+    mean photon number. The coarse spacing stays at or below 1/N, the scale
+    of the narrowest fringe."""
+    photons = np.array(
+        [float(a) ** 2 + _pasvs_norm_unchecked(float(rr), m + 1) / _pasvs_norm_unchecked(float(rr), m) - 1.0
+         for a, rr in zip(alpha, r)]
+    )
+    with np.errstate(divide="ignore"):
+        return np.clip(np.floor(1.0 / (photons * GRID_STEP)), 1, MAX_STRIDE).astype(int)
+
+
+def _window_scan(m: int, c: _Consts, stride: np.ndarray):
+    """Scan `_GRID` for a block of rows in two passes, one kernel call each.
+
+    The coarse pass takes every stride-th grid point of a row, both window
+    ends included. The fine pass takes, around every coarse local minimum
+    with a finite sensitivity, all grid points between its two coarse
+    neighbours; so the best point found, and its two grid neighbours, are
+    evaluated. A row whose coarse pass has no finite point takes the whole
+    grid. The denominator's constant term, 1 - (l/2 - sqrt(1 - l) cos phi)^2
+    tanh^2 r, is lowest at a window end, and both ends are coarse points, so
+    a row's degenerate flag is that of the whole window. Returns the (3,
+    rows, grid) signal, NaN where not evaluated, the (rows, grid)
+    sensitivities, inf where not evaluated, and each row's
+    degenerate-denominator flag.
+    """
+    rows, k = stride.size, _GRID.size
+    vals = np.full((3, rows, k), np.nan)
+    sens = np.full((rows, k), np.inf)
+    degenerate = np.zeros(rows, dtype=bool)
+
+    def evaluate(mask):
+        row, col = np.nonzero(mask)
+        if row.size:
+            v, flagged = _signal(m, _GRID[col], c.take(row))
+            vals[:, row, col] = v
+            sens[row, col] = _sensitivities(v)
+            degenerate[row[flagged]] = True
+
+    coarse = np.arange(k) % stride[:, None] == 0
+    coarse[:, -1] = True
+    evaluate(coarse)
+    fine = np.zeros_like(coarse)
+    for j in range(rows):
+        cols = np.flatnonzero(coarse[j])
+        s = sens[j, cols]
+        if not np.isfinite(s).any():
+            fine[j] = True
+            continue
+        pad = np.concatenate(([np.inf], s, [np.inf]))
+        for low in np.flatnonzero(np.isfinite(s) & (s <= pad[:-2]) & (s <= pad[2:])):
+            fine[j, cols[max(low - 1, 0)] : cols[min(low + 1, cols.size - 1)] + 1] = True
+    evaluate(fine & ~coarse)
+    return vals, sens, degenerate
+
+
 def optimal_phases(m: int, alpha, r, loss) -> list:
     """Best working phase in [1e-4, 1.5] and its sensitivity there, per row.
 
     `alpha`, `r` and `loss` hold one number per row of order m. Every row
     runs the search `optimal_phase` describes, all of them in lockstep: the
-    1001-point scans share kernel calls (up to MAX_POINTS points each), and
-    each refinement step makes one call holding the next point of every row
-    still refining. A row visits the same points as a search run alone, so
-    its result is the same bit for bit. Each entry of the result is
-    (phi*, sensitivity), or the DegenerateSignal or DegenerateDenominator
+    two scan passes of up to MAX_POINTS // 1001 rows share one kernel call
+    each, and each refinement step makes one call holding the next point of
+    every row still refining. A row visits the same points as a search run
+    alone, so its result is the same bit for bit. Each entry of the result
+    is (phi*, sensitivity), or the DegenerateSignal or DegenerateDenominator
     that ended that row's search.
     """
     consts = _row_consts(m, alpha, r, loss)
     n, k = consts.alpha.size, _GRID.size
+    stride = _strides(m, alpha, r)
     out: list = [None] * n
     search: dict[int, _Illinois] = {}
-    rows_per_call = max(1, MAX_POINTS // k)
-    for lo in range(0, n, rows_per_call):
-        rows = np.arange(lo, min(lo + rows_per_call, n))
-        vals, degenerate = _signal(m, np.tile(_GRID, rows.size), consts.take(np.repeat(rows, k)))
-        sens = _sensitivities(vals)
+    rows_per_block = max(1, MAX_POINTS // k)
+    for lo in range(0, n, rows_per_block):
+        rows = np.arange(lo, min(lo + rows_per_block, n))
+        vals, sens, degenerate = _window_scan(m, consts.take(rows), stride[rows])
         for j, i in enumerate(rows):
-            row = slice(j * k, (j + 1) * k)
-            best = int(np.argmin(sens[row]))
-            if degenerate[row].any():
+            best = int(np.argmin(sens[j]))
+            if degenerate[j]:
                 out[i] = _degenerate()
-            elif not np.isfinite(sens[row][best]):
+            elif not np.isfinite(sens[j, best]):
                 out[i] = DegenerateSignal("no finite sensitivity anywhere in the window")
             else:
-                out[i] = (float(_GRID[best]), float(sens[row][best]))
+                out[i] = (float(_GRID[best]), float(sens[j, best]))
                 ends = [max(best - 1, 0), min(best + 1, k - 1)]
-                qa, qb = _fisher_slope_sign(vals[:, j * k + np.array(ends)]).tolist()
+                qa, qb = _fisher_slope_sign(vals[:, j, ends]).tolist()
                 if qa > 0 > qb:
                     search[int(i)] = _Illinois(float(_GRID[ends[0]]), float(_GRID[ends[1]]), qa, qb, out[i])
 
@@ -415,15 +482,23 @@ def optimal_phases(m: int, alpha, r, loss) -> list:
 def optimal_phase(p: ProbeParams) -> tuple[float, float]:
     """Best working phase in [1e-4, 1.5] and its sensitivity there.
 
-    Deterministic. A 1001-point scan picks the best grid point, which fixes
-    the fringe; the bracket is that point's two grid neighbours (clamped to
-    the window). There the optimum is a root of dF/dphi, whose sign is that
-    of q = P'(P''(1 - P^2) + P P'^2), known from the signal's value, slope
-    and curvature; the q of the bracket ends come from the scan itself. If q
-    changes sign from + to - across the bracket, an Illinois regula falsi
-    closes in on the root, one kernel call per step, until the bracket is
-    narrower than BRACKET_TOL * max(1, phi) (about six steps; at most
-    MAX_STEPS). Otherwise, as at a window edge (the lossless rows, whose
+    Deterministic. A scan of the 1001-point grid `_GRID` picks the best grid
+    point, which fixes the fringe. The scan takes two passes: a coarse one
+    over every s-th grid point, s = floor(1 / (N GRID_STEP)) clamped to [1,
+    MAX_STRIDE] for a probe of N = alpha^2 + nbar_b mean photons, so the
+    coarse spacing stays at or below 1/N, the scale of the narrowest fringe;
+    then a fine one over the grid points between the two coarse neighbours
+    of every coarse local minimum (the whole grid if the coarse pass has no
+    finite sensitivity). The lowest-index best point of the two passes is
+    the one a scan of all 1001 points picks on every row tested. The bracket
+    is that point's two grid neighbours (clamped to the window), which the
+    scan evaluated. There the optimum is a root of dF/dphi, whose sign is
+    that of q = P'(P''(1 - P^2) + P P'^2), known from the signal's value,
+    slope and curvature; the q of the bracket ends come from the scan
+    itself. If q changes sign from + to - across the bracket, an Illinois
+    regula falsi closes in on the root, one kernel call per step, until the
+    bracket is narrower than BRACKET_TOL * max(1, phi) (about six steps; at
+    most MAX_STEPS). Otherwise, as at a window edge (the lossless rows, whose
     optimum is phi -> 0), the result is the best scan point. The result is
     the best (phi, sensitivity) evaluated, so its sensitivity is never worse
     than the best scan point's.

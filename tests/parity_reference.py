@@ -1,0 +1,64 @@
+"""The optimal-phase search with a full 1001-point window scan, for tests only.
+
+Production `parity.optimal_phases` scans the window in two passes: every
+s-th grid point first, then the grid points around each local minimum of
+that coarse pass. This is the search as it was before: every row evaluates
+all 1001 grid points, picks the lowest-index best point, and refines it
+with the same `_Illinois` regula falsi. The two must agree bit for bit.
+"""
+
+import numpy as np
+
+from mzphase.errors import DegenerateSignal
+from mzphase.parity import (
+    _GRID,
+    MAX_POINTS,
+    _degenerate,
+    _fisher_slope_sign,
+    _Illinois,
+    _row_consts,
+    _sensitivities,
+    _signal,
+)
+
+
+def optimal_phases_full_scan(m: int, alpha, r, loss) -> list:
+    """`parity.optimal_phases` with every row scanning all of `_GRID`."""
+    consts = _row_consts(m, alpha, r, loss)
+    n, k = consts.alpha.size, _GRID.size
+    out: list = [None] * n
+    search: dict[int, _Illinois] = {}
+    rows_per_call = max(1, MAX_POINTS // k)
+    for lo in range(0, n, rows_per_call):
+        rows = np.arange(lo, min(lo + rows_per_call, n))
+        vals, degenerate = _signal(m, np.tile(_GRID, rows.size), consts.take(np.repeat(rows, k)))
+        sens = _sensitivities(vals)
+        for j, i in enumerate(rows):
+            row = slice(j * k, (j + 1) * k)
+            best = int(np.argmin(sens[row]))
+            if degenerate[row].any():
+                out[i] = _degenerate()
+            elif not np.isfinite(sens[row][best]):
+                out[i] = DegenerateSignal("no finite sensitivity anywhere in the window")
+            else:
+                out[i] = (float(_GRID[best]), float(sens[row][best]))
+                ends = [max(best - 1, 0), min(best + 1, k - 1)]
+                qa, qb = _fisher_slope_sign(vals[:, j * k + np.array(ends)]).tolist()
+                if qa > 0 > qb:
+                    search[int(i)] = _Illinois(float(_GRID[ends[0]]), float(_GRID[ends[1]]), qa, qb, out[i])
+
+    live = list(search)
+    while live:
+        points = np.array([search[i].point() for i in live])
+        vals, degenerate = _signal(m, points, consts.take(live))
+        sens, q = _sensitivities(vals), _fisher_slope_sign(vals)
+        running = []
+        for j, i in enumerate(live):
+            if degenerate[j]:
+                out[i] = _degenerate()
+            elif search[i].done(float(points[j]), float(q[j]), float(sens[j])):
+                out[i] = search[i].best
+            else:
+                running.append(i)
+        live = running
+    return out

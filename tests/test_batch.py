@@ -179,7 +179,14 @@ def test_refinement_beats_golden_section_and_scan(m, monkeypatch):
     monkeypatch.setattr(parity, "_signal", lambda *args: sizes.append(args[1].size) or signal(*args))
     found = optimal_phases(m, [p.alpha for p in probes], [p.r for p in probes], [p.loss for p in probes])
     monkeypatch.undo()
-    assert sizes[0] == len(probes) * _GRID.size and len(sizes) - 1 <= 12
+    # every probe holds under 67 photons, so the coarse pass takes every
+    # tenth grid point, 101 per row; the fine pass adds the points around its
+    # local minima, and at m = 0 all the rest of the vacuum row, whose coarse
+    # pass has no finite point
+    assert parity._strides(m, [p.alpha for p in probes], [p.r for p in probes]).tolist() == [10] * len(probes)
+    assert sizes[0] == len(probes) * 101
+    assert sizes[1] < len(probes) * 101 + (900 if m == 0 else 0)
+    assert len(sizes) - 2 <= 12
     edges = 0
     for p, res in zip(probes, found):
         if isinstance(res, Exception):  # the vacuum row at m = 0

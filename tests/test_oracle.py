@@ -8,7 +8,7 @@ import pytest
 from scipy.special import gammaln
 
 from mzphase import oracle
-from mzphase.errors import CutoffTooSmall, ParamOutOfRange, TraceDrift
+from mzphase.errors import CutoffTooSmall, ParamOutOfRange, TraceDrift, UnitarityDrift
 from mzphase.oracle import (
     DensityGrid,
     _apply_bs_array,
@@ -141,6 +141,38 @@ def test_sector_mass_check_threshold():
     arr[3, 4] = math.sqrt(3e-12)
     with pytest.raises(CutoffTooSmall):
         _sector_mass_check(arr, cutoff)
+
+
+def _nan_grid(at):
+    st = grid_with(4, {(0, 0): 0.6, (1, 2): 0.8})
+    st.amplitudes[at] = np.nan
+    return st
+
+
+@pytest.mark.parametrize("at", [(2, 1), (4, 4)])  # inside the sectors, and in the corner
+def test_sector_mass_check_rejects_nan(at):
+    with pytest.raises(CutoffTooSmall):
+        _sector_mass_check(_nan_grid(at).amplitudes, 4)
+    with pytest.raises(CutoffTooSmall):
+        apply_beam_splitter(_nan_grid(at), "first")
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_splitter_drift_check_rejects_nan(monkeypatch, mixed):
+    # past the sector check, a NaN amplitude must still stop the splitter
+    monkeypatch.setattr(oracle, "_sector_mass_check", lambda arr, cutoff: None)
+    st = _nan_grid((2, 1))
+    if mixed:
+        st = DensityGrid(4, [grid_with(4, {(0, 1): 0.6}).amplitudes, st.amplitudes])
+    with pytest.raises(UnitarityDrift, match="trace" if mixed else "norm"):
+        apply_beam_splitter(st, "second")
+
+
+def test_loss_trace_check_rejects_nan():
+    with pytest.raises(TraceDrift):
+        apply_loss_channel(_nan_grid((2, 1)), 0.3)
+    with pytest.raises(TraceDrift):
+        apply_loss_channel(DensityGrid(4, [_nan_grid((1, 2)).amplitudes]), 0.3)
 
 
 @pytest.mark.parametrize("alpha,r,m", [(0.0, 0.7, 2), (1.9, 1.0, 3), (3.0, 0.3, 0)])

@@ -1,0 +1,129 @@
+"""The two-pass window scan of the optimal-phase search.
+
+`optimal_phases` scans `_GRID` coarsely, then finely around each coarse
+local minimum. Its results must be the bits of the full 1001-point scan
+(`parity_reference.optimal_phases_full_scan`), outcomes that are not a
+result included, so every comparison here is `==`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mzphase import parity
+from mzphase.errors import DegenerateDenominator, DegenerateSignal
+from mzphase.parity import _GRID, DENOM_TOL, GRID_STEP, MAX_STRIDE, loss_coefficients, optimal_phases
+from mzphase.states import R_MAX, pasvs_mean_photons
+from parity_reference import optimal_phases_full_scan
+
+
+def _outcomes(results):
+    return [type(x) if isinstance(x, Exception) else x for x in results]
+
+
+def _both(m, alpha, r, loss):
+    return _outcomes(optimal_phases(m, alpha, r, loss)), _outcomes(optimal_phases_full_scan(m, alpha, r, loss))
+
+
+_row = st.tuples(
+    st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 40.0)),
+    st.floats(0.0, R_MAX),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10), st.lists(_row, min_size=1, max_size=6))
+def test_two_pass_scan_equals_full_scan(m, rows):
+    got, want = _both(m, *zip(*rows))
+    assert got == want
+
+
+# rows of 170 to 1160 photons whose best point sits on the first fringe, at
+# phi < 0.01, narrower than ten grid steps
+LARGE_N = [
+    (5, 11.76, 2.957, 0.077),
+    (5, 6.86, 2.205, 0.015),
+    (10, 7.52, 1.916, 0.026),
+    (10, 11.62, 1.234, 0.099),
+    (10, 10.98, 1.112, 0.015),
+    (10, 11.21, 1.379, 0.057),
+]
+
+
+@pytest.mark.parametrize("m,alpha,r,loss", LARGE_N)
+def test_stride_follows_photon_number(m, alpha, r, loss, monkeypatch):
+    photons = alpha**2 + pasvs_mean_photons(r, m)
+    stride = int(parity._strides(m, [alpha], [r])[0])
+    assert stride == min(MAX_STRIDE, max(1, math.floor(1.0 / (photons * GRID_STEP)))) < MAX_STRIDE
+    got, want = _both(m, [alpha], [r], [loss])
+    assert got == want
+    assert want[0][0] < 0.01
+    # a fixed stride of MAX_STRIDE steps over that fringe and picks another
+    monkeypatch.setattr(parity, "_strides", lambda m, alpha, r: np.full(len(alpha), MAX_STRIDE))
+    assert _outcomes(optimal_phases(m, [alpha], [r], [loss])) != want
+
+
+def test_strides_at_the_limits():
+    # the vacuum carries no photons; up to 66.7 photons the stride is 10, and
+    # above 333.3 every grid point is coarse
+    alpha = [0.0, 8.16, 8.17, 18.2, 18.3, 40.0]
+    assert parity._strides(0, alpha, [0.0] * 5 + [3.0]).tolist() == [MAX_STRIDE, MAX_STRIDE, 9, 2, 1, 1]
+    assert GRID_STEP >= _GRID[1] - _GRID[0]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 8.17, 10.0, 18.2])  # strides 10, 9, 6 and 2
+def test_coarse_pass_holds_both_window_ends(alpha, monkeypatch):
+    signal, calls = parity._signal, []
+    monkeypatch.setattr(parity, "_signal", lambda m, phi, c: calls.append(phi) or signal(m, phi, c))
+    optimal_phases(0, [alpha], [0.0], [0.1])
+    stride = int(parity._strides(0, [alpha], [0.0])[0])
+    assert calls[0].tolist() == _GRID[sorted({*range(0, _GRID.size, stride), _GRID.size - 1})].tolist()
+
+
+def test_tied_coarse_minima_both_get_a_fine_pass(monkeypatch):
+    # a made-up signal with F = P'^2, whose sensitivity 1 + |i - 335| / 5 at
+    # grid index i ties at the coarse points 330 and 340 around its minimum
+    def signal(m, phi, c):
+        slope = 1.0 / (1.0 + np.abs(np.searchsorted(_GRID, phi) - 335) / 5.0)
+        return np.array([0.0 * phi, slope, 0.0 * phi]), np.zeros(phi.size, dtype=bool)
+
+    monkeypatch.setattr(parity, "_signal", signal)
+    assert parity._strides(0, [1.0], [0.5]).tolist() == [MAX_STRIDE]
+    assert optimal_phases(0, [1.0], [0.5], [0.1]) == [(float(_GRID[335]), 1.0)]
+
+
+def test_denominator_is_lowest_at_a_window_end():
+    # abar = 1 - (1 + x2)^2 tanh^2 r with 1 + x2 = l/2 - sqrt(1 - l) cos phi,
+    # monotone in phi: its lowest value sits on a window end, which the
+    # coarse pass always takes; on the declared domain it never nears DENOM_TOL
+    for loss in (0.0, 1e-9, 0.1, 0.5, 0.8, 0.9, 1 - 1e-9):
+        hot = np.array([abs(1 + loss_coefficients(float(phi), loss).x2) for phi in _GRID])
+        assert hot.max() <= 1.0
+        assert int(np.argmax(hot)) in (0, _GRID.size - 1)
+    assert 1.0 / math.cosh(R_MAX) ** 2 > 1e6 * DENOM_TOL
+
+
+@pytest.mark.parametrize("denom_tol", [0.5, 0.7, 0.9])
+def test_degenerate_denominator_as_in_full_scan(denom_tol, monkeypatch):
+    # a raised floor puts degenerate points in the window of the larger r
+    monkeypatch.setattr(parity, "DENOM_TOL", denom_tol)
+    r = [0.0, 0.3, 0.6, 0.8, 1.0, 1.5]
+    for m in (0, 2):
+        got, want = _both(m, [1.5] * len(r), r, [0.1] * len(r))
+        assert got == want
+        assert DegenerateDenominator in want and any(isinstance(x, tuple) for x in want)
+
+
+def test_rows_without_a_finite_coarse_point_scan_the_whole_window(monkeypatch):
+    # the vacuum has no signal: its coarse pass is all inf, so its fine pass
+    # holds the other 900 grid points, and it ends in DegenerateSignal
+    sizes = []
+    signal = parity._signal
+    monkeypatch.setattr(parity, "_signal", lambda *args: sizes.append(args[1].size) or signal(*args))
+    got = _outcomes(optimal_phases(0, [0.0], [0.0], [0.1]))
+    assert sizes == [101, 900]
+    assert got == _outcomes(optimal_phases_full_scan(0, [0.0], [0.0], [0.1])) == [DegenerateSignal]
