@@ -22,16 +22,21 @@ single-threaded processes on the same machine:
   1, 2 and 21 rows (`optimal_*`) against a loop of `optimal_phase` calls
   (`optimal_loop_*`); and the wall time of `run_sweep` on figure presets
   2a, 5a and 7a, with `threads` 1 and 2 (`preset_<n><panel>_t<threads>`;
-  each threaded call starts its own process pool, as the CLI does). A tree
-  without the batch functions reports only the loops and the presets.
+  each threaded call starts its own process pool, as the CLI does), and of
+  the first OPTIMIZE_SWEEPS sweeps of the perfbench `optimize` deck (seed
+  OPTIMIZE_SEED) run one after another (`optimize_deck`). A tree without the
+  batch functions reports only the loops and the presets.
 - the `refine` group, counts rather than times: the kernel calls the
   optimal-phase search makes after its scan (after both passes of a
   two-pass scan, or the one call per block of rows of a one-pass one), per
   row (the mean and maximum over rows with a result, one `optimal_phase`
   call each) and per lockstep group (the maximum over `optimal_phases`
   calls), for the `optimal_*` groups of the rows group and for the
-  optimal-phase rows of presets 5a, 5b and 9b (one group per m, as the
-  sweep forms them). It is taken once per side, after the timed rounds.
+  optimal-phase rows of presets 5a, 5b and 9b (each `optimal_phases` call
+  the sweep makes is a group: one per m, or one for all orders where the
+  sweep searches them together). Its `optimize_deck` entry counts every
+  kernel call and kernel point per sweep of the `optimize_deck` sweeps. It
+  is taken once per side, after the timed rounds.
 
 The kernel probe is alpha = 2, r = 0.5, loss = 0.1; the oracle probe is the
 costliest corner of the `xcheck` benchmark workload, alpha = 1.9, m = 3,
@@ -69,6 +74,8 @@ THREADS = (1, 2)
 ORACLE_PROBE = {"alpha": 1.9, "m": 3, "loss": 0.21, "phi": 0.37}
 ORACLE_R = (0.3, 0.65, 1.0)
 REFINE_PRESETS = ((5, "a"), (5, "b"), (9, "b"))
+OPTIMIZE_SEED = 1
+OPTIMIZE_SWEEPS = 12
 FIRST_RUNS = 3
 ROUNDS = 2
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,9 +203,10 @@ def measure_refine() -> dict:
         per_row, per_group = [], []
         for m, (alpha, r, loss) in row_groups:
             per_group.append(refinement_calls(lambda: optimal_phases(m, alpha, r, loss), len(alpha)))
-            for row in zip(alpha, r, loss):
+            # m is one order for the group, or one per row
+            for row in zip(np.broadcast_to(m, len(alpha)).tolist(), alpha, r, loss):
                 try:
-                    probe = ProbeParams(*row[:2], m, row[2])
+                    probe = ProbeParams(row[1], row[2], row[0], row[3])
                     per_row.append(refinement_calls(lambda: parity.optimal_phase(probe), 1))
                 except (DegenerateSignal, DegenerateDenominator):
                     continue
@@ -212,7 +220,36 @@ def measure_refine() -> dict:
     parity._signal = signal
     if window_scan is not None:
         parity._window_scan = window_scan
+
+    points = []
+    # the phase points are the next-to-last argument, with or without a leading m
+    parity._signal = lambda *args: points.append(args[-2].size) or signal(*args)
+    calls, sizes = [], []
+    for spec in _optimize_deck():
+        points.clear()
+        run_sweep(spec)
+        calls.append(len(points))
+        sizes.append(sum(points))
+    parity._signal = signal
+    out["optimize_deck"] = {
+        "sweeps": len(calls),
+        "mean_calls_per_sweep": round(statistics.mean(calls), 3),
+        "max_calls_per_sweep": max(calls),
+        "mean_points_per_sweep": round(statistics.mean(sizes), 1),
+    }
     return out
+
+
+def _optimize_deck() -> list:
+    """The first OPTIMIZE_SWEEPS sweeps of the perfbench `optimize` deck."""
+    import itertools
+
+    from mzphase.sweep import parse_config
+
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import deck
+
+    return [parse_config(s.text()) for s in itertools.islice(deck("optimize", OPTIMIZE_SEED), OPTIMIZE_SWEEPS)]
 
 
 def _measure_rows() -> dict:
@@ -247,6 +284,8 @@ def _measure_rows() -> dict:
         spec = figure_preset(n, panel)
         for threads in THREADS:
             out[f"preset_{n}{panel}_t{threads}"] = _time(lambda: run_sweep(spec, threads=threads))
+    specs = _optimize_deck()
+    out["optimize_deck"] = _time(lambda: [run_sweep(spec) for spec in specs])
     return out
 
 
@@ -340,6 +379,7 @@ def main(argv=None) -> int:
             "presets": [f"{n}{p}" for n, p in PRESETS],
             "threads": list(THREADS),
             "refine_presets": [f"{n}{p}" for n, p in REFINE_PRESETS],
+            "optimize_deck": {"seed": OPTIMIZE_SEED, "sweeps": OPTIMIZE_SWEEPS},
         },
         "oracle_probe": dict(ORACLE_PROBE, r=list(ORACLE_R)),
         "units": "ms per call",

@@ -169,6 +169,10 @@ class MultiJet:
             return self._flat.reshape(dims).copy()
         return self._flat.reshape((self.batch,) + dims).copy()
 
+    def take(self, idx) -> "MultiJet":
+        """The jet at the batch points `idx` (an index array)."""
+        return MultiJet(self.shape, self._flat[idx])
+
     def extract(self, orders) -> complex | np.ndarray:
         """Value of the mixed partial derivative of the given orders at 0.
 

@@ -192,10 +192,15 @@ def _outside_sectors(cutoff: int) -> np.ndarray:
 
 
 def _sector_mass_check(arr: np.ndarray, cutoff: int):
-    """Probability mass outside total-photon sectors 0..cutoff must be negligible."""
+    """Probability mass outside total-photon sectors 0..cutoff must be negligible.
+
+    A grid with a NaN or inf amplitude is no state at all, whatever its
+    cutoff: its non-finite norm is a ConsistencyError of its own."""
+    total = float(np.vdot(arr, arr).real)
+    if not math.isfinite(total):
+        raise ConsistencyError(f"state has a non-finite squared norm ({total}): NaN or inf amplitude")
     corner = arr[_outside_sectors(cutoff)]
     mass = float(np.vdot(corner, corner).real)
-    total = float(np.vdot(arr, arr).real)
     if not mass <= 1e-12 * max(total, 1e-300):
         raise CutoffTooSmall(
             f"state has {mass:.3e} of {total:.3e} outside retained sectors; increase cutoff"
@@ -500,10 +505,13 @@ class LossWeightTable:
     """Joint distribution of (surviving photons, lost photons) under the channel.
 
     Entries enumerate (k - j, j) with weight P_k * Binom(k, j) l^j eta^(k-j),
-    k-major with j ascending, over every k with P_k != 0. Each k's j run is
-    cut once the rest of its binomial mass times k^8 + 1 is below 1e-14, so
-    that it cannot move any fourth-degree phase generator by one part in 1e14.
-    The weights are not renormalised.
+    k-major with j ascending, over every k with P_k != 0. Each k's j run
+    stops at its first j where rem * (k^8 + 1) < 1e-14, rem being the rest
+    of its binomial mass, or at j = k. rem is formed by subtraction from 1,
+    so its rounding floor of about 1e-16 times k^8 is above 1e-14 for every
+    k >= 2: a row ends where rem rounds to 0 or below, or at j = k, and the
+    table is close to the full (k, j) triangle (10585 of 10585 entries at
+    alpha 1.9, r 1, m 3, l 0.05). The weights are not renormalised.
     """
 
     survived: np.ndarray

@@ -14,11 +14,13 @@ points picks. The three numbers also give the sign of the Fisher
 information's slope, so the search refines its best grid point with a root
 search on that slope rather than by comparing sensitivities.
 
-There is one kernel, and it evaluates many points of one photon-addition
-order m in a single call, each point with its own alpha, r, loss and phase.
-A sweep hands it all its rows of one m at once (`parity_signals`) and runs
-their optimal-phase searches in lockstep (`optimal_phases`), one call per
-scan pass and per refinement step; the one-row functions
+There is one kernel, and it evaluates many points in a single call, each
+point with its own photon-addition order m, alpha, r, loss and phase: the
+phase jets are built once for the whole call, and the closed-form sum runs
+once per distinct m on that m's points. A sweep hands it its fixed-phase
+rows of one m at once (`parity_signals`), and runs the optimal-phase
+searches of all its rows, whatever their m, in lockstep (`optimal_phases`),
+one call per scan pass and per refinement step; the one-row functions
 (`parity_expectation`, `classical_fisher`, `phase_sensitivity`,
 `optimal_phase`) are the same calls with a single row. A point's result does
 not depend on what shares its call: the per-row constants come from the same
@@ -136,32 +138,41 @@ class _Consts(NamedTuple):
     alpha: np.ndarray
     alpha2: np.ndarray  # alpha**2
     norm: np.ndarray  # 1 / (add-photon norm * cosh r)
+    m: np.ndarray  # photon-addition order
 
     def take(self, idx) -> "_Consts":
         return _Consts(*(c[idx] for c in self))
 
 
-def _row_consts(m: int, alpha, r, loss) -> _Consts:
-    """Per-row constants from the scalar `math` calls of a lone evaluation."""
+def _per_row(m, n: int) -> list[int]:
+    """An order m given as one int for all n rows, or one per row, as n ints."""
+    return [int(m)] * n if np.ndim(m) == 0 else [int(x) for x in m]
+
+
+def _row_consts(m, alpha, r, loss) -> _Consts:
+    """Per-row constants from the scalar `math` calls of a lone evaluation.
+
+    `m` is one photon-addition order for every row, or one per row."""
     rows = []
-    for a, rr, l in zip(alpha, r, loss):
+    for mm, a, rr, l in zip(_per_row(m, len(alpha)), alpha, r, loss):
         a, rr = float(a), float(rr)
         th = math.tanh(rr)
-        norm = 1.0 / (_pasvs_norm_unchecked(rr, m) * math.cosh(rr))
-        rows.append((*_loss_scalars(float(l)), th, th**2, th / 2.0, -th / 2.0, a, a**2, norm))
+        norm = 1.0 / (_pasvs_norm_unchecked(rr, mm) * math.cosh(rr))
+        rows.append((*_loss_scalars(float(l)), th, th**2, th / 2.0, -th / 2.0, a, a**2, norm, mm))
     return _Consts(*(np.array(c) for c in zip(*rows)))
 
 
-def _kernel(m: int, phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
     """Parity value/slope/curvature (rows of a (3, n) array) at n points.
 
-    `phi` and every field of `c` hold one entry per point. The kernel is
-    Gaussian in the photon-addition variables t and tau; its [t^m tau^m]
-    coefficient comes from the closed-form sum in `gaussian_tt_coefficient`,
-    with every coefficient a univariate phase jet (cap 2) whose batch axis
-    runs over the points. A point whose denominator constant term falls below
-    DENOM_TOL is left out of the evaluation, NaN in the result, and flagged
-    in the returned mask.
+    `phi` and every field of `c` hold one entry per point, the order m
+    included. The kernel is Gaussian in the photon-addition variables t and
+    tau; its [t^m tau^m] coefficient comes from the closed-form sum in
+    `gaussian_tt_coefficient`, with every coefficient a univariate phase jet
+    (cap 2) whose batch axis runs over the points. The jets are built once
+    for all points; the sum runs once per distinct m, on that m's points. A
+    point whose denominator constant term falls below DENOM_TOL is left out
+    of the evaluation, NaN in the result, and flagged in the returned mask.
     """
     phi_jet = MultiJet.constant(_PHASE, phi) + MultiJet.variable(_PHASE, "phi")
     lc = _mix(phi_jet, c.root, c.base, c.half, c.half_conj)
@@ -173,7 +184,7 @@ def _kernel(m: int, phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray
         out = np.full((3, phi.size), np.nan)
         keep = ~degenerate
         if keep.any():
-            out[:, keep] = _kernel(m, phi[keep], c.take(keep))[0]
+            out[:, keep] = _kernel(phi[keep], c.take(keep))[0]
         return out, degenerate
     inv_abar = abar.recip()
 
@@ -188,31 +199,33 @@ def _kernel(m: int, phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray
     lin_tau = (lc.x3 - (hot * lc.x3_conj) * c.th) * inv_abar * c.alpha
 
     pref = (a1 * c.alpha2).exp() * abar.sqrt().recip() * c.norm
-    coeff = gaussian_tt_coefficient(m, pref, quad, quad, cross, lin_t, lin_tau)
-    kernel = coeff * float(math.factorial(m) ** 2)
+    raw = np.empty((3, phi.size), dtype=complex)
+    # the distinct orders, by bincount: np.unique would import numpy.ma (1.7 MB)
+    for m in np.flatnonzero(np.bincount(c.m)).tolist():
+        at = np.flatnonzero(c.m == m)
+        p, q, x, lt, ltau = (jet.take(at) for jet in (pref, quad, cross, lin_t, lin_tau))
+        kernel = gaussian_tt_coefficient(m, p, q, q, x, lt, ltau) * float(math.factorial(m) ** 2)
+        for order in (0, 1, 2):
+            raw[order, at] = kernel.extract((order,))
 
-    out = np.empty((3, phi.size))
-    for order in (0, 1, 2):
-        raw = np.atleast_1d(kernel.extract((order,)))
-        scale = np.maximum(1.0, np.abs(raw.real))
-        bad = np.abs(raw.imag) > RESIDUE_TOL * scale
-        if np.any(bad):
-            worst = float(np.max(np.abs(raw.imag) / scale))
-            raise ConsistencyError(
-                f"parity derivative order {order}: imaginary residue {worst:.3e}"
-            )
-        out[order] = raw.real
+    out = raw.real.copy()
+    scale = np.maximum(1.0, np.abs(out))
+    bad = np.abs(raw.imag) > RESIDUE_TOL * scale
+    if bad.any():
+        order = int(np.flatnonzero(bad.any(axis=1))[0])  # the lowest order with a residue
+        worst = float(np.max(np.abs(raw[order].imag) / scale[order]))
+        raise ConsistencyError(f"parity derivative order {order}: imaginary residue {worst:.3e}")
     if np.any(np.abs(out[0]) > 1 + 1e-10):
         raise ConsistencyError(f"parity magnitude {float(np.max(np.abs(out[0])))} exceeds 1")
     return out, degenerate
 
 
-def _signal(m: int, phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
+def _signal(phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
     """`_kernel` in calls of at most MAX_POINTS points."""
     if phi.size <= MAX_POINTS:
-        return _kernel(m, phi, c)
+        return _kernel(phi, c)
     parts = [
-        _kernel(m, phi[lo : lo + MAX_POINTS], c.take(slice(lo, lo + MAX_POINTS)))
+        _kernel(phi[lo : lo + MAX_POINTS], c.take(slice(lo, lo + MAX_POINTS)))
         for lo in range(0, phi.size, MAX_POINTS)
     ]
     return np.concatenate([v for v, _ in parts], axis=1), np.concatenate([d for _, d in parts])
@@ -229,16 +242,17 @@ def _result(outcome):
     return outcome
 
 
-def parity_signals(m: int, alpha, r, loss, phi) -> list:
-    """Parity signal of many rows of one order m, evaluated together.
+def parity_signals(m, alpha, r, loss, phi) -> list:
+    """Parity signal of many rows, evaluated together.
 
-    `alpha`, `r`, `loss` and `phi` hold one number per row; the rows share
-    one kernel call per MAX_POINTS of them. Each entry of
-    the result is that row's ParitySignal, or the DegenerateDenominator its
-    point raised; the other rows are unaffected by it.
+    `alpha`, `r`, `loss` and `phi` hold one number per row, and `m` is one
+    photon-addition order for every row or one per row; the rows share one
+    kernel call per MAX_POINTS of them. Each entry of the result is that
+    row's ParitySignal, or the DegenerateDenominator its point raised; the
+    other rows are unaffected by it.
     """
     phi = np.asarray(phi, dtype=float)
-    vals, degenerate = _signal(m, phi, _row_consts(m, alpha, r, loss))
+    vals, degenerate = _signal(phi, _row_consts(m, alpha, r, loss))
     return [
         _degenerate() if degenerate[i] else ParitySignal(float(vals[0, i]), float(vals[1, i]), float(vals[2, i]))
         for i in range(phi.size)
@@ -248,7 +262,7 @@ def parity_signals(m: int, alpha, r, loss, phi) -> list:
 def _signal_batch(p: ProbeParams, phis: np.ndarray):
     """Parity value/slope/curvature of one probe at a batch of phase points."""
     c = _row_consts(p.m, [p.alpha], [p.r], [p.loss]).take(np.zeros(phis.size, dtype=int))
-    vals, degenerate = _signal(p.m, phis, c)
+    vals, degenerate = _signal(phis, c)
     if degenerate.any():
         raise _degenerate()
     return vals[0], vals[1], vals[2]
@@ -370,20 +384,20 @@ class _Illinois:
         return self.b - self.a < BRACKET_TOL * max(1.0, self.b) or self.steps == MAX_STEPS
 
 
-def _strides(m: int, alpha, r) -> np.ndarray:
+def _strides(m, alpha, r) -> np.ndarray:
     """Coarse-scan stride of each row: floor(1 / (N GRID_STEP)), clamped to
     [1, MAX_STRIDE], where N = alpha^2 + the photon-added squeezed vacuum's
     mean photon number. The coarse spacing stays at or below 1/N, the scale
-    of the narrowest fringe."""
+    of the narrowest fringe. `m` is one order for every row, or one per row."""
     photons = np.array(
-        [float(a) ** 2 + _pasvs_norm_unchecked(float(rr), m + 1) / _pasvs_norm_unchecked(float(rr), m) - 1.0
-         for a, rr in zip(alpha, r)]
+        [float(a) ** 2 + _pasvs_norm_unchecked(float(rr), mm + 1) / _pasvs_norm_unchecked(float(rr), mm) - 1.0
+         for mm, a, rr in zip(_per_row(m, len(alpha)), alpha, r)]
     )
     with np.errstate(divide="ignore"):
         return np.clip(np.floor(1.0 / (photons * GRID_STEP)), 1, MAX_STRIDE).astype(int)
 
 
-def _window_scan(m: int, c: _Consts, stride: np.ndarray):
+def _window_scan(c: _Consts, stride: np.ndarray):
     """Scan `_GRID` for a block of rows in two passes, one kernel call each.
 
     The coarse pass takes every stride-th grid point of a row, both window
@@ -406,7 +420,7 @@ def _window_scan(m: int, c: _Consts, stride: np.ndarray):
     def evaluate(mask):
         row, col = np.nonzero(mask)
         if row.size:
-            v, flagged = _signal(m, _GRID[col], c.take(row))
+            v, flagged = _signal(_GRID[col], c.take(row))
             vals[:, row, col] = v
             sens[row, col] = _sensitivities(v)
             degenerate[row[flagged]] = True
@@ -428,17 +442,18 @@ def _window_scan(m: int, c: _Consts, stride: np.ndarray):
     return vals, sens, degenerate
 
 
-def optimal_phases(m: int, alpha, r, loss) -> list:
+def optimal_phases(m, alpha, r, loss) -> list:
     """Best working phase in [1e-4, 1.5] and its sensitivity there, per row.
 
-    `alpha`, `r` and `loss` hold one number per row of order m. Every row
-    runs the search `optimal_phase` describes, all of them in lockstep: the
-    two scan passes of up to MAX_POINTS // 1001 rows share one kernel call
-    each, and each refinement step makes one call holding the next point of
-    every row still refining. A row visits the same points as a search run
-    alone, so its result is the same bit for bit. Each entry of the result
-    is (phi*, sensitivity), or the DegenerateSignal or DegenerateDenominator
-    that ended that row's search.
+    `alpha`, `r` and `loss` hold one number per row, and `m` is one
+    photon-addition order for every row or one per row. Every row runs the
+    search `optimal_phase` describes, all of them in lockstep whatever their
+    m: the two scan passes of up to MAX_POINTS // 1001 rows share one kernel
+    call each, and each refinement step makes one call holding the next
+    point of every row still refining. A row visits the same points as a
+    search run alone, so its result is the same bit for bit. Each entry of
+    the result is (phi*, sensitivity), or the DegenerateSignal or
+    DegenerateDenominator that ended that row's search.
     """
     consts = _row_consts(m, alpha, r, loss)
     n, k = consts.alpha.size, _GRID.size
@@ -448,7 +463,7 @@ def optimal_phases(m: int, alpha, r, loss) -> list:
     rows_per_block = max(1, MAX_POINTS // k)
     for lo in range(0, n, rows_per_block):
         rows = np.arange(lo, min(lo + rows_per_block, n))
-        vals, sens, degenerate = _window_scan(m, consts.take(rows), stride[rows])
+        vals, sens, degenerate = _window_scan(consts.take(rows), stride[rows])
         for j, i in enumerate(rows):
             best = int(np.argmin(sens[j]))
             if degenerate[j]:
@@ -465,7 +480,7 @@ def optimal_phases(m: int, alpha, r, loss) -> list:
     live = list(search)
     while live:
         points = np.array([search[i].point() for i in live])
-        vals, degenerate = _signal(m, points, consts.take(live))
+        vals, degenerate = _signal(points, consts.take(live))
         sens, q = _sensitivities(vals), _fisher_slope_sign(vals)
         running = []
         for j, i in enumerate(live):

@@ -6,13 +6,14 @@ are computed by pure functions of the resolved probe parameters, so the
 output is deterministic and byte-stable; numeric trouble at isolated points
 becomes a per-row status code instead of an abort.
 
-The parity-family quantities (parity, sensitivity, cfi) are evaluated for
-all rows of one photon-addition order together, before the per-row pass:
-one `parity.parity_signals` call per m, and one lockstep
-`parity.optimal_phases` search per m for rows at the optimal phase. A row's
-values are the same bits a one-row evaluation gives. Moments, QFI bounds and
-oracle checks stay per row, and only they go to the `--threads` workers; a
-sweep without them runs in the calling process whatever `threads` says.
+The parity-family quantities (parity, sensitivity, cfi) are evaluated in
+batches before the per-row pass: one `parity.parity_signals` call per
+photon-addition order m for the rows at a fixed phase, and one lockstep
+`parity.optimal_phases` search for all rows at the optimal phase, whatever
+their m. A row's values are the same bits a one-row evaluation gives.
+Moments, QFI bounds and oracle checks stay per row, and only they go to the
+`--threads` workers; a sweep without them runs in the calling process
+whatever `threads` says.
 """
 
 from __future__ import annotations
@@ -456,36 +457,40 @@ def _compute_row(task: _RowTask, signal=None, optimum=None) -> dict:
 
 
 def _parity_outcomes(tasks: list[_RowTask], quantities: tuple[str, ...]) -> tuple[list, list]:
-    """Parity-family outcomes of every row, evaluated for all rows of one m together.
+    """Parity-family outcomes of every row, evaluated in batches.
 
     Returns two lists aligned with `tasks`: the ParitySignal at each row's
     phase (at phi* for phi "optimal"), and (phi*, sensitivity) for phi
     "optimal" rows. An entry is None where the row needs none, or the row
     error (DegenerateSignal, DegenerateDenominator) in place of the value.
-    Per m, one `parity_signals` call covers the rows at a numeric phase, one
-    `optimal_phases` call searches the "optimal" rows, and when cfi is asked
-    for, one more `parity_signals` call evaluates those rows at their phi*.
+    Per m, one `parity_signals` call covers the rows at a numeric phase. One
+    `optimal_phases` call searches the "optimal" rows of every m, and when
+    cfi is asked for, one more `parity_signals` call evaluates them at their
+    phi*.
     """
     signals, optima = [None] * len(tasks), [None] * len(tasks)
     if not any(q in PHI_QUANTITIES for q in quantities):
         return signals, optima
-    fixed, optimal = defaultdict(list), defaultdict(list)
+    fixed, optimal = defaultdict(list), []
     for i, task in enumerate(tasks):
         if task.status == "ok":
-            (optimal if task.phi_spec == "optimal" else fixed)[task.m].append(i)
+            if task.phi_spec == "optimal":
+                optimal.append(i)
+            else:
+                fixed[task.m].append(i)
 
     def params(rows):
-        return [[getattr(tasks[i], f) for i in rows] for f in ("alpha", "r", "loss")]
+        return [[getattr(tasks[i], f) for i in rows] for f in ("m", "alpha", "r", "loss")]
 
-    for m, rows in optimal.items():
-        for i, res in zip(rows, optimal_phases(m, *params(rows))):
+    if optimal:
+        for i, res in zip(optimal, optimal_phases(*params(optimal))):
             optima[i] = res
-        found = [i for i in rows if not isinstance(optima[i], Exception)]
+        found = [i for i in optimal if not isinstance(optima[i], Exception)]
         if "cfi" in quantities and found:
-            for i, sig in zip(found, parity_signals(m, *params(found), [optima[i][0] for i in found])):
+            for i, sig in zip(found, parity_signals(*params(found), [optima[i][0] for i in found])):
                 signals[i] = sig
-    for m, rows in fixed.items():
-        for i, sig in zip(rows, parity_signals(m, *params(rows), [tasks[i].phi_spec for i in rows])):
+    for rows in fixed.values():
+        for i, sig in zip(rows, parity_signals(*params(rows), [tasks[i].phi_spec for i in rows])):
             signals[i] = sig
     return signals, optima
 

@@ -22,7 +22,7 @@ from mzphase.parity import (
 )
 
 
-def optimal_phases_full_scan(m: int, alpha, r, loss) -> list:
+def optimal_phases_full_scan(m, alpha, r, loss) -> list:
     """`parity.optimal_phases` with every row scanning all of `_GRID`."""
     consts = _row_consts(m, alpha, r, loss)
     n, k = consts.alpha.size, _GRID.size
@@ -31,7 +31,7 @@ def optimal_phases_full_scan(m: int, alpha, r, loss) -> list:
     rows_per_call = max(1, MAX_POINTS // k)
     for lo in range(0, n, rows_per_call):
         rows = np.arange(lo, min(lo + rows_per_call, n))
-        vals, degenerate = _signal(m, np.tile(_GRID, rows.size), consts.take(np.repeat(rows, k)))
+        vals, degenerate = _signal(np.tile(_GRID, rows.size), consts.take(np.repeat(rows, k)))
         sens = _sensitivities(vals)
         for j, i in enumerate(rows):
             row = slice(j * k, (j + 1) * k)
@@ -50,7 +50,7 @@ def optimal_phases_full_scan(m: int, alpha, r, loss) -> list:
     live = list(search)
     while live:
         points = np.array([search[i].point() for i in live])
-        vals, degenerate = _signal(m, points, consts.take(live))
+        vals, degenerate = _signal(points, consts.take(live))
         sens, q = _sensitivities(vals), _fisher_slope_sign(vals)
         running = []
         for j, i in enumerate(live):

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mzphase
 from mzphase import parity
@@ -33,7 +35,7 @@ from mzphase.parity import (
     parity_signals,
     phase_sensitivity,
 )
-from mzphase.states import ProbeParams
+from mzphase.states import R_MAX, ProbeParams
 from mzphase.sweep import SweepSpec, fnum, run_sweep
 
 
@@ -176,7 +178,7 @@ def test_refinement_beats_golden_section_and_scan(m, monkeypatch):
     probes += [ProbeParams(1.0, 1.0, m, 0.0), ProbeParams(3.0, 0.2, m, 0.0)]
     sizes = []
     signal = parity._signal
-    monkeypatch.setattr(parity, "_signal", lambda *args: sizes.append(args[1].size) or signal(*args))
+    monkeypatch.setattr(parity, "_signal", lambda phi, c: sizes.append(phi.size) or signal(phi, c))
     found = optimal_phases(m, [p.alpha for p in probes], [p.r for p in probes], [p.loss for p in probes])
     monkeypatch.undo()
     # every probe holds under 67 photons, so the coarse pass takes every
@@ -240,8 +242,8 @@ def test_vectorised_fisher_step_equals_scalar_calls(monkeypatch):
         _sensitivities(bad)
     signal = parity._signal
 
-    def inconsistent(m, phi, c):
-        out, flagged = signal(m, phi, c)
+    def inconsistent(phi, c):
+        out, flagged = signal(phi, c)
         out[:, 0] = (1.0, 1e-3, 0.5)
         return out, flagged
 
@@ -252,6 +254,83 @@ def test_vectorised_fisher_step_equals_scalar_calls(monkeypatch):
     )
     with pytest.raises(ConsistencyError):
         run_sweep(spec)
+
+
+def test_mixed_order_kernel_equals_single_order_batches():
+    # one kernel call over every order 0..10 gives each point the bits of
+    # the call that holds only its own order
+    rng = np.random.default_rng(9)
+    probes = [p for m in range(11) for p in _rows(m, rng, 12)]
+    order = rng.permutation(len(probes))
+    m, alpha, r, loss, phi = (np.array([getattr(probes[i], f) for i in order]) for f in ("m", "alpha", "r", "loss", "phi"))
+    vals, degenerate = parity._signal(phi, parity._row_consts(m, alpha, r, loss))
+    assert not degenerate.any()
+    for k in range(11):
+        at = np.flatnonzero(m == k)
+        alone, _ = parity._signal(phi[at], parity._row_consts(k, alpha[at], r[at], loss[at]))
+        assert vals[:, at].tolist() == alone.tolist()
+
+
+def test_imaginary_residue_names_the_lowest_order(monkeypatch):
+    # with no tolerance, the rounding residue of the value itself trips the guard
+    monkeypatch.setattr(parity, "RESIDUE_TOL", 0.0)
+    with pytest.raises(ConsistencyError, match=r"order 0: imaginary residue [1-9]"):
+        parity_signals([0, 1, 3], [2.0] * 3, [0.5] * 3, [0.1] * 3, [0.3, 0.7, 1.1])
+
+
+def _search_outcomes(m, alpha, r, loss):
+    """`optimal_phases` outcomes as values or exception types; a
+    ConsistencyError, which ends the whole call, as that type alone."""
+    try:
+        return [type(x) if isinstance(x, Exception) else x for x in optimal_phases(m, alpha, r, loss)]
+    except ConsistencyError:
+        return ConsistencyError
+
+
+_mixed_row = st.tuples(
+    st.integers(0, 10),
+    st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.floats(0.0, 40.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, R_MAX)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_mixed_row, min_size=1, max_size=8))
+def test_mixed_order_search_equals_one_row_searches(rows):
+    m, alpha, r, loss = (list(c) for c in zip(*rows))
+    alone = [_search_outcomes(*([x] for x in row)) for row in rows]
+    got = _search_outcomes(m, alpha, r, loss)
+    if ConsistencyError in alone:
+        assert got is ConsistencyError
+    else:
+        assert got == [x for (x,) in alone]
+
+
+def test_optimal_phase_sweep_makes_one_search_for_all_orders(monkeypatch):
+    # an optimize-shaped sweep: four orders, two rows each. The two scan
+    # passes take one kernel call each for the whole sweep, and each
+    # refinement step one call for every row still refining, so the count
+    # is that of the longest row alone and does not grow with the orders
+    signal, calls = parity._signal, []
+    monkeypatch.setattr(parity, "_signal", lambda phi, c: calls.append(phi.size) or signal(phi, c))
+    steps = []
+    for m in range(4):
+        for l in (0.1, 0.2):
+            calls.clear()
+            optimal_phase(ProbeParams(2.0, 0.5, m, l))
+            steps.append(len(calls) - 2)
+    calls.clear()
+    spec = SweepSpec(
+        quantity=("sensitivity",), sweep_name="l", sweep_values=(0.1, 0.2), m_list=(0, 1, 2, 3), phi=("optimal",),
+        alpha=2.0, r=0.5,
+    )
+    assert all(row[-1] == "ok" for row in run_sweep(spec).rows)
+    assert min(steps) > 0
+    assert calls[0] == 8 * 101
+    # one search per order would take at least two scan calls and the
+    # shortest row's steps for each of them
+    assert len(calls) <= 2 + max(steps) < 4 * (2 + min(steps))
 
 
 def test_degenerate_points_fail_alone(monkeypatch):

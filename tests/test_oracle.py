@@ -8,7 +8,7 @@ import pytest
 from scipy.special import gammaln
 
 from mzphase import oracle
-from mzphase.errors import CutoffTooSmall, ParamOutOfRange, TraceDrift, UnitarityDrift
+from mzphase.errors import ConsistencyError, CutoffTooSmall, ParamOutOfRange, TraceDrift, UnitarityDrift
 from mzphase.oracle import (
     DensityGrid,
     _apply_bs_array,
@@ -143,18 +143,20 @@ def test_sector_mass_check_threshold():
         _sector_mass_check(arr, cutoff)
 
 
-def _nan_grid(at):
+def _nan_grid(at, value=np.nan):
     st = grid_with(4, {(0, 0): 0.6, (1, 2): 0.8})
-    st.amplitudes[at] = np.nan
+    st.amplitudes[at] = value
     return st
 
 
 @pytest.mark.parametrize("at", [(2, 1), (4, 4)])  # inside the sectors, and in the corner
 def test_sector_mass_check_rejects_nan(at):
-    with pytest.raises(CutoffTooSmall):
-        _sector_mass_check(_nan_grid(at).amplitudes, 4)
-    with pytest.raises(CutoffTooSmall):
-        apply_beam_splitter(_nan_grid(at), "first")
+    # a non-finite amplitude is its own error, not a cutoff that is too small
+    for value in (np.nan, np.inf):
+        with pytest.raises(ConsistencyError, match="non-finite"):
+            _sector_mass_check(_nan_grid(at, value).amplitudes, 4)
+        with pytest.raises(ConsistencyError, match="non-finite"):
+            apply_beam_splitter(_nan_grid(at, value), "first")
 
 
 @pytest.mark.parametrize("mixed", [False, True])

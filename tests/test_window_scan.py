@@ -78,7 +78,7 @@ def test_strides_at_the_limits():
 @pytest.mark.parametrize("alpha", [0.0, 8.17, 10.0, 18.2])  # strides 10, 9, 6 and 2
 def test_coarse_pass_holds_both_window_ends(alpha, monkeypatch):
     signal, calls = parity._signal, []
-    monkeypatch.setattr(parity, "_signal", lambda m, phi, c: calls.append(phi) or signal(m, phi, c))
+    monkeypatch.setattr(parity, "_signal", lambda phi, c: calls.append(phi) or signal(phi, c))
     optimal_phases(0, [alpha], [0.0], [0.1])
     stride = int(parity._strides(0, [alpha], [0.0])[0])
     assert calls[0].tolist() == _GRID[sorted({*range(0, _GRID.size, stride), _GRID.size - 1})].tolist()
@@ -87,7 +87,7 @@ def test_coarse_pass_holds_both_window_ends(alpha, monkeypatch):
 def test_tied_coarse_minima_both_get_a_fine_pass(monkeypatch):
     # a made-up signal with F = P'^2, whose sensitivity 1 + |i - 335| / 5 at
     # grid index i ties at the coarse points 330 and 340 around its minimum
-    def signal(m, phi, c):
+    def signal(phi, c):
         slope = 1.0 / (1.0 + np.abs(np.searchsorted(_GRID, phi) - 335) / 5.0)
         return np.array([0.0 * phi, slope, 0.0 * phi]), np.zeros(phi.size, dtype=bool)
 
@@ -123,7 +123,7 @@ def test_rows_without_a_finite_coarse_point_scan_the_whole_window(monkeypatch):
     # holds the other 900 grid points, and it ends in DegenerateSignal
     sizes = []
     signal = parity._signal
-    monkeypatch.setattr(parity, "_signal", lambda *args: sizes.append(args[1].size) or signal(*args))
+    monkeypatch.setattr(parity, "_signal", lambda phi, c: sizes.append(phi.size) or signal(phi, c))
     got = _outcomes(optimal_phases(0, [0.0], [0.0], [0.1]))
     assert sizes == [101, 900]
     assert got == _outcomes(optimal_phases_full_scan(0, [0.0], [0.0], [0.1])) == [DegenerateSignal]
