@@ -14,7 +14,10 @@ single-threaded processes on the same machine:
   process, which includes building the beam-splitter blocks):
   `parity_signal_oracle` at r = 0.3, 0.65 and 1, and `qfi_lossy_numeric_check`,
   `kerr_cq_numeric`, `loss_weight_table` (on the probe's weight-2 marginal)
-  and `default_cutoff` at r = 1.
+  and `default_cutoff` at r = 1 (the file records each r's sector cutoff).
+  The probe-marginal cache of a tree that has one is cleared before every
+  timed `qfi_lossy_numeric_check` and `kerr_cq_numeric` call, so both sides
+  build the marginal each time.
 
 - the `rows` group: many sweep rows of one m at once. `parity_signals` at 1,
   48 and 1001 rows (`kernel_*`) against the same rows as a loop of
@@ -101,24 +104,36 @@ def _time(fn) -> dict:
 
 def _oracle_calls() -> dict:
     """Zero-argument oracle calls by name."""
+    from mzphase import oracle
     from mzphase.moments import moment_set
     from mzphase.oracle import default_cutoff, loss_weight_table, parity_signal_oracle, probe_marginal
     from mzphase.qfi_kerr import kerr_cq_numeric, kerr_mu_opt
     from mzphase.qfi_linear import qfi_lossy_numeric_check
     from mzphase.states import ProbeParams
 
+    # a tree that keeps its last probe marginals would otherwise time a cache hit
+    forget = getattr(getattr(oracle, "_probe_marginal", None), "cache_clear", lambda: None)
     calls = {}
     for r in ORACLE_R:
         p = ProbeParams(r=r, **ORACLE_PROBE)
         calls[f"parity_signal_r{r}"] = lambda p=p: parity_signal_oracle(p)
     p = ProbeParams(r=ORACLE_R[-1], **ORACLE_PROBE)
     mu = kerr_mu_opt(moment_set(p), p.loss)
-    calls["qfi_lossy_numeric_check"] = lambda: qfi_lossy_numeric_check(p)
-    calls["kerr_cq_numeric"] = lambda: kerr_cq_numeric(p, *mu)
+    calls["qfi_lossy_numeric_check"] = lambda: forget() or qfi_lossy_numeric_check(p)
+    calls["kerr_cq_numeric"] = lambda: forget() or kerr_cq_numeric(p, *mu)
     marg = probe_marginal(p, weight=2)
     calls["loss_weight_table"] = lambda: loss_weight_table(marg, p.loss)
     calls["default_cutoff"] = lambda: default_cutoff(p)
     return calls
+
+
+def _oracle_cutoffs() -> dict:
+    """Sector cutoff of each `parity_signal_r*` oracle entry (the same on both sides)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from mzphase.oracle import default_cutoff
+    from mzphase.states import ProbeParams
+
+    return {f"parity_signal_r{r}": default_cutoff(ProbeParams(r=r, **ORACLE_PROBE)) for r in ORACLE_R}
 
 
 def measure_first(name: str) -> float:
@@ -381,7 +396,7 @@ def main(argv=None) -> int:
             "refine_presets": [f"{n}{p}" for n, p in REFINE_PRESETS],
             "optimize_deck": {"seed": OPTIMIZE_SEED, "sweeps": OPTIMIZE_SWEEPS},
         },
-        "oracle_probe": dict(ORACLE_PROBE, r=list(ORACLE_R)),
+        "oracle_probe": dict(ORACLE_PROBE, r=list(ORACLE_R), cutoff=_oracle_cutoffs()),
         "units": "ms per call",
         "rounds": ROUNDS,
     }

@@ -12,6 +12,16 @@ Each sector's splitter block is built once per process and shared by every
 cutoff. The blocks of sectors 0..N take sum (k+1)^2 * 16 B, which is about
 22 MB up to N = 160 and 1.16 GB up to SECTOR_LIMIT; they are freed only when
 the process ends.
+
+`parity_signal_oracle` does not apply the second splitter: behind a 50:50
+splitter, b-port parity is a signed exchange of the two modes within each
+sector (the SU(2) picture of the lossless splitter; Campos, Saleh and Teich,
+Phys. Rev. A 40, 1371 (1989)), so it reads the parity and its phase
+derivatives off products of mirrored grid entries, one loss branch at a
+time. The identity is tested against the blocks on every sector up to 160,
+and `parity_expectation_oracle` keeps the explicit second splitter as the
+brute-force reference. `probe_marginal` keeps its last two marginals, so
+rows of a sweep that differ only in loss share one.
 """
 
 from __future__ import annotations
@@ -438,49 +448,46 @@ def parity_signal_oracle(
 ) -> tuple[float, float, float]:
     """Output parity with its first two exact phase derivatives.
 
-    The phase enters each pure branch as v(phi) = e^{i phi n_b} u, so
-    v' = i n_b v and v'' = -n_b^2 v; pushing v, v', v'' through the second
-    splitter gives the derivatives without finite differencing:
-    f' = 2 Re<w0|P|w1>, f'' = 2 Re<w0|P|w2> + 2 <w1|P|w1>. The splitter and
-    P act within each total-photon sector, so the sums are taken sector by
-    sector, with all loss branches and all three vectors in one product.
+    The second splitter is not applied. Behind it, the parity of the b port
+    is a signed exchange of the two modes within each total-photon sector:
+    with the second splitter conj(U) of `apply_beam_splitter`,
+    conj(U)^H (-1)^n_b conj(U) maps |n_a, n_b> to i^(n_b - n_a) |n_b, n_a>
+    (tests/test_oracle.py checks this on every sector up to 160). So a pure
+    branch v = e^{i phi n_b} y has parity
+    sum_k y_k conj(y_k') (i e^{i phi})^delta_k, with k' the entry
+    k = (n_a, n_b) mirrored to (n_b, n_a) and delta = n_b - n_a, and the
+    phase derivatives bring down factors i delta. The sum over the
+    loss branches, g_k = sum_j y_j[k] conj(y_j[k']), is accumulated one branch
+    at a time, and only on the entries with n_a <= n_b: the mirror's term is
+    the conjugate, so each entry off the diagonal counts twice. The cost is
+    a few gathers of half a grid per branch, with no matrix product.
     No branch grid is built: loss branch j's entry at (n_a, n_b) is gathered
     straight from the post-splitter grid's entry (n_a, n_b + j), times the
-    branch's prefactor at n_b, into one (sector entries, branches) array. The
-    branch stop and the trace check are those of `apply_loss_channel`.
+    branch's prefactor at n_b. The branch stop and the trace check are those
+    of `apply_loss_channel`.
     """
     nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
     after_bs1 = _prepared_after_first_splitter(p, nc)
     total_in = after_bs1.norm ** 2
     prefs, cum = _kraus_prefactors(after_bs1.amplitudes, p.loss, total_in)
     _loss_trace_check(cum, total_in)
-    idx, start = _sectors(nc)
-    nbi = idx % (nc + 1)
-    nb = nbi.astype(float)[:, None]
-    sign = np.where(nb % 2 == 0, 1.0, -1.0)
-    # pad[n_b] = pref_j[n_b], 0 where n_b + j > cutoff; there idx + j reads
-    # the next grid row, but never past the grid's end
-    pad = np.zeros(nc + 1)
+    d = nc + 1
+    na, nb = np.nonzero(np.triu(~_outside_sectors(nc)))
+    here, mirror = na * d + nb, nb * d + na
+    # pad[n] = pref_j[n], 0 where n + j > cutoff; there the gathers read the
+    # next grid row, but never past the grid's end
+    pad = np.zeros(d)
     flat = after_bs1.amplitudes.ravel()
-    # conj(v0) per (sector entry, branch): the second splitter is conj(U conj(v)),
-    # and every sum below is unchanged when all of w is conjugated
-    cv0 = np.empty((idx.size, len(prefs)), dtype=np.complex128)
+    g = np.zeros(na.size, dtype=np.complex128)
     for j, pref in enumerate(prefs):
         pad[: pref.size] = pref
         pad[pref.size :] = 0.0
-        cv0[:, j] = flat[idx + j] * pad[nbi]
-    np.conjugate(cv0, out=cv0)
-    cv0 *= np.exp(-1j * p.phi * nb)
-    f = d1 = d2 = 0.0
-    for total, u in enumerate(_bs_blocks(nc)):
-        sec = slice(start[total], start[total + 1])
-        x, n = cv0[sec], nb[sec]
-        w0, w1, w2 = u @ np.stack((x, -1j * n * x, -(n * n) * x))
-        pw0 = sign[sec] * w0
-        f += np.vdot(pw0, w0).real
-        d1 += 2.0 * np.vdot(pw0, w1).real
-        d2 += 2.0 * (np.vdot(pw0, w2).real + np.vdot(sign[sec] * w1, w1).real)
-    return float(f), float(d1), float(d2)
+        g += flat[here + j] * pad[nb] * np.conj(flat[mirror + j] * pad[na])
+    delta = nb - na
+    h = g * np.array([1, 1j, -1, -1j])[delta % 4] * np.exp(1j * p.phi * delta)
+    h[delta > 0] *= 2.0
+    delta = delta.astype(float)
+    return float(np.sum(h.real)), float(-np.dot(delta, h.imag)), float(-np.dot(delta * delta, h.real))
 
 
 def moments_oracle(p: ProbeParams, w: int, cutoff: int | None = None) -> float:
@@ -495,9 +502,20 @@ def moments_oracle(p: ProbeParams, w: int, cutoff: int | None = None) -> float:
 
 
 def probe_marginal(p: ProbeParams, weight: int = 2, cutoff: int | None = None) -> np.ndarray:
-    """Photon-number distribution of the probe arm just after the first splitter."""
+    """Photon-number distribution of the probe arm just after the first splitter.
+
+    Read only: the last two (alpha, r, m, weight, cutoff) are kept, so the
+    rows of a sweep that differ only in loss or phase build it once."""
+    return _probe_marginal(p.alpha, p.r, p.m, weight, cutoff)
+
+
+@lru_cache(maxsize=2)  # a row's weight-2 (linear) and weight-4 (Kerr) marginals
+def _probe_marginal(alpha: float, r: float, m: int, weight: int, cutoff: int | None) -> np.ndarray:
+    p = ProbeParams(alpha=alpha, r=r, m=m)
     nc = default_cutoff(p, weight=weight) if cutoff is None else cutoff
-    return _prepared_after_first_splitter(p, nc).b_marginal()
+    marg = _prepared_after_first_splitter(p, nc).b_marginal()
+    marg.flags.writeable = False
+    return marg
 
 
 @dataclass(frozen=True)

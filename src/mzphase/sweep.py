@@ -373,13 +373,13 @@ def _guarded_dev(a: float, o: float) -> float:
     return abs(a - o) / max(1.0, abs(a), abs(o))
 
 
-def _oracle_value(q: str, p: ProbeParams, ms) -> float:
+def _oracle_value(q: str, p: ProbeParams, ms, fock=None) -> float:
+    """The oracle's value of q; `fock` is the row's `parity_signal_oracle`
+    (None when the row asks for no parity-family quantity)."""
     if q == "parity":
-        f, _, _ = parity_signal_oracle(p)
-        return f
+        return fock[0]
     if q in ("sensitivity", "cfi"):
-        f, d1, d2 = parity_signal_oracle(p)
-        fisher = _fisher_from(f, d1, d2)
+        fisher = _fisher_from(*fock)
         if q == "cfi":
             return fisher
         return math.inf if fisher <= 0 else 1.0 / math.sqrt(fisher)
@@ -449,8 +449,9 @@ def _compute_row(task: _RowTask, signal=None, optimum=None) -> dict:
                 out["status"] = _code(e)
     out["phi"] = resolved_phi
     if task.oracle and out["status"] in ("ok", "kerr_fallback"):
+        fock = parity_signal_oracle(p) if any(q in PHI_QUANTITIES for q in task.quantities) else None
         for q in task.quantities:
-            o = _oracle_value(q, p, ms)
+            o = _oracle_value(q, p, ms, fock)
             out["oracle"][q] = o
             out["dev"] = max(out["dev"], _guarded_dev(out["values"][q], o))
     return out

@@ -1,13 +1,15 @@
 """The oracle's steps done the slow, plain way, for tests only.
 
-Production `parity_signal_oracle` gathers each total-photon sector of every
-loss branch straight from the post-splitter grid and pushes v, v' and v''
-through the sector block in one product; `_apply_bs_array` takes a whole
-stack of grids. Here the same quantities are computed the way the package
-did before that: full branch grids from `apply_loss_channel`, and a
-matrix-vector product per branch, per sector and per vector, with the
-conjugated block for the second splitter. Its cost grows like branches *
-cutoff^3 in small Python-level products.
+Production `parity_signal_oracle` applies no second splitter: it reads the
+parity off the exchange identity (b-port parity behind the splitter maps
+|n_a, n_b> to i^(n_b - n_a) |n_b, n_a>, checked on the blocks of every sector
+up to 160 in test_oracle.py), summing products of mirrored grid entries one
+loss branch at a time; `_apply_bs_array` takes a whole stack of grids. Here
+the same quantities are computed the way the package did before both: full
+branch grids from `apply_loss_channel`, and a matrix-vector product per
+branch, per sector and per vector, with the conjugated block for the second
+splitter, then the parity read off the output grid. Its cost grows like
+branches * cutoff^3 in small Python-level products.
 
 The rest are the package's former Python loops, kept as the equality
 references of their array forms: the loss weight table, the photon-added
@@ -50,13 +52,16 @@ def grid_marginal(alpha: float, r: float, m: int) -> np.ndarray:
     return probe_marginal(ProbeParams(alpha=alpha, r=r, m=m), weight=2)
 
 
+@lru_cache(maxsize=1)
+def _conjugated_blocks(cutoff: int) -> list:
+    return [u.conj() for u in _bs_blocks(cutoff)]
+
+
 def apply_bs_reference(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray:
     """Splitter on one (d, d) grid, one sector at a time."""
     out = arr.copy()
-    for total, u in enumerate(_bs_blocks(cutoff)):
+    for total, u in enumerate(_conjugated_blocks(cutoff) if second else _bs_blocks(cutoff)):
         na = np.arange(total + 1)
-        if second:
-            u = u.conj()
         out[na, total - na] = u @ arr[na, total - na]
     return out
 

@@ -12,7 +12,7 @@ from mzphase.parity import parity_expectation
 from mzphase.moments import moment_set
 from mzphase.qfi_kerr import qfi_ideal_kerr
 from mzphase.states import ProbeParams
-from mzphase.sweep import SweepSpec, _oracle_value, figure_preset, parse_config, run_sweep, validate_spec
+from mzphase.sweep import SweepSpec, _oracle_value, figure_preset, fnum, parse_config, run_sweep, validate_spec
 
 MINIMAL = {
     "schema_version": 1,
@@ -134,6 +134,28 @@ def test_oracle_check_columns_and_deviation():
     assert len(filled) == 3  # stride 2 over 6 rows
     dev_line = [l for l in table.trailer if l.startswith("oracle_max_dev=")][0]
     assert float(dev_line.split("=")[1]) < 1e-7
+
+
+def test_parity_family_oracle_runs_once_per_sampled_row(monkeypatch):
+    from mzphase import sweep
+
+    real, calls = sweep.parity_signal_oracle, []
+    monkeypatch.setattr(sweep, "parity_signal_oracle", lambda p: calls.append(p) or real(p))
+    quantities = ["parity", "sensitivity", "cfi"]
+    doc = dict(quantity=quantities, m_list=[0, 2], loss=[0.0, 0.2], oracle_check=True, oracle_stride=2)
+    table = run_sweep(parse_config(cfg(**doc)))
+    assert "oracle_rows=6" in table.trailer  # stride 2 over 12 rows
+    assert len(calls) == 6
+    # each quantity's cells are those of a sweep asking for it alone, whose
+    # oracle runs once per row for that quantity
+    devs = []
+    for q in quantities:
+        alone = run_sweep(parse_config(cfg(**dict(doc, quantity=q))))
+        for name in (q, f"oracle_{q}", "status"):
+            both_col, alone_col = table.header.index(name), alone.header.index(name)
+            assert [r[both_col] for r in table.rows] == [r[alone_col] for r in alone.rows]
+        devs.append(float(alone.trailer[1].split("=")[1]))
+    assert table.trailer[1] == f"oracle_max_dev={fnum(max(devs))}"
 
 
 def test_limits_quantity_table():

@@ -1,13 +1,14 @@
 """Operator-level reference engine: splitters, loss, phase, and C_Q tables."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mzphase import oracle
+from mzphase import oracle, sweep
 from mzphase.errors import ConsistencyError, CutoffTooSmall, ParamOutOfRange, TraceDrift, UnitarityDrift
 from mzphase.oracle import (
     DensityGrid,
@@ -32,7 +33,7 @@ from mzphase.oracle import (
     probe_marginal,
 )
 from mzphase.states import ProbeParams
-from mzphase.sweep import _guarded_dev
+from mzphase.sweep import _guarded_dev, parse_config, run_sweep
 from oracle_reference import (
     GRID_ALPHA,
     GRID_LOSS,
@@ -303,15 +304,70 @@ def test_parity_signal_derivatives_match_analytic(alpha, r, m, l, phi):
     assert d2 == pytest.approx(sig.ddvalue, abs=1e-9)
 
 
-@pytest.mark.parametrize("loss", [0.0, 0.21, 0.6, 0.9])
-@pytest.mark.parametrize("m", [0, 3])
-@pytest.mark.parametrize("r", [0.3, 0.65, 1.0])
-def test_parity_signal_matches_per_branch_reference(r, m, loss):
-    p = ProbeParams(alpha=1.9, r=r, m=m, loss=loss, phi=0.37)
+# an (r, m, loss) grid at alpha 1.9, and corners of larger alpha, r and m
+PER_BRANCH_CASES = [
+    pytest.param(1.9, r, m, loss, id=f"{r}-{m}-{loss}")
+    for r, m, loss in itertools.product((0.3, 0.65, 1.0), (0, 3), (0.0, 0.21, 0.6, 0.9))
+] + [
+    pytest.param(alpha, r, m, loss, id=f"alpha{alpha}-{r}-{m}-{loss}")
+    for alpha, r, m, loss in ((3.0, 1.2, 6, 0.9), (3.0, 1.2, 6, 0.21), (0.5, 1.2, 6, 0.6))
+]
+
+
+@pytest.mark.parametrize("alpha,r,m,loss", PER_BRANCH_CASES)
+def test_parity_signal_matches_per_branch_reference(alpha, r, m, loss):
+    p = ProbeParams(alpha=alpha, r=r, m=m, loss=loss, phi=0.37)
     nc = default_cutoff(p, weight=2)
     got = parity_signal_oracle(p, cutoff=nc)
     want = parity_signal_reference(p, cutoff=nc)
     assert max(_guarded_dev(g, w) for g, w in zip(got, want)) <= 1e-13
+
+
+def test_parity_behind_splitter_is_signed_exchange():
+    # with the second splitter conj(U), conj(U)^H (-1)^n_b conj(U) maps
+    # |n_a, n_b> to i^(n_b - n_a) |n_b, n_a>: parity_signal_oracle rests on it
+    for total in range(161):
+        u = _bs_block(total).conj()
+        na = np.arange(total + 1)
+        parity = np.where((total - na) % 2 == 0, 1.0, -1.0)
+        dense = u.conj().T @ (parity[:, None] * u)
+        want = np.zeros_like(dense)
+        want[total - na, na] = np.array([1, 1j, -1, -1j])[(total - 2 * na) % 4]
+        assert np.max(np.abs(dense - want)) <= 1e-12, total
+
+
+def test_probe_marginal_shared_by_rows_that_differ_in_loss(monkeypatch):
+    doc = {
+        "schema_version": 1,
+        "quantity": ["qfi_linear", "qfi_kerr"],
+        "sweep": {"name": "r", "start": 0.3, "stop": 0.9, "count": 3},
+        "fixed": {"alpha": 1.2},
+        "loss": [0.0, 0.2],
+        "m_list": [0, 2],
+        "oracle_check": True,
+        "oracle_stride": 1,
+    }
+    spec = parse_config(json.dumps(doc))
+    prepared, built = oracle._prepared_after_first_splitter, []
+    monkeypatch.setattr(
+        oracle, "_prepared_after_first_splitter", lambda p, nc: built.append((p, nc)) or prepared(p, nc)
+    )
+    oracle._probe_marginal.cache_clear()
+    shared = run_sweep(spec).render()
+    # one marginal per (alpha, r, m, weight): 3 r x 2 m x weights 2 and 4
+    assert len(built) == 12
+    assert not probe_marginal(ProbeParams(alpha=1.2, r=0.9, m=2), weight=4).flags.writeable
+
+    compute_row = sweep._compute_row
+
+    def uncached(*args):
+        oracle._probe_marginal.cache_clear()
+        return compute_row(*args)
+
+    built.clear()
+    monkeypatch.setattr(sweep, "_compute_row", uncached)
+    assert run_sweep(spec).render() == shared
+    assert len(built) == 24
 
 
 @pytest.mark.parametrize("second", [False, True])
