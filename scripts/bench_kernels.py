@@ -11,13 +11,17 @@ single-threaded processes on the same machine:
 - `parity.optimal_phase` per m (its window scan plus the refinement);
 - `moments.moment_set` per m;
 - the Fock oracle (`oracle` warm, `oracle_first` as the first call in a fresh
-  process, which includes building the beam-splitter blocks):
-  `parity_signal_oracle` at r = 0.3, 0.65 and 1, and `qfi_lossy_numeric_check`,
-  `kerr_cq_numeric`, `loss_weight_table` (on the probe's weight-2 marginal)
-  and `default_cutoff` at r = 1 (the file records each r's sector cutoff).
-  The probe-marginal cache of a tree that has one is cleared before every
-  timed `qfi_lossy_numeric_check` and `kerr_cq_numeric` call, so both sides
-  build the marginal each time.
+  process, which includes building the beam-splitter blocks and any lazy
+  import): `parity_signal_oracle` at r = 0.3, 0.65 and 1, and
+  `qfi_lossy_numeric_check`, `kerr_cq_numeric`, `loss_weight_table` (on the
+  probe's weight-2 marginal, built by its first call) and `default_cutoff`
+  at r = 1 (the file records each r's sector cutoff). The probe-marginal
+  cache of a tree that has one is cleared before every timed
+  `qfi_lossy_numeric_check` and `kerr_cq_numeric` call, so both sides build
+  the marginal each time. Each `oracle_first` entry also records the
+  process's peak resident set (`ru_maxrss`, in kB) right after that first
+  call, once per fresh process; unlike the times, it moves by under 0.5 MB
+  from one process to the next.
 
 - the `rows` group: many sweep rows of one m at once. `parity_signals` at 1,
   48 and 1001 rows (`kernel_*`) against the same rows as a loop of
@@ -65,6 +69,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 M_LIST = (0, 1, 2, 3, 6, 10)
@@ -121,8 +126,9 @@ def _oracle_calls() -> dict:
     mu = kerr_mu_opt(moment_set(p), p.loss)
     calls["qfi_lossy_numeric_check"] = lambda: forget() or qfi_lossy_numeric_check(p)
     calls["kerr_cq_numeric"] = lambda: forget() or kerr_cq_numeric(p, *mu)
-    marg = probe_marginal(p, weight=2)
-    calls["loss_weight_table"] = lambda: loss_weight_table(marg, p.loss)
+    # built on first use, so that no entry's first call finds the blocks built
+    marg = lru_cache(maxsize=1)(lambda: probe_marginal(p, weight=2))
+    calls["loss_weight_table"] = lambda: loss_weight_table(marg(), p.loss)
     calls["default_cutoff"] = lambda: default_cutoff(p)
     return calls
 
@@ -136,12 +142,16 @@ def _oracle_cutoffs() -> dict:
     return {f"parity_signal_r{r}": default_cutoff(ProbeParams(r=r, **ORACLE_PROBE)) for r in ORACLE_R}
 
 
-def measure_first(name: str) -> float:
-    """ms of the first call of one oracle entry point in this process."""
+def measure_first(name: str) -> dict:
+    """ms of the first call of one oracle entry point in this process, and
+    the process's peak resident set in kB right after it."""
+    import resource
+
     fn = _oracle_calls()[name]
     t0 = time.perf_counter()
     fn()
-    return (time.perf_counter() - t0) * 1e3
+    ms = (time.perf_counter() - t0) * 1e3
+    return {"ms": ms, "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
 
 
 def measure() -> dict:
@@ -318,10 +328,12 @@ def _side(src: Path) -> dict:
     out["oracle_first"] = {}
     for name in out["oracle"]:
         runs = [_run(src, "--measure-first", name) for _ in range(FIRST_RUNS)]
+        ms = [run["ms"] for run in runs]
         out["oracle_first"][name] = {
-            "min_ms": round(min(runs), 4),
-            "median_ms": round(statistics.median(runs), 4),
+            "min_ms": round(min(ms), 4),
+            "median_ms": round(statistics.median(ms), 4),
             "runs": len(runs),
+            "maxrss_kb": [run["maxrss_kb"] for run in runs],
         }
     return out
 

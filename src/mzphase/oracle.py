@@ -1,33 +1,43 @@
 """Independent brute-force Fock-space engine.
 
 Everything here works on explicit two-mode photon-number grids: the input
-product state is built from truncated Fock amplitude vectors, beam splitters
-act exactly on each total-photon sector (they conserve n_a + n_b, so each
-sector is a small orthogonal mixing computed by spectral decomposition),
+product state is built from truncated Fock amplitude vectors, the first beam
+splitter acts exactly on each total-photon sector (it conserves n_a + n_b),
 loss on the probe arm is expanded into its Kraus branches, and phases are
 diagonal. No generating-function shortcuts: this is the cross-check engine
 for the analytic modules, sharing nothing with them but the state builders.
 
-Each sector's splitter block is built once per process and shared by every
-cutoff. The blocks of sectors 0..N take sum (k+1)^2 * 16 B, which is about
-22 MB up to N = 160 and 1.16 GB up to SECTOR_LIMIT; they are freed only when
-the process ends.
+On sector N, with basis |n_a, N - n_a>, the 50:50 splitter
+U_N = exp(-i pi/4 J), J = a^dag b + a b^dag, is an SU(2) rotation (Yurke,
+McCall and Klauder, Phys. Rev. A 33, 4033 (1986)). J is real symmetric and
+tridiagonal, and with S = diag(i^n_a) the matrix S^H J S is i times a real
+antisymmetric one, so R_N = S^H U_N S is real orthogonal. Each sector's R_N
+is built once per process from the spectral decomposition of J, stored in
+float64 and shared by every cutoff; the splitter gathers a sector's entries
+times S^H, takes one real product with R_N and scatters them back times S.
+The blocks of sectors 0..N take sum (k+1)^2 * 8 B, which is about 11 MB up to
+N = 160 and 0.58 GB up to SECTOR_LIMIT; they are freed only when the process
+ends.
 
 `parity_signal_oracle` does not apply the second splitter: behind a 50:50
 splitter, b-port parity is a signed exchange of the two modes within each
 sector (the SU(2) picture of the lossless splitter; Campos, Saleh and Teich,
 Phys. Rev. A 40, 1371 (1989)), so it reads the parity and its phase
 derivatives off products of mirrored grid entries, one loss branch at a
-time. The identity is tested against the blocks on every sector up to 160,
-and `parity_expectation_oracle` keeps the explicit second splitter as the
+time. The identity is tested on every sector up to 160, and
+tests/oracle_reference.py keeps the explicit pipeline (mixed-state grids,
+full loss-branch grids, the phase and the second splitter) as the
 brute-force reference. `probe_marginal` keeps its last two marginals, so
 rows of a sweep that differ only in loss share one.
+
+Log-factorials come from one cached table of `math.lgamma` values; nothing
+here imports scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,6 +60,10 @@ from .states import (
 SECTOR_TOL = 1e-11
 # Matrix cutoff above which the oracle refuses to run (cost grows like N^4).
 SECTOR_LIMIT = 600
+# Longest single-mode photon distribution `default_cutoff` builds.
+_LENGTH_MAX = 16384
+# i^k for k mod 4
+_I_POW = np.array([1, 1j, -1, -1j])
 
 
 @dataclass
@@ -76,28 +90,6 @@ class FockGrid:
 
     def b_marginal(self) -> np.ndarray:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
-
-
-@dataclass
-class DensityGrid:
-    """Mixed two-mode state stored as an ensemble of unnormalized pure branches.
-
-    Each branch is an amplitude grid like FockGrid's; its squared norm is the
-    branch weight. Storing branches instead of a dense matrix keeps large
-    cutoffs tractable while remaining exact.
-    """
-
-    cutoff: int
-    branches: list = field(default_factory=list)
-
-    def trace(self) -> float:
-        return float(sum(np.vdot(b, b).real for b in self.branches))
-
-    def b_marginal(self) -> np.ndarray:
-        out = np.zeros(self.cutoff + 1)
-        for b in self.branches:
-            out += np.sum(np.abs(b) ** 2, axis=0)
-        return out
 
 
 @dataclass(frozen=True)
@@ -128,67 +120,90 @@ class KrausFamily:
         return n * n - 2.0 * self.mu1 * n * j - self.mu2 * j * j
 
 
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only log k! for k = 0..n-1, each from `math.lgamma` (a running sum
+    of logs drifts by about 1e-11). The table behind it is built once per
+    power-of-two size from 1024 up."""
+    return _log_factorial_table(max(1024, 1 << (n - 1).bit_length()))[:n]
+
+
 # -- beam splitter ----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _bs_block(total: int) -> np.ndarray:
-    """50:50 beam-splitter matrix exp(-i pi/4 (a^dag b + a b^dag)) on one sector.
+    """Real rotation R = S^H U S of the 50:50 splitter on one sector.
 
-    Sector N (total photons) has basis |n_a, N - n_a>, n_a = 0..N; the
-    coupling operator is real symmetric tridiagonal there, so the block is
-    built from its spectral decomposition. The block does not depend on the
-    grid cutoff; it is cached for the life of the process and read only.
+    U = exp(-i pi/4 (a^dag b + a b^dag)) on sector N (total photons), basis
+    |n_a, N - n_a>, n_a = 0..N, and S = diag(i^n_a). The coupling operator is
+    real symmetric tridiagonal there, so U is built from its spectral
+    decomposition; R is checked to be real and orthogonal to 1e-10 and kept
+    as a float64 array. The block does not depend on the grid cutoff; it is
+    cached for the life of the process and read only.
     """
     na = np.arange(total + 1)
     off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
     j_op = np.diag(off, 1) + np.diag(off, -1)
     vals, vecs = np.linalg.eigh(j_op)
     u = (vecs * np.exp(-1j * (np.pi / 4) * vals)) @ vecs.T
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(total + 1)))
-    if defect >= 1e-10:
-        raise UnitarityDrift(f"sector {total} block unitarity defect {defect:.3e}")
-    u.flags.writeable = False
-    return u
+    s = _I_POW[na % 4]
+    rot = s.conj()[:, None] * u * s[None, :]
+    residue = np.max(np.abs(rot.imag))
+    if not residue < 1e-10:
+        raise UnitarityDrift(f"sector {total} rotation has imaginary residue {residue:.3e}")
+    rot = np.ascontiguousarray(rot.real)
+    defect = np.max(np.abs(rot.T @ rot - np.eye(total + 1)))
+    if not defect < 1e-10:
+        raise UnitarityDrift(f"sector {total} block orthogonality defect {defect:.3e}")
+    rot.flags.writeable = False
+    return rot
 
 
 @lru_cache(maxsize=4)  # its cache_info() counts cutoff changes in the traced benchmark
 def _bs_blocks(cutoff: int) -> list:
-    """The shared blocks of sectors 0..cutoff. The second splitter's block is
-    the entrywise conjugate of the first's."""
+    """The shared blocks of sectors 0..cutoff."""
     return [_bs_block(total) for total in range(cutoff + 1)]
 
 
-def _sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+def _sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat grid indices of sectors 0..cutoff, sector after sector with n_a
-    ascending, and the offset at which each sector starts (cutoff + 2 entries)."""
+    ascending, the n_a of each, and the offset at which each sector starts
+    (cutoff + 2 entries)."""
     d = cutoff + 1
     total = np.repeat(np.arange(d), np.arange(1, d + 1))
     start = np.concatenate(([0], np.cumsum(np.arange(1, d + 1))))
     na = np.arange(total.size) - start[total]
-    return na * d + (total - na), start
+    return na * d + (total - na), na, start
 
 
-def _apply_bs_array(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray:
-    """Splitter on one grid (d, d) or a stack of grids (k, d, d).
+def _apply_bs_array(arr: np.ndarray, cutoff: int) -> np.ndarray:
+    """First splitter on one grid (d, d) or a stack of grids (k, d, d).
 
-    Sector entries are gathered sector-major, (entries, k), so each sector
-    takes one matrix product for the whole stack; the second splitter is
-    conj(U conj(v)). Entries outside sectors 0..cutoff pass through.
+    Sector entries are gathered sector-major, (entries, k), times S^H; each
+    sector then takes one real product with its rotation on the
+    (entries, 2k) float64 view of the gathered amplitudes, for the whole
+    stack, and S goes back on in the scatter. Multiplying by a power of i
+    is exact. Entries outside sectors 0..cutoff pass through.
     """
-    idx, start = _sectors(cutoff)
+    idx, na, start = _sectors(cutoff)
     out = np.array(arr, dtype=np.complex128)
     d = cutoff + 1
     flat = out.reshape(*arr.shape[:-2], d * d).T  # (d*d,) or (d*d, k), a view of out
-    packed = flat[idx]
-    if second:
-        np.conjugate(packed, out=packed)
-    for total, u in enumerate(_bs_blocks(cutoff)):
-        seg = packed[start[total] : start[total + 1]]
-        seg[...] = u @ seg
-    if second:
-        np.conjugate(packed, out=packed)
-    flat[idx] = packed
+    packed = np.ascontiguousarray(flat[idx]).reshape(idx.size, -1)
+    packed *= _I_POW[-na % 4][:, None]
+    pairs = packed.view(np.float64)  # (entries, 2k): real and imaginary parts
+    for total, rot in enumerate(_bs_blocks(cutoff)):
+        seg = pairs[start[total] : start[total + 1]]
+        seg[...] = rot @ seg
+    packed *= _I_POW[na % 4][:, None]
+    flat[idx] = packed.reshape(idx.size, *flat.shape[1:])
     return out
 
 
@@ -217,42 +232,26 @@ def _sector_mass_check(arr: np.ndarray, cutoff: int):
         )
 
 
-def apply_beam_splitter(state, which: str):
-    """Apply the first or second 50:50 splitter, exactly per photon sector.
+def _first_splitter(state: FockGrid) -> FockGrid:
+    """The first 50:50 splitter on a pure state, exactly per photon sector.
 
     Requires the state's support to sit in complete sectors (n_a + n_b up to
-    the grid cutoff); mass outside is an error. Pure states are renormalized
-    if the norm drifted by less than 1e-9, else UnitarityDrift.
+    the grid cutoff); mass outside is an error. The state is renormalized if
+    its norm drifted by less than 1e-9, else UnitarityDrift.
     """
-    if which not in ("first", "second"):
-        raise ParamOutOfRange(f"which must be 'first' or 'second', got {which!r}")
-    second = which == "second"
-    if isinstance(state, FockGrid):
-        _sector_mass_check(state.amplitudes, state.cutoff)
-        before = state.norm
-        out = _apply_bs_array(state.amplitudes, state.cutoff, second)
-        after = float(np.linalg.norm(out))
-        drift = abs(after - before)
-        if not drift < 1e-9 * max(before, 1e-300):
-            raise UnitarityDrift(f"norm drifted by {drift:.3e} across the splitter")
-        if after > 0:
-            out *= before / after
-        return FockGrid(state.cutoff, out)
-    if isinstance(state, DensityGrid):
-        before = state.trace()
-        for b in state.branches:
-            _sector_mass_check(b, state.cutoff)
-        d = state.cutoff + 1
-        stack = np.asarray(state.branches).reshape(-1, d, d)
-        out = DensityGrid(state.cutoff, list(_apply_bs_array(stack, state.cutoff, second)))
-        drift = abs(out.trace() - before)
-        if not drift < 1e-9 * max(before, 1e-300):
-            raise UnitarityDrift(f"trace drifted by {drift:.3e} across the splitter")
-        return out
-    raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
+    _sector_mass_check(state.amplitudes, state.cutoff)
+    before = state.norm
+    out = _apply_bs_array(state.amplitudes, state.cutoff)
+    after = float(np.linalg.norm(out))
+    drift = abs(after - before)
+    if not drift < 1e-9 * max(before, 1e-300):
+        raise UnitarityDrift(f"norm drifted by {drift:.3e} across the splitter")
+    if after > 0:
+        out *= before / after
+    return FockGrid(state.cutoff, out)
 
 
-# -- loss and phase ---------------------------------------------------------
+# -- loss -------------------------------------------------------------------
 
 
 def _kraus_prefactors(arr: np.ndarray, l: float, total_in: float):
@@ -263,23 +262,16 @@ def _kraus_prefactors(arr: np.ndarray, l: float, total_in: float):
     Its weight is taken from the column masses of arr, and branches stop once
     the rest of arr's norm is below 1e-14 of total_in.
     """
-    from scipy.special import gammaln  # scipy loads only when the oracle runs
-
     size = arr.shape[1]
     eta = 1.0 - l
+    lf = _log_factorials(size)
     colmass = np.sum(np.abs(arr) ** 2, axis=0)
     prefs = []
     acc = float(np.vdot(arr, arr).real)
     cum = 0.0
     for j in range(size):
         kk = np.arange(size - j)
-        logw2 = (
-            (j * math.log(l) if j else 0.0)
-            - gammaln(j + 1)
-            + kk * math.log(eta)
-            + gammaln(kk + j + 1)
-            - gammaln(kk + 1)
-        )
+        logw2 = (j * math.log(l) if j else 0.0) - lf[j] + kk * math.log(eta) + lf[j:] - lf[: size - j]
         pref = np.exp(0.5 * logw2)
         prefs.append(pref)
         cum += float(np.dot(colmass[j:], pref * pref))
@@ -291,52 +283,6 @@ def _kraus_prefactors(arr: np.ndarray, l: float, total_in: float):
 def _loss_trace_check(cum: float, total_in: float):
     if not abs(cum - total_in) <= 1e-9 * max(total_in, 1e-300):
         raise TraceDrift(f"loss channel trace moved from {total_in!r} to {cum!r}")
-
-
-def apply_loss_channel(state, l: float) -> DensityGrid:
-    """Photon loss with survival 1 - l on the probe (b) arm."""
-    if not 0 <= l < 1:
-        raise ParamOutOfRange(f"loss must lie in [0, 1), got {l}")
-    if isinstance(state, FockGrid):
-        in_branches = [state.amplitudes]
-        cutoff = state.cutoff
-        total_in = state.norm ** 2
-    elif isinstance(state, DensityGrid):
-        in_branches = state.branches
-        cutoff = state.cutoff
-        total_in = state.trace()
-    else:
-        raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
-    size = cutoff + 1
-    out = []
-    cum = 0.0
-    for b in in_branches:
-        prefs, got = _kraus_prefactors(b, l, total_in)
-        for j, pref in enumerate(prefs):
-            branch = np.zeros_like(b)
-            branch[:, : size - j] = b[:, j:] * pref[None, :]
-            out.append(branch)
-        cum += got
-    _loss_trace_check(cum, total_in)
-    return DensityGrid(cutoff, out)
-
-
-def apply_phase(state, phi: float, kind: str = "linear"):
-    """Diagonal phase on the b mode: exp(i phi n_b) or exp(i phi n_b^2)."""
-    if kind == "linear":
-        expo = lambda n: n  # noqa: E731
-    elif kind == "kerr":
-        expo = lambda n: n * n  # noqa: E731
-    else:
-        raise ParamOutOfRange(f"kind must be 'linear' or 'kerr', got {kind!r}")
-    if isinstance(state, FockGrid):
-        n = np.arange(state.cutoff + 1)
-        return FockGrid(state.cutoff, state.amplitudes * np.exp(1j * phi * expo(n))[None, :])
-    if isinstance(state, DensityGrid):
-        n = np.arange(state.cutoff + 1)
-        f = np.exp(1j * phi * expo(n))[None, :]
-        return DensityGrid(state.cutoff, [b * f for b in state.branches])
-    raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
 
 
 # -- input construction and cutoff policy ------------------------------------
@@ -370,15 +316,12 @@ def _pasvs_probs(r: float, m: int, length: int) -> np.ndarray:
 
 
 def _coherent_probs(alpha: float, length: int) -> np.ndarray:
-    from scipy.special import gammaln
-
-    n = np.arange(length)
-    logp = -alpha * alpha + n * (2.0 * math.log(alpha) if alpha > 0 else 0.0) - gammaln(n + 1)
     if alpha == 0.0:
         out = np.zeros(length)
         out[0] = 1.0
         return out
-    return np.exp(logp)
+    n = np.arange(length)
+    return np.exp(-alpha * alpha + n * (2.0 * math.log(alpha)) - _log_factorials(length))
 
 
 def default_cutoff(p: ProbeParams, weight: int = 0) -> int:
@@ -389,15 +332,20 @@ def default_cutoff(p: ProbeParams, weight: int = 0) -> int:
     two single-mode photon distributions. Because the splitters conserve
     total photon number and n_b <= total, this bounds the truncation error
     of any later observable growing at most like n_b^weight.
+
+    The distributions are doubled in length until the last two levels of
+    each are below 1e-16: the photon-added squeezed vacuum fills only the
+    levels of m's parity, so one level alone can be exactly 0 inside a tail
+    that still matters.
     """
     length = 1024
     while True:
         pa = _coherent_probs(p.alpha, length)
         pb = _pasvs_probs(p.r, p.m, length)
-        if pa[-1] < 1e-16 and pb[-1] < 1e-16:
+        if max(pa[-2:]) < 1e-16 and max(pb[-2:]) < 1e-16:
             break
         length *= 2
-        if length > 16384:
+        if length > _LENGTH_MAX:
             raise CutoffTooSmall("input photon distributions too wide for the oracle")
     q = np.convolve(pa, pb)
     totals = np.arange(q.size, dtype=float)
@@ -426,21 +374,10 @@ def _prepared_after_first_splitter(p: ProbeParams, cutoff: int) -> FockGrid:
     if 1.0 - nrm * nrm > 1e-9:
         raise CutoffTooSmall(f"sector clip removed {1 - nrm * nrm:.3e} probability")
     arr /= nrm
-    return apply_beam_splitter(FockGrid(cutoff, arr), "first")
+    return _first_splitter(FockGrid(cutoff, arr))
 
 
 # -- pipeline observables -----------------------------------------------------
-
-
-def parity_expectation_oracle(p: ProbeParams, cutoff: int | None = None) -> float:
-    """Parity of the b mode at the output, via the full state pipeline."""
-    nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
-    after_bs1 = _prepared_after_first_splitter(p, nc)
-    lossy = apply_loss_channel(after_bs1, p.loss)
-    phased = apply_phase(lossy, p.phi, "linear")
-    final = apply_beam_splitter(phased, "second")
-    signs = np.where(np.arange(nc + 1) % 2 == 0, 1.0, -1.0)
-    return float(np.dot(final.b_marginal(), signs))
 
 
 def parity_signal_oracle(
@@ -450,7 +387,7 @@ def parity_signal_oracle(
 
     The second splitter is not applied. Behind it, the parity of the b port
     is a signed exchange of the two modes within each total-photon sector:
-    with the second splitter conj(U) of `apply_beam_splitter`,
+    with the second splitter conj(U), U = S R S^H the first's sector block,
     conj(U)^H (-1)^n_b conj(U) maps |n_a, n_b> to i^(n_b - n_a) |n_b, n_a>
     (tests/test_oracle.py checks this on every sector up to 160). So a pure
     branch v = e^{i phi n_b} y has parity
@@ -463,8 +400,8 @@ def parity_signal_oracle(
     a few gathers of half a grid per branch, with no matrix product.
     No branch grid is built: loss branch j's entry at (n_a, n_b) is gathered
     straight from the post-splitter grid's entry (n_a, n_b + j), times the
-    branch's prefactor at n_b. The branch stop and the trace check are those
-    of `apply_loss_channel`.
+    branch's prefactor at n_b, with the branch stop of `_kraus_prefactors`
+    and the trace check of `_loss_trace_check`.
     """
     nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
     after_bs1 = _prepared_after_first_splitter(p, nc)
@@ -484,7 +421,7 @@ def parity_signal_oracle(
         pad[pref.size :] = 0.0
         g += flat[here + j] * pad[nb] * np.conj(flat[mirror + j] * pad[na])
     delta = nb - na
-    h = g * np.array([1, 1j, -1, -1j])[delta % 4] * np.exp(1j * p.phi * delta)
+    h = g * _I_POW[delta % 4] * np.exp(1j * p.phi * delta)
     h[delta > 0] *= 2.0
     delta = delta.astype(float)
     return float(np.sum(h.real)), float(-np.dot(delta, h.imag)), float(-np.dot(delta * delta, h.real))
@@ -524,12 +461,11 @@ class LossWeightTable:
 
     Entries enumerate (k - j, j) with weight P_k * Binom(k, j) l^j eta^(k-j),
     k-major with j ascending, over every k with P_k != 0. Each k's j run
-    stops at its first j where rem * (k^8 + 1) < 1e-14, rem being the rest
-    of its binomial mass, or at j = k. rem is formed by subtraction from 1,
-    so its rounding floor of about 1e-16 times k^8 is above 1e-14 for every
-    k >= 2: a row ends where rem rounds to 0 or below, or at j = k, and the
-    table is close to the full (k, j) triangle (10585 of 10585 entries at
-    alpha 1.9, r 1, m 3, l 0.05). The weights are not renormalised.
+    stops at its first j where rem * (k^8 + 1) < 1e-14, or at j = k. rem is
+    the rest of its binomial mass, w_{j+1} + ... + w_k, summed from the top:
+    so it falls with the binomial tail, where 1 - w_0 - ... - w_j would stop
+    at a rounding floor of about 1e-16 and keep close to the full (k, j)
+    triangle. The weights are not renormalised.
     """
 
     survived: np.ndarray
@@ -557,9 +493,10 @@ def loss_weight_table(marginal: np.ndarray, loss: float) -> LossWeightTable:
         np.multiply(prev, k_minus_j, out=nxt)
         np.divide(nxt, j + 1, out=nxt)
         np.multiply(nxt, scale, out=nxt)
-    w = w.T  # (row, j) from here on: k-major, j ascending
-    # rem after step j is 1 - w0 - w1 - ... - wj, subtracted in that order
-    rem = np.subtract.accumulate(np.hstack((np.ones((ks.size, 1)), w)), axis=1)[:, 1:]
+    # rem after step j is w[j+1] + ... + w[width-1], summed from the top
+    rem = np.zeros_like(w)
+    np.cumsum(w[:0:-1], axis=0, out=rem[-2::-1])
+    w, rem = w.T, rem.T  # (row, j) from here on: k-major, j ascending
     gmax2 = np.array([float(k) ** 8 + 1.0 for k in ks.tolist()])  # kerr generator is O(k^2); squared and padded
     j = np.arange(width, dtype=float)
     # a row ends at its first j with rem * gmax2 < 1e-14, or at j = k

@@ -4,33 +4,47 @@ Production `parity_signal_oracle` applies no second splitter: it reads the
 parity off the exchange identity (b-port parity behind the splitter maps
 |n_a, n_b> to i^(n_b - n_a) |n_b, n_a>, checked on the blocks of every sector
 up to 160 in test_oracle.py), summing products of mirrored grid entries one
-loss branch at a time; `_apply_bs_array` takes a whole stack of grids. Here
-the same quantities are computed the way the package did before both: full
-branch grids from `apply_loss_channel`, and a matrix-vector product per
-branch, per sector and per vector, with the conjugated block for the second
-splitter, then the parity read off the output grid. Its cost grows like
-branches * cutoff^3 in small Python-level products.
+loss branch at a time. Its splitter stores each sector's block as the real
+rotation R = S^H U S, S = diag(i^n_a), and `_apply_bs_array` takes a whole
+stack of grids. Here the same quantities are computed the way the package
+did before all three:
+
+- the complex splitter blocks U from the same spectral decomposition
+  (`bs_block_reference`), applied one sector and one grid at a time
+  (`apply_bs_reference`), with the conjugated block for the second splitter;
+- the explicit pipeline: mixed states as lists of branch grids
+  (`DensityGrid`), the splitter on pure and mixed states, first or second
+  (`apply_beam_splitter`; the second splitter conj(U) is the first applied
+  under complex conjugation), the loss channel as full branch grids
+  (`apply_loss_channel`), the phase (`apply_phase`), and the parity read off
+  the output grid (`parity_expectation_oracle`, and `parity_signal_reference`
+  with its phase derivatives). Its cost grows like branches * cutoff^3 in
+  small Python-level products.
 
 The rest are the package's former Python loops, kept as the equality
 references of their array forms: the loss weight table, the photon-added
 squeezed-vacuum distribution, the corner clip by `fill_diagonal`, and the
-lossy linear bound found by a grid scan and a golden section.
+lossy linear bound found by a grid scan and a golden section; and the
+sector cutoff taken from distributions of the longest length the oracle
+builds.
 """
 
 import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from mzphase.errors import CutoffTooSmall
+from mzphase import oracle
+from mzphase.errors import CutoffTooSmall, ParamOutOfRange, UnitarityDrift
 from mzphase.oracle import (
+    SECTOR_TOL,
     FockGrid,
     KrausFamily,
     LossWeightTable,
-    _bs_blocks,
+    _coherent_probs,
+    _pasvs_probs,
     _prepared_after_first_splitter,
-    apply_beam_splitter,
-    apply_loss_channel,
     build_input_state,
     cq_from_table,
     default_cutoff,
@@ -52,18 +66,152 @@ def grid_marginal(alpha: float, r: float, m: int) -> np.ndarray:
     return probe_marginal(ProbeParams(alpha=alpha, r=r, m=m), weight=2)
 
 
+# -- the complex splitter blocks -----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def bs_block_reference(total: int) -> np.ndarray:
+    """50:50 beam-splitter matrix exp(-i pi/4 (a^dag b + a b^dag)) on one sector.
+
+    Sector N (total photons) has basis |n_a, N - n_a>, n_a = 0..N; the
+    coupling operator is real symmetric tridiagonal there, so the block is
+    built from its spectral decomposition, complex, with a 1e-10 unitarity
+    check."""
+    na = np.arange(total + 1)
+    off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
+    j_op = np.diag(off, 1) + np.diag(off, -1)
+    vals, vecs = np.linalg.eigh(j_op)
+    u = (vecs * np.exp(-1j * (np.pi / 4) * vals)) @ vecs.T
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(total + 1)))
+    if defect >= 1e-10:
+        raise UnitarityDrift(f"sector {total} block unitarity defect {defect:.3e}")
+    u.flags.writeable = False
+    return u
+
+
 @lru_cache(maxsize=1)
 def _conjugated_blocks(cutoff: int) -> list:
-    return [u.conj() for u in _bs_blocks(cutoff)]
+    return [bs_block_reference(total).conj() for total in range(cutoff + 1)]
 
 
 def apply_bs_reference(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray:
     """Splitter on one (d, d) grid, one sector at a time."""
     out = arr.copy()
-    for total, u in enumerate(_conjugated_blocks(cutoff) if second else _bs_blocks(cutoff)):
+    blocks = _conjugated_blocks(cutoff) if second else map(bs_block_reference, range(cutoff + 1))
+    for total, u in enumerate(blocks):
         na = np.arange(total + 1)
         out[na, total - na] = u @ arr[na, total - na]
     return out
+
+
+# -- the explicit pipeline -------------------------------------------------------
+
+
+@dataclass
+class DensityGrid:
+    """Mixed two-mode state stored as an ensemble of unnormalized pure branches.
+
+    Each branch is an amplitude grid like FockGrid's; its squared norm is the
+    branch weight. Storing branches instead of a dense matrix keeps large
+    cutoffs tractable while remaining exact.
+    """
+
+    cutoff: int
+    branches: list = field(default_factory=list)
+
+    def trace(self) -> float:
+        return float(sum(np.vdot(b, b).real for b in self.branches))
+
+    def b_marginal(self) -> np.ndarray:
+        out = np.zeros(self.cutoff + 1)
+        for b in self.branches:
+            out += np.sum(np.abs(b) ** 2, axis=0)
+        return out
+
+
+def apply_beam_splitter(state, which: str):
+    """Apply the first or second 50:50 splitter, exactly per photon sector.
+
+    The second splitter conj(U) is the first under complex conjugation of
+    the state before and after. Requires the state's support to sit in
+    complete sectors; mass outside is an error. A pure state is renormalized
+    if its norm drifted by less than 1e-9, else UnitarityDrift; a mixed
+    state's trace must not drift by 1e-9.
+    """
+    if which not in ("first", "second"):
+        raise ParamOutOfRange(f"which must be 'first' or 'second', got {which!r}")
+    flip = np.conjugate if which == "second" else np.asarray
+    if isinstance(state, FockGrid):
+        out = oracle._first_splitter(FockGrid(state.cutoff, flip(state.amplitudes)))
+        return FockGrid(state.cutoff, flip(out.amplitudes))
+    if isinstance(state, DensityGrid):
+        before = state.trace()
+        for b in state.branches:
+            oracle._sector_mass_check(b, state.cutoff)
+        d = state.cutoff + 1
+        stack = flip(np.asarray(state.branches).reshape(-1, d, d))
+        out = DensityGrid(state.cutoff, list(flip(oracle._apply_bs_array(stack, state.cutoff))))
+        drift = abs(out.trace() - before)
+        if not drift < 1e-9 * max(before, 1e-300):
+            raise UnitarityDrift(f"trace drifted by {drift:.3e} across the splitter")
+        return out
+    raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
+
+
+def apply_loss_channel(state, l: float) -> DensityGrid:
+    """Photon loss with survival 1 - l on the probe (b) arm, one full grid
+    per Kraus branch, with the oracle's branch stop and trace check."""
+    if not 0 <= l < 1:
+        raise ParamOutOfRange(f"loss must lie in [0, 1), got {l}")
+    if isinstance(state, FockGrid):
+        in_branches = [state.amplitudes]
+        total_in = state.norm ** 2
+    elif isinstance(state, DensityGrid):
+        in_branches = state.branches
+        total_in = state.trace()
+    else:
+        raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
+    size = state.cutoff + 1
+    out = []
+    cum = 0.0
+    for b in in_branches:
+        prefs, got = oracle._kraus_prefactors(b, l, total_in)
+        for j, pref in enumerate(prefs):
+            branch = np.zeros_like(b)
+            branch[:, : size - j] = b[:, j:] * pref[None, :]
+            out.append(branch)
+        cum += got
+    oracle._loss_trace_check(cum, total_in)
+    return DensityGrid(state.cutoff, out)
+
+
+def apply_phase(state, phi: float, kind: str = "linear"):
+    """Diagonal phase on the b mode: exp(i phi n_b) or exp(i phi n_b^2)."""
+    if kind == "linear":
+        expo = lambda n: n  # noqa: E731
+    elif kind == "kerr":
+        expo = lambda n: n * n  # noqa: E731
+    else:
+        raise ParamOutOfRange(f"kind must be 'linear' or 'kerr', got {kind!r}")
+    if isinstance(state, FockGrid):
+        n = np.arange(state.cutoff + 1)
+        return FockGrid(state.cutoff, state.amplitudes * np.exp(1j * phi * expo(n))[None, :])
+    if isinstance(state, DensityGrid):
+        n = np.arange(state.cutoff + 1)
+        f = np.exp(1j * phi * expo(n))[None, :]
+        return DensityGrid(state.cutoff, [b * f for b in state.branches])
+    raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
+
+
+def parity_expectation_oracle(p: ProbeParams, cutoff: int | None = None) -> float:
+    """Parity of the b mode at the output, via the full state pipeline."""
+    nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
+    after_bs1 = oracle._prepared_after_first_splitter(p, nc)
+    lossy = apply_loss_channel(after_bs1, p.loss)
+    phased = apply_phase(lossy, p.phi, "linear")
+    final = apply_beam_splitter(phased, "second")
+    signs = np.where(np.arange(nc + 1) % 2 == 0, 1.0, -1.0)
+    return float(np.dot(final.b_marginal(), signs))
 
 
 def parity_signal_reference(p: ProbeParams, cutoff: int | None = None) -> tuple[float, float, float]:
@@ -97,17 +245,22 @@ def loss_weight_table_reference(marginal: np.ndarray, loss: float) -> LossWeight
         pk = float(marginal[k])
         if pk == 0.0:
             continue
-        wj = eta**k
-        rem = 1.0
+        ws = [eta**k]
+        for j in range(k):
+            ws.append(ws[-1] * (k - j) / (j + 1) * (loss / eta))
+        # rest[j] = ws[j+1] + ... + ws[k], summed from the top
+        rest = [0.0] * (k + 1)
+        acc = 0.0
+        for j in range(k, 0, -1):
+            acc += ws[j]
+            rest[j - 1] = acc
         gmax2 = float(k) ** 8 + 1.0
         for j in range(k + 1):
             survived.append(k - j)
             lost.append(j)
-            weight.append(pk * wj)
-            rem -= wj
-            if rem * gmax2 < 1e-14:
+            weight.append(pk * ws[j])
+            if rest[j] * gmax2 < 1e-14:
                 break
-            wj = wj * (k - j) / (j + 1) * (loss / eta)
     return LossWeightTable(
         np.array(survived, dtype=float),
         np.array(lost, dtype=float),
@@ -185,3 +338,14 @@ def numeric_check_reference(table: LossWeightTable, loss: float) -> float:
         if b - a < 1e-10:
             break
     return float(min(float(vals[best]), fc, fd))
+
+
+def default_cutoff_reference(p: ProbeParams, weight: int, length: int = 16384) -> int:
+    """`default_cutoff`'s tail rule on input distributions of a fixed length
+    (the longest the oracle builds), with no length search and no
+    SECTOR_LIMIT."""
+    q = np.convolve(_coherent_probs(p.alpha, length), _pasvs_probs(p.r, p.m, length))
+    wq = q * np.arange(q.size, dtype=float) ** weight
+    tail = np.cumsum(wq[::-1])[::-1]
+    nc = int(np.nonzero(tail <= SECTOR_TOL * float(np.sum(wq)))[0][0])
+    return (max(nc, p.m + 2, 8) + 7) // 8 * 8

@@ -15,7 +15,7 @@ import pytest
 
 from mzphase.errors import DegenerateDenominator, DegenerateSignal, SingularNormalEquations
 from mzphase.moments import moment_set, nb_moment
-from mzphase.oracle import moments_oracle, parity_expectation_oracle
+from mzphase.oracle import moments_oracle
 from mzphase.parity import classical_fisher, optimal_phase, parity_expectation
 from mzphase.qfi_kerr import (
     kerr_cq,
@@ -33,6 +33,7 @@ from mzphase.qfi_linear import (
 )
 from mzphase.states import ProbeParams, solve_r_for_energy
 from mzphase.sweep import figure_preset, run_sweep
+from oracle_reference import parity_expectation_oracle
 
 _T0 = time.perf_counter()
 

@@ -412,8 +412,9 @@ def test_sweep_rows_equal_row_at_a_time(quantity, phi, denom_tol, monkeypatch):
 
 
 def test_cli_sweeps_do_not_load_scipy(tmp_path):
-    # scipy's optimizers and special functions load only where the oracle
-    # or the Kerr fallback runs
+    # scipy's optimizers and special functions load only where the Kerr
+    # fallback runs: not for plain sweeps, and not for the Fock oracle's
+    # parity and QFI checks
     code = (
         "import sys, mzphase.cli\n"
         "from mzphase.sweep import SweepSpec, run_sweep\n"
@@ -421,6 +422,10 @@ def test_cli_sweeps_do_not_load_scipy(tmp_path):
         "    run_sweep(SweepSpec(quantity=('sensitivity', 'cfi'), sweep_name='l', sweep_values=(0.0, 0.2),"
         " m_list=(0, 1), phi=(phi,), alpha=2.0, r=0.5))\n"
         "run_sweep(SweepSpec(quantity=('parity',), sweep_name='phi', sweep_values=(0.1, 0.2), alpha=1.0, r=0.5))\n"
+        "checked = run_sweep(SweepSpec(quantity=('parity', 'qfi_linear', 'qfi_kerr'), sweep_name='l',"
+        " sweep_values=(0.0, 0.2), m_list=(0, 2), phi=(0.3,), alpha=1.0, r=0.5, oracle_check=True, oracle_stride=1))\n"
+        "assert 'oracle_qfi_kerr' in checked.header and 'oracle_rows=4' in checked.trailer\n"
+        "assert {row[checked.header.index('status')] for row in checked.rows} == {'ok'}\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))\n"
     )
     src = str(Path(mzphase.__file__).resolve().parent.parent)

@@ -11,7 +11,7 @@ from scipy.special import gammaln
 from mzphase import oracle, sweep
 from mzphase.errors import ConsistencyError, CutoffTooSmall, ParamOutOfRange, TraceDrift, UnitarityDrift
 from mzphase.oracle import (
-    DensityGrid,
+    _I_POW,
     _apply_bs_array,
     _bs_block,
     _bs_blocks,
@@ -20,15 +20,11 @@ from mzphase.oracle import (
     _sector_mass_check,
     FockGrid,
     KrausFamily,
-    apply_beam_splitter,
-    apply_loss_channel,
-    apply_phase,
     build_input_state,
     cq_from_table,
     default_cutoff,
     loss_weight_table,
     moments_oracle,
-    parity_expectation_oracle,
     parity_signal_oracle,
     probe_marginal,
 )
@@ -39,9 +35,16 @@ from oracle_reference import (
     GRID_LOSS,
     GRID_M,
     GRID_R,
+    DensityGrid,
+    apply_beam_splitter,
     apply_bs_reference,
+    apply_loss_channel,
+    apply_phase,
+    bs_block_reference,
+    default_cutoff_reference,
     grid_marginal,
     loss_weight_table_reference,
+    parity_expectation_oracle,
     parity_signal_reference,
     pasvs_probs_reference,
     prepared_after_first_splitter_reference,
@@ -260,6 +263,16 @@ def test_phase_roundtrip_and_kinds():
         apply_phase(st, 0.1, "cubic")
 
 
+@pytest.mark.parametrize("alpha,r,m", [(1.0, 3.0, 2), (1.0, 2.0, 2), (1.0, 2.5, 3), (0.0, 2.0, 0), (3.0, 2.0, 6)])
+def test_default_cutoff_takes_the_whole_tail_at_large_r(monkeypatch, alpha, r, m):
+    # at even m the squeezed arm fills only even levels, so the last level of
+    # an even length is exactly 0; the length search must not stop on it
+    monkeypatch.setattr(oracle, "SECTOR_LIMIT", 16384)
+    p = ProbeParams(alpha=alpha, r=r, m=m)
+    for weight in (0, 2):
+        assert default_cutoff(p, weight=weight) == default_cutoff_reference(p, weight)
+
+
 def test_default_cutoff_policy():
     p = ProbeParams(alpha=2.0, r=0.5, m=2)
     c0 = default_cutoff(p)
@@ -323,11 +336,24 @@ def test_parity_signal_matches_per_branch_reference(alpha, r, m, loss):
     assert max(_guarded_dev(g, w) for g, w in zip(got, want)) <= 1e-13
 
 
+def _unitary_block(total: int) -> np.ndarray:
+    """S R S^H, S = diag(i^n_a): the complex block of the stored rotation R."""
+    s = _I_POW[np.arange(total + 1) % 4]
+    return s[:, None] * _bs_block(total) * s.conj()[None, :]
+
+
+def test_rotation_blocks_match_complex_blocks():
+    for total in range(161):
+        rot = _bs_block(total)
+        assert rot.dtype == np.float64 and not rot.flags.writeable
+        assert np.max(np.abs(_unitary_block(total) - bs_block_reference(total))) <= 1e-13, total
+
+
 def test_parity_behind_splitter_is_signed_exchange():
     # with the second splitter conj(U), conj(U)^H (-1)^n_b conj(U) maps
     # |n_a, n_b> to i^(n_b - n_a) |n_b, n_a>: parity_signal_oracle rests on it
     for total in range(161):
-        u = _bs_block(total).conj()
+        u = _unitary_block(total).conj()
         na = np.arange(total + 1)
         parity = np.where((total - na) % 2 == 0, 1.0, -1.0)
         dense = u.conj().T @ (parity[:, None] * u)
@@ -372,13 +398,15 @@ def test_probe_marginal_shared_by_rows_that_differ_in_loss(monkeypatch):
 
 @pytest.mark.parametrize("second", [False, True])
 def test_stacked_splitter_matches_one_grid_at_a_time(second):
-    # random entries everywhere, so the corner outside the sectors is covered
+    # random entries everywhere, so the corner outside the sectors is covered;
+    # the second splitter conj(U) is the first under complex conjugation
+    flip = np.conjugate if second else np.asarray
     rng = np.random.default_rng(7)
     cutoff = 16
     stack = rng.normal(size=(5, cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(5, cutoff + 1, cutoff + 1))
-    got = _apply_bs_array(stack, cutoff, second)
+    got = flip(_apply_bs_array(flip(stack), cutoff))
     for g, grid in zip(got, stack):
-        np.testing.assert_allclose(g, _apply_bs_array(grid, cutoff, second), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g, flip(_apply_bs_array(flip(grid), cutoff)), rtol=0, atol=1e-14)
         np.testing.assert_allclose(g, apply_bs_reference(grid, cutoff, second), rtol=0, atol=1e-13)
 
 

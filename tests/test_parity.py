@@ -7,7 +7,6 @@ import pytest
 
 from mzphase.errors import DegenerateSignal
 from mzphase.jets import JetShape, MultiJet
-from mzphase.oracle import parity_expectation_oracle
 from mzphase.parity import (
     classical_fisher,
     loss_coefficients,
@@ -16,6 +15,7 @@ from mzphase.parity import (
     phase_sensitivity,
 )
 from mzphase.states import ProbeParams
+from oracle_reference import parity_expectation_oracle
 
 
 def test_loss_coefficient_sum_rule_float():
