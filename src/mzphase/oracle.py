@@ -265,13 +265,13 @@ def _kraus_prefactors(arr: np.ndarray, l: float, total_in: float):
     size = arr.shape[1]
     eta = 1.0 - l
     lf = _log_factorials(size)
+    n_log_eta = np.arange(size) * math.log(eta)
     colmass = np.sum(np.abs(arr) ** 2, axis=0)
     prefs = []
     acc = float(np.vdot(arr, arr).real)
     cum = 0.0
     for j in range(size):
-        kk = np.arange(size - j)
-        logw2 = (j * math.log(l) if j else 0.0) - lf[j] + kk * math.log(eta) + lf[j:] - lf[: size - j]
+        logw2 = (j * math.log(l) if j else 0.0) - lf[j] + n_log_eta[: size - j] + lf[j:] - lf[: size - j]
         pref = np.exp(0.5 * logw2)
         prefs.append(pref)
         cum += float(np.dot(colmass[j:], pref * pref))
