@@ -3,8 +3,8 @@ coherent state and a photon-added squeezed vacuum.
 
 Subpackages by task:
 
-- jets: truncated Taylor arithmetic and the closed-form [t^m tau^m]
-  coefficient extraction (the derivative engine)
+- jets: truncated power series in one variable and the closed-form
+  [t^m tau^m] coefficient extraction (the derivative engine)
 - states: probe-state parameters, normalization constants, energy budgets
 - parity: lossy parity signal, classical Fisher information, phase sensitivity
 - moments: photon-number moments of the pre-loss probe arm
@@ -18,26 +18,21 @@ __version__ = "0.1.0"
 
 from .errors import (
     BracketExceeded,
-    CapTooSmall,
     ConsistencyError,
     CutoffTooSmall,
     DegenerateDenominator,
     DegenerateSignal,
-    IndexOutOfCaps,
     InfeasibleTarget,
     JetError,
     ParamOutOfRange,
     SchemaViolation,
-    ShapeMismatch,
     SingularConstantTerm,
     SingularNormalEquations,
     SpecInvalid,
     TraceDrift,
     UnitarityDrift,
     UnknownFigure,
-    UnknownVariable,
 )
-from .jets import JetShape, MultiJet
 from .moments import MomentSet, moment_set, nb_moment
 from .parity import (
     ParitySignal,

@@ -1,32 +1,18 @@
 """Exception taxonomy for mzphase.
 
-Contract violations (bad arguments, shapes, configs) derive from ValueError;
-numeric/consistency failures discovered at runtime derive from RuntimeError.
+Contract violations (bad arguments, series operations, configs) derive from
+ValueError; numeric/consistency failures discovered at runtime derive from
+RuntimeError. The multivariate jets the tests build their reference kernels
+with raise their own shape and index errors (`tests/jet_reference.py`).
 """
 
 
 class JetError(ValueError):
-    """Base for jet-algebra contract violations."""
-
-
-class UnknownVariable(JetError):
-    """A variable name is not part of the jet shape."""
-
-
-class CapTooSmall(JetError):
-    """A truncation order is too small for the requested operation."""
-
-
-class ShapeMismatch(JetError):
-    """Two jets with different shapes were combined."""
+    """Base for truncated-series contract violations."""
 
 
 class SingularConstantTerm(JetError):
-    """recip/sqrt of a jet whose constant term is zero."""
-
-
-class IndexOutOfCaps(JetError):
-    """A derivative multi-index exceeds the jet's truncation orders."""
+    """recip/sqrt of a series whose constant term is zero."""
 
 
 class ParamOutOfRange(ValueError):

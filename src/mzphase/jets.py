@@ -1,341 +1,172 @@
-"""Truncated Taylor ("jet") arithmetic over complex coefficients, and the
-closed-form coefficient extraction built on it.
-
-A jet stores every mixed Taylor coefficient of a smooth function around 0 up
-to a per-variable truncation order (its "cap"). Sums, products, and the
-analytic maps exp / 1/x / sqrt act on jets exactly modulo the truncation, so
-an m-th mixed derivative of any composite expression can be read off a
-single coefficient. Coefficient arrays may carry a leading batch axis, which
-lets a sweep evaluate one expression at many base points in a few vector
-operations; non-batched jets broadcast against batched ones, and a 1-D
-array with one number per batch point acts as a per-point constant.
+"""Truncated power series in one variable, and the closed-form coefficient
+extraction the generating kernels are read with.
 
 The parity and moment generating kernels are Gaussian in their two
 photon-addition variables t and tau. `gaussian_tt_coefficient` reads their
-[t^m tau^m] coefficient off a finite closed-form sum, so production code only
-carries a univariate jet in the one remaining variable (the phase, or the
-moment order). The multivariate jets remain for tests, which use them to
-build the same kernels the long way as an independent check.
+[t^m tau^m] coefficient off a finite closed-form sum, so the kernels carry
+every coefficient as a truncated power series in the one remaining variable:
+the phase, to order 2, for the parity value, slope and curvature; the moment
+variable, to order 4, for the four moments.
+
+A `Series` holds the coefficients c_0..c_cap of one such series at many base
+points as a (batch, cap + 1) complex array. Sums, products and the analytic
+maps exp / 1/x / sqrt act on it exactly modulo the truncation, point by
+point. A series of batch 1 broadcasts against a batched one, and a 1-D array
+with one number per batch point acts as a per-point constant. The tests
+build the same kernels the long way, as multivariate jets in (t, tau, .)
+(`tests/jet_reference.py`), as an independent check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
-from .errors import (
-    CapTooSmall,
-    IndexOutOfCaps,
-    ShapeMismatch,
-    SingularConstantTerm,
-    UnknownVariable,
-)
+from .errors import SingularConstantTerm
 
 
-@dataclass(frozen=True)
-class JetShape:
-    """Ordered variable names with per-variable truncation orders."""
-
-    variables: tuple[str, ...]
-    caps: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.variables) != len(self.caps):
-            raise ShapeMismatch("one cap per variable required")
-        if len(self.variables) == 0:
-            raise ShapeMismatch("a jet needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
-            raise ShapeMismatch(f"duplicate variable names in {self.variables}")
-        for v, c in zip(self.variables, self.caps):
-            if not isinstance(c, int) or c < 0:
-                raise CapTooSmall(f"cap for {v!r} must be a non-negative int, got {c!r}")
-
-    # cached: every MultiJet construction checks its array against ncoeff
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c + 1 for c in self.caps)
-
-    @cached_property
-    def ncoeff(self) -> int:
-        return math.prod(self.dims)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.caps)
-
-    def axis(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise UnknownVariable(f"{name!r} not in {self.variables}") from None
-
-    def flat_index(self, orders: tuple[int, ...]) -> int:
-        idx = 0
-        for o, d, v, c in zip(orders, self.dims, self.variables, self.caps):
-            if not 0 <= o <= c:
-                raise IndexOutOfCaps(f"order {o} for {v!r} exceeds cap {c}")
-            idx = idx * d + o
-        return idx
+@cache
+def _plan(cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every coefficient pair (ia, ib) of a truncated product, output order k
+    by order k with ia ascending, and where each k's run starts, so one
+    reduceat performs the whole product."""
+    ia = np.array([i for k in range(cap + 1) for i in range(k + 1)])
+    ib = np.array([k - i for k in range(cap + 1) for i in range(k + 1)])
+    bounds = np.array([k * (k + 1) // 2 for k in range(cap + 1)])
+    return ia, ib, bounds
 
 
-# Convolution plans, keyed by caps. A plan lists every coefficient pair
-# (ia, ib) whose product lands inside the truncation, pre-sorted by the
-# output index so one reduceat performs the whole truncated product.
-_PLANS: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _conv_plan(caps: tuple[int, ...]):
-    plan = _PLANS.get(caps)
-    if plan is not None:
-        return plan
-    dims = tuple(c + 1 for c in caps)
-    strides = []
-    s = 1
-    for d in reversed(dims):
-        strides.append(s)
-        s *= d
-    strides.reverse()
-
-    ia = np.zeros(1, dtype=np.int64)
-    ib = np.zeros(1, dtype=np.int64)
-    iout = np.zeros(1, dtype=np.int64)
-    for cap, stride in zip(caps, strides):
-        i, j = np.meshgrid(np.arange(cap + 1), np.arange(cap + 1), indexing="ij")
-        keep = (i + j) <= cap
-        di, dj = i[keep] * stride, j[keep] * stride
-        ia = (ia[:, None] + di[None, :]).ravel()
-        ib = (ib[:, None] + dj[None, :]).ravel()
-        iout = (iout[:, None] + (di + dj)[None, :]).ravel()
-    order = np.argsort(iout, kind="stable")
-    ia, ib, iout = ia[order], ib[order], iout[order]
-    bounds = np.searchsorted(iout, np.arange(math.prod(dims)))
-    plan = (ia, ib, bounds)
-    _PLANS[caps] = plan
-    return plan
-
-
-def _mul_flat(a: np.ndarray, b: np.ndarray, caps: tuple[int, ...]) -> np.ndarray:
-    ia, ib, bounds = _conv_plan(caps)
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ia, ib, bounds = _plan(a.shape[1] - 1)
     prod = a[:, ia] * b[:, ib]
     return np.add.reduceat(prod, bounds, axis=1)
 
 
-class MultiJet:
-    """Dense complex Taylor coefficients on a JetShape, optional batch axis."""
+class Series:
+    """Coefficients c_0..c_cap of a truncated series, one row per batch point."""
 
-    __slots__ = ("shape", "_flat")
+    __slots__ = ("c",)
 
-    def __init__(self, shape: JetShape, flat: np.ndarray):
-        if flat.ndim != 2 or flat.shape[1] != shape.ncoeff:
-            raise ShapeMismatch(
-                f"coefficient array {flat.shape} does not match shape with {shape.ncoeff} coefficients"
-            )
-        self.shape = shape
-        self._flat = flat
+    # numpy defers to the reflected operators, so `array - series` and
+    # `array * series` reach __rsub__ / __rmul__ instead of broadcasting
+    __array_ufunc__ = None
 
-    # -- constructors ------------------------------------------------------
+    def __init__(self, c: np.ndarray):
+        self.c = c
 
     @classmethod
-    def constant(cls, shape: JetShape, value) -> "MultiJet":
+    def constant(cls, value, cap: int) -> "Series":
+        """A constant: one number, or one per batch point."""
         vals = np.atleast_1d(np.asarray(value, dtype=np.complex128)).ravel()
-        flat = np.zeros((vals.size, shape.ncoeff), dtype=np.complex128)
-        flat[:, 0] = vals
-        return cls(shape, flat)
+        c = np.zeros((vals.size, cap + 1), dtype=np.complex128)
+        c[:, 0] = vals
+        return cls(c)
 
     @classmethod
-    def variable(cls, shape: JetShape, name: str) -> "MultiJet":
-        ax = shape.axis(name)
-        if shape.caps[ax] < 1:
-            raise CapTooSmall(f"variable {name!r} has cap {shape.caps[ax]}, needs >= 1")
-        orders = tuple(1 if i == ax else 0 for i in range(len(shape.caps)))
-        flat = np.zeros((1, shape.ncoeff), dtype=np.complex128)
-        flat[0, shape.flat_index(orders)] = 1.0
-        return cls(shape, flat)
-
-    # -- basic queries -----------------------------------------------------
+    def variable(cls, cap: int) -> "Series":
+        """The series variable itself."""
+        c = np.zeros((1, cap + 1), dtype=np.complex128)
+        c[0, 1] = 1.0
+        return cls(c)
 
     @property
-    def batch(self) -> int:
-        return self._flat.shape[0]
+    def cap(self) -> int:
+        return self.c.shape[1] - 1
 
-    @property
-    def array(self) -> np.ndarray:
-        """Coefficients as a multi-index array (batch axis first if batched)."""
-        dims = self.shape.dims
-        if self.batch == 1:
-            return self._flat.reshape(dims).copy()
-        return self._flat.reshape((self.batch,) + dims).copy()
+    def take(self, idx) -> "Series":
+        """The series at the batch points `idx` (an index array)."""
+        return Series(self.c[idx])
 
-    def take(self, idx) -> "MultiJet":
-        """The jet at the batch points `idx` (an index array)."""
-        return MultiJet(self.shape, self._flat[idx])
-
-    def extract(self, orders) -> complex | np.ndarray:
-        """Value of the mixed partial derivative of the given orders at 0.
-
-        `orders` is a tuple matching the variable order, or a dict keyed by
-        variable name (missing names mean order 0). The stored coefficient
-        is multiplied by the factorials of the orders.
-        """
-        if isinstance(orders, dict):
-            unknown = set(orders) - set(self.shape.variables)
-            if unknown:
-                raise UnknownVariable(f"{sorted(unknown)} not in {self.shape.variables}")
-            orders = tuple(orders.get(v, 0) for v in self.shape.variables)
-        orders = tuple(int(o) for o in orders)
-        if len(orders) != len(self.shape.caps):
-            raise IndexOutOfCaps(f"need {len(self.shape.caps)} orders, got {len(orders)}")
-        fac = math.prod(math.factorial(o) for o in orders)
-        col = self._flat[:, self.shape.flat_index(orders)] * fac
-        if self.batch == 1:
-            return complex(col[0])
-        return col
+    def derivative(self, k: int) -> np.ndarray:
+        """The k-th derivative at 0, k! c_k, of every batch point."""
+        return self.c[:, k] * math.factorial(k)
 
     # -- ring operations ---------------------------------------------------
 
-    # numpy defers to the reflected jet operators, so `array - jet` and
-    # `array * jet` reach __rsub__ / __rmul__ instead of broadcasting
-    __array_ufunc__ = None
-
-    def _point_values(self, other):
-        """A 1-D array of one value per batch point as an (n, 1) column, else None."""
-        if not isinstance(other, np.ndarray):
-            return None
-        if other.ndim != 1 or self.batch not in (1, other.shape[0]):
-            raise ShapeMismatch(f"per-point values {other.shape} do not match batch {self.batch}")
-        return other[:, None]
-
-    def _coerce(self, other):
-        if isinstance(other, MultiJet):
-            if other.shape != self.shape:
-                raise ShapeMismatch(f"jet shapes differ: {self.shape} vs {other.shape}")
-            return other
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-            return MultiJet.constant(self.shape, other)
-        if self._point_values(other) is not None:
-            return MultiJet.constant(self.shape, other)
-        return None
+    def _lift(self, other) -> np.ndarray:
+        """`other` as coefficients: a series, or a constant (one number, or one
+        per batch point). A constant is a whole zero-padded row, so every
+        coefficient goes through the same addition whatever the operand."""
+        return other.c if isinstance(other, Series) else Series.constant(other, self.cap).c
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return MultiJet(self.shape, self._flat + o._flat)
+        return Series(self.c + self._lift(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return MultiJet(self.shape, self._flat - o._flat)
+        return Series(self.c - self._lift(other))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return MultiJet(self.shape, o._flat - self._flat)
-
-    def __neg__(self):
-        return MultiJet(self.shape, -self._flat)
+        return Series(self._lift(other) - self.c)
 
     def __mul__(self, other):
-        if isinstance(other, MultiJet):
-            if other.shape != self.shape:
-                raise ShapeMismatch(f"jet shapes differ: {self.shape} vs {other.shape}")
-            return MultiJet(self.shape, _mul_flat(self._flat, other._flat, self.shape.caps))
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-            return MultiJet(self.shape, self._flat * other)
-        col = self._point_values(other)
-        if col is not None:
-            return MultiJet(self.shape, self._flat * col)
-        return NotImplemented
+        if isinstance(other, Series):
+            return Series(_mul(self.c, other.c))
+        if isinstance(other, np.ndarray):
+            return Series(self.c * other[:, None])
+        return Series(self.c * other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, MultiJet):
-            return self * other.recip()
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-            return MultiJet(self.shape, self._flat / other)
-        col = self._point_values(other)
-        if col is not None:
-            return MultiJet(self.shape, self._flat / col)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            return NotImplemented
-        out = MultiJet.constant(self.shape, 1.0)
-        base = self
-        k = int(n)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     # -- analytic maps -----------------------------------------------------
 
     def _split(self):
-        c = self._flat[:, :1].copy()
-        n = self._flat.copy()
+        """The constant terms as a (batch, 1) column, and the rest with c_0 = 0."""
+        n = self.c.copy()
         n[:, 0] = 0.0
-        return c, n
+        return self.c[:, :1], n
 
-    def exp(self) -> "MultiJet":
-        """exp of the jet: exp(constant) times the nilpotent exponential series."""
-        c, n = self._split()
-        out = np.zeros_like(self._flat)
+    def _one(self) -> np.ndarray:
+        out = np.zeros_like(self.c)
         out[:, 0] = 1.0
+        return out
+
+    def exp(self) -> "Series":
+        """exp(c_0) times the exponential series of the rest."""
+        c, n = self._split()
+        out = self._one()
         term = out.copy()
-        for k in range(1, self.shape.total_degree + 1):
-            term = _mul_flat(term, n, self.shape.caps) / k
+        for k in range(1, self.cap + 1):
+            term = _mul(term, n) / k
             if not term.any():
                 break
             out = out + term
-        return MultiJet(self.shape, out * np.exp(c))
+        return Series(out * np.exp(c))
 
-    def recip(self) -> "MultiJet":
-        """1 / jet via the geometric series in the nilpotent part."""
+    def recip(self) -> "Series":
+        """1 / series via the geometric series in the rest over c_0."""
         c, n = self._split()
         if np.any(np.abs(c) == 0.0):
-            raise SingularConstantTerm("cannot invert a jet with zero constant term")
+            raise SingularConstantTerm("cannot invert a series with zero constant term")
         u = n / c
-        out = np.zeros_like(self._flat)
-        out[:, 0] = 1.0
+        out = self._one()
         term = out.copy()
-        for k in range(1, self.shape.total_degree + 1):
-            term = -_mul_flat(term, u, self.shape.caps)
+        for k in range(1, self.cap + 1):
+            term = -_mul(term, u)
             if not term.any():
                 break
             out = out + term
-        return MultiJet(self.shape, out / c)
+        return Series(out / c)
 
-    def sqrt(self) -> "MultiJet":
-        """Principal square root via the binomial series in the nilpotent part."""
+    def sqrt(self) -> "Series":
+        """Principal square root via the binomial series in the rest over c_0."""
         c, n = self._split()
         if np.any(np.abs(c) == 0.0):
-            raise SingularConstantTerm("cannot take sqrt of a jet with zero constant term")
+            raise SingularConstantTerm("cannot take sqrt of a series with zero constant term")
         u = n / c
-        out = np.zeros_like(self._flat)
-        out[:, 0] = 1.0
+        out = self._one()
         term = out.copy()
         coef = 1.0
-        for k in range(1, self.shape.total_degree + 1):
+        for k in range(1, self.cap + 1):
             coef *= (0.5 - (k - 1)) / k
-            term = _mul_flat(term, u, self.shape.caps)
+            term = _mul(term, u)
             if not term.any():
                 break
             out = out + coef * term
-        return MultiJet(self.shape, out * np.sqrt(c))
-
-    def __repr__(self):
-        return f"MultiJet(shape={self.shape}, batch={self.batch})"
+        return Series(out * np.sqrt(c))
 
 
 def _hermite_terms(a, d, n_max: int) -> list:
@@ -358,8 +189,8 @@ def gaussian_tt_coefficient(m: int, pref, a, b, c, d, e):
     Expanding exp(c t tau) and pairing each power with the matching
     Hermite-type terms in t and tau gives
     sum_{k <= m} c^k / k! * H_{a,d}(m - k) * H_{b,e}(m - k). The arguments
-    may be jets in some other variable (or plain numbers); the result is of
-    the same kind. The sum over k runs in Horner form in c.
+    may be series in some other variable (or plain numbers); the result is
+    of the same kind. The sum over k runs in Horner form in c.
     """
     ht = _hermite_terms(a, d, m)
     hs = _hermite_terms(b, e, m)

@@ -3,8 +3,8 @@
 The generating kernel is Gaussian in the photon-addition variables t and
 tau; its [t^m tau^m] coefficient is read off in closed form
 (`jets.gaussian_tt_coefficient`) with every kernel coefficient a univariate
-jet in the moment variable x (cap 4). <n_b^w> for w up to 4 is then the
-x^w coefficient of that one jet. These moments feed every quantum Fisher
+series in the moment variable x (cap 4). <n_b^w> for w up to 4 is then the
+x^w coefficient of that one series. These moments feed every quantum Fisher
 information bound downstream.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateDenominator, ParamOutOfRange
-from .jets import JetShape, MultiJet, gaussian_tt_coefficient
+from .jets import Series, gaussian_tt_coefficient
 from .states import ProbeParams, _pasvs_norm_unchecked
 
 RESIDUE_TOL = 1e-9
@@ -35,15 +35,14 @@ class MomentSet:
     var_n2: float
 
 
-def _moment_kernel(p: ProbeParams) -> MultiJet:
-    """Generating function of <n_b^w> (times the state norm) as a jet in x, cap 4.
+def _moment_kernel(p: ProbeParams) -> Series:
+    """Generating function of <n_b^w> (times the state norm) as a series in x, cap 4.
 
     The kernel is pref * exp(A t^2 + B tau^2 + C t tau + D t + E tau); its
     [t^m tau^m] coefficient comes from `gaussian_tt_coefficient`, and the
     coefficient of x^w / w! is then the unnormalized w-th moment.
     """
-    shape = JetShape(("x",), (4,))
-    x = MultiJet.variable(shape, "x")
+    x = Series.variable(4)
     th = math.tanh(p.r)
     a = p.alpha
 
@@ -51,7 +50,7 @@ def _moment_kernel(p: ProbeParams) -> MultiJet:
     s = (ex - 1.0) * 0.5
     sp1 = s + 1.0
     m0 = 1.0 - (sp1 * sp1) * th**2
-    m0c = m0.extract((0,))
+    m0c = m0.derivative(0)[0]
     if abs(m0c) < 1e-9:
         raise DegenerateDenominator(f"moment kernel denominator {abs(m0c):.3e} at x = 0")
     inv_m0 = m0.recip()
@@ -68,8 +67,8 @@ def _moment_kernel(p: ProbeParams) -> MultiJet:
     return coeff * float(math.factorial(p.m) ** 2)
 
 
-def _moment_from(kernel: MultiJet, w: int, norm: float) -> float:
-    raw = kernel.extract((w,))
+def _moment_from(kernel: Series, w: int, norm: float) -> float:
+    raw = complex(kernel.derivative(w)[0])
     scale = max(1.0, abs(raw.real))
     if abs(raw.imag) > RESIDUE_TOL * scale:
         raise ConsistencyError(f"moment w={w}: imaginary residue {raw.imag:.3e}")

@@ -3,8 +3,8 @@
 The parity expectation of the probe arm after the second splitter is the
 [t^m tau^m] coefficient of a kernel that is Gaussian in t and tau. It is
 read off in closed form (`jets.gaussian_tt_coefficient`) with every kernel
-coefficient carried as a univariate phase jet, so the value, slope, and
-curvature come out of one evaluation. From those: classical Fisher
+coefficient carried as a truncated power series in the phase, so the value,
+slope, and curvature come out of one evaluation. From those: classical Fisher
 information, the phase sensitivity, and a deterministic optimal-phase
 search. The search scans a fixed phase window in two passes: every s-th
 point of a 1001-point grid, with the stride s set by the probe's photon
@@ -16,7 +16,7 @@ search on that slope rather than by comparing sensitivities.
 
 There is one kernel, and it evaluates many points in a single call, each
 point with its own photon-addition order m, alpha, r, loss and phase: the
-phase jets are built once for the whole call, and the closed-form sum runs
+phase series are built once for the whole call, and the closed-form sum runs
 once per distinct m on that m's points. A sweep hands it its fixed-phase
 rows of one m at once (`parity_signals`), and runs the optimal-phase
 searches of all its rows, whatever their m, in lockstep (`optimal_phases`),
@@ -44,7 +44,7 @@ from .errors import (
     DegenerateSignal,
     ParamOutOfRange,
 )
-from .jets import JetShape, MultiJet, gaussian_tt_coefficient
+from .jets import Series, gaussian_tt_coefficient
 from .states import ProbeParams, _pasvs_norm_unchecked
 
 # imaginary residue allowed on physically real outputs
@@ -55,7 +55,8 @@ DENOM_TOL = 1e-9
 # most phase points per kernel call; bigger batches are split
 MAX_POINTS = 1 << 15
 
-_PHASE = JetShape(("phi",), (2,))
+# order of the phase series: value, slope and curvature
+_PHASE_CAP = 2
 # optimal-phase window scan
 _GRID = np.linspace(1e-4, 1.5, 1001)
 # its coarse pass takes every s-th grid point, s = floor(1 / (N GRID_STEP)) in
@@ -67,21 +68,6 @@ MAX_STRIDE = 10
 # or after MAX_STEPS kernel calls
 BRACKET_TOL = 1e-13
 MAX_STEPS = 60
-
-
-@dataclass(frozen=True)
-class LossCoefficients:
-    """Quadrature mixing coefficients of the lossy interferometer kernel.
-
-    x1 + x2 == loss - 2 exactly; x3_conj mirrors x3 with the imaginary
-    constant negated (the phase variable is real, so this is its complex
-    conjugate at every jet order).
-    """
-
-    x1: object
-    x2: object
-    x3: object
-    x3_conj: object
 
 
 @dataclass(frozen=True)
@@ -99,29 +85,19 @@ def _loss_scalars(loss: float) -> tuple:
     return math.sqrt(1.0 - loss), (loss - 2.0) / 2.0, 0.5j * loss, -0.5j * loss
 
 
-def _mix(phi, root, base, half, half_conj) -> LossCoefficients:
-    if isinstance(phi, MultiJet):
-        eplus = (phi * 1j).exp()
-        eminus = (phi * (-1j)).exp()
-        cos_phi = (eplus + eminus) * 0.5
-        sin_phi = (eplus - eminus) * (-0.5j)
-    else:
-        cos_phi = math.cos(phi)
-        sin_phi = math.sin(phi)
-    x1 = base + root * cos_phi
-    x2 = base - root * cos_phi
-    x3 = half - root * sin_phi
-    x3c = half_conj - root * sin_phi
-    return LossCoefficients(x1, x2, x3, x3c)
+def _mix(phi: Series, root, base, half, half_conj) -> tuple[Series, Series, Series, Series]:
+    """Quadrature mixing coefficients x1, x2, x3, x3* of the lossy kernel at
+    the phase series `phi`.
 
-
-def loss_coefficients(phi, loss: float) -> LossCoefficients:
-    """Kernel coefficients at transmission 1 - loss.
-
-    `phi` may be a float (plain complex results) or a jet carrying the phase
-    variable (jet-valued results).
+    x1 + x2 = loss - 2, to rounding, in the constant term; x3* mirrors x3
+    with the imaginary constant negated (the phase variable is real, so this
+    is its complex conjugate at every order).
     """
-    return _mix(phi, *_loss_scalars(loss))
+    eplus = (phi * 1j).exp()
+    eminus = (phi * (-1j)).exp()
+    cos_phi = (eplus + eminus) * 0.5
+    sin_phi = (eplus - eminus) * (-0.5j)
+    return base + root * cos_phi, base - root * cos_phi, half - root * sin_phi, half_conj - root * sin_phi
 
 
 class _Consts(NamedTuple):
@@ -168,18 +144,18 @@ def _kernel(phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
     `phi` and every field of `c` hold one entry per point, the order m
     included. The kernel is Gaussian in the photon-addition variables t and
     tau; its [t^m tau^m] coefficient comes from the closed-form sum in
-    `gaussian_tt_coefficient`, with every coefficient a univariate phase jet
-    (cap 2) whose batch axis runs over the points. The jets are built once
-    for all points; the sum runs once per distinct m, on that m's points. A
+    `gaussian_tt_coefficient`, with every coefficient a phase series (cap 2)
+    whose batch axis runs over the points. The series are built once for all
+    points; the sum runs once per distinct m, on that m's points. A
     point whose denominator constant term falls below DENOM_TOL is left out
     of the evaluation, NaN in the result, and flagged in the returned mask.
     """
-    phi_jet = MultiJet.constant(_PHASE, phi) + MultiJet.variable(_PHASE, "phi")
-    lc = _mix(phi_jet, c.root, c.base, c.half, c.half_conj)
+    phi_series = Series.constant(phi, _PHASE_CAP) + Series.variable(_PHASE_CAP)
+    x1, x2, x3, x3c = _mix(phi_series, c.root, c.base, c.half, c.half_conj)
 
-    hot = 1 + lc.x2  # appears everywhere the probe quadrature survives
+    hot = 1 + x2  # appears everywhere the probe quadrature survives
     abar = 1 - (hot * hot) * c.th2
-    degenerate = np.abs(np.atleast_1d(abar.extract((0,)))) < DENOM_TOL
+    degenerate = np.abs(abar.derivative(0)) < DENOM_TOL
     if degenerate.any():
         out = np.full((3, phi.size), np.nan)
         keep = ~degenerate
@@ -188,25 +164,25 @@ def _kernel(phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
         return out, degenerate
     inv_abar = abar.recip()
 
-    x3sq = lc.x3 * lc.x3 + lc.x3_conj * lc.x3_conj
-    a1 = lc.x1 + (hot * (lc.x3 * lc.x3_conj)) * inv_abar * c.th2 - x3sq * inv_abar * c.half_th
+    x3sq = x3 * x3 + x3c * x3c
+    a1 = x1 + (hot * (x3 * x3c)) * inv_abar * c.th2 - x3sq * inv_abar * c.half_th
     # exponent (a2 + alpha a3) / abar, with
     # a2 = hot t tau - hot^2 (t^2 + tau^2) th / 2 and
     # a3 = (x3* - hot x3 th) t + (x3 - hot x3* th) tau
     quad = (hot * hot) * inv_abar * c.neg_half_th
     cross = hot * inv_abar
-    lin_t = (lc.x3_conj - (hot * lc.x3) * c.th) * inv_abar * c.alpha
-    lin_tau = (lc.x3 - (hot * lc.x3_conj) * c.th) * inv_abar * c.alpha
+    lin_t = (x3c - (hot * x3) * c.th) * inv_abar * c.alpha
+    lin_tau = (x3 - (hot * x3c) * c.th) * inv_abar * c.alpha
 
     pref = (a1 * c.alpha2).exp() * abar.sqrt().recip() * c.norm
     raw = np.empty((3, phi.size), dtype=complex)
     # the distinct orders, by bincount: np.unique would import numpy.ma (1.7 MB)
     for m in np.flatnonzero(np.bincount(c.m)).tolist():
         at = np.flatnonzero(c.m == m)
-        p, q, x, lt, ltau = (jet.take(at) for jet in (pref, quad, cross, lin_t, lin_tau))
+        p, q, x, lt, ltau = (s.take(at) for s in (pref, quad, cross, lin_t, lin_tau))
         kernel = gaussian_tt_coefficient(m, p, q, q, x, lt, ltau) * float(math.factorial(m) ** 2)
         for order in (0, 1, 2):
-            raw[order, at] = kernel.extract((order,))
+            raw[order, at] = kernel.derivative(order)
 
     out = raw.real.copy()
     scale = np.maximum(1.0, np.abs(out))

@@ -95,7 +95,8 @@ def _conjugated_blocks(cutoff: int) -> list:
 
 
 def apply_bs_reference(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray:
-    """Splitter on one (d, d) grid, one sector at a time."""
+    """Splitter on one (d, d) grid, or a (d, d, k) stack of k grids, one
+    sector at a time."""
     out = arr.copy()
     blocks = _conjugated_blocks(cutoff) if second else map(bs_block_reference, range(cutoff + 1))
     for total, u in enumerate(blocks):
@@ -223,9 +224,9 @@ def parity_signal_reference(p: ProbeParams, cutoff: int | None = None) -> tuple[
     f = d1 = d2 = 0.0
     for u in lossy.branches:
         v0 = u * np.exp(1j * p.phi * n)
-        w0 = apply_bs_reference(v0, nc, second=True)
-        w1 = apply_bs_reference(1j * n * v0, nc, second=True)
-        w2 = apply_bs_reference(-(n * n) * v0, nc, second=True)
+        # value, slope and curvature grids side by side: one (k, 3) product per sector
+        stack = np.stack([v0, 1j * n * v0, -(n * n) * v0], axis=-1)
+        w0, w1, w2 = np.moveaxis(apply_bs_reference(stack, nc, second=True), -1, 0)
         pw0 = signs * w0
         f += float(np.sum((pw0.conj() * w0).real))
         d1 += 2.0 * float(np.sum((pw0.conj() * w1).real))

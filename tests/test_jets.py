@@ -1,4 +1,5 @@
-"""Jet arithmetic against a brute-force polynomial model, plus ring laws."""
+"""Series and reference-jet arithmetic against a brute-force polynomial
+model, the series against the one-variable reference jet, plus ring laws."""
 
 import math
 
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzphase.errors import (
+from jet_reference import (
     CapTooSmall,
     IndexOutOfCaps,
+    JetShape,
+    MultiJet,
     ShapeMismatch,
-    SingularConstantTerm,
     UnknownVariable,
+    _conv_plan,
 )
-from mzphase.jets import JetShape, MultiJet, gaussian_tt_coefficient
+
+from mzphase.errors import SingularConstantTerm
+from mzphase.jets import Series, _plan, gaussian_tt_coefficient
 
 
 def random_int_jet(shape, rng, lo=-4, hi=5):
@@ -38,16 +43,57 @@ def poly_mul_truncated(a, b, caps):
     return out
 
 
-@pytest.mark.parametrize("caps", [(3,), (2, 2), (3, 1, 2)])
+@pytest.mark.parametrize("caps", [(3,), (2, 2), (3, 1, 2), (2,), (4,)])
 def test_product_matches_bruteforce(caps):
+    # in one variable the series takes the reference jet's product plan
     rng = np.random.default_rng(12345)
     shape = JetShape(tuple(f"v{i}" for i in range(len(caps))), caps)
+    if len(caps) == 1:
+        for got, want in zip(_plan(caps[0]), _conv_plan(caps)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
     for _ in range(5):
         a = random_int_jet(shape, rng)
         b = random_int_jet(shape, rng)
         want = poly_mul_truncated(a.array, b.array, caps)
         got = (a * b).array
         assert np.array_equal(got, want)
+        if len(caps) == 1:
+            assert np.array_equal((Series(a._flat) * Series(b._flat)).c[0], want)
+
+
+def _series_and_jet(rng, cap, batch):
+    """A random series, constant terms away from 0, and the same numbers as a
+    one-variable reference jet."""
+    c = rng.normal(size=(batch, cap + 1)) + 1j * rng.normal(size=(batch, cap + 1))
+    c[:, 0] += 2.0
+    return Series(c), MultiJet(JetShape(("x",), (cap,)), c.copy())
+
+
+@pytest.mark.parametrize("cap", [2, 4])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_series_equals_one_variable_jet(cap, batch):
+    rng = np.random.default_rng(10 * cap + batch)
+    (a, ja), (b, jb) = _series_and_jet(rng, cap, batch), _series_and_jet(rng, cap, batch)
+    w = rng.normal(size=batch)
+    ops = {
+        "product": lambda x, y: x * y,
+        "batch-1 product": lambda x, y: x.take([0]) * y,
+        "exp": lambda x, y: x.exp(),
+        "recip": lambda x, y: x.recip(),
+        "sqrt": lambda x, y: x.sqrt(),
+        "sum": lambda x, y: x + y - x.take([0]),
+        "scalars": lambda x, y: 1 - ((x + 0.5) * 2.0 - 1j) * 0.25 + (0.3 - 0.1j) - 2.0 * x,
+        "per point": lambda x, y: w - (x + w) * w - 1j * w + w * y - (y - w),
+    }
+    for name, op in ops.items():
+        got, want = op(a, b), op(ja, jb)
+        assert np.array_equal(got.c, want._flat), name
+        for k in range(cap + 1):
+            assert np.array_equal(got.derivative(k), np.atleast_1d(want.extract((k,)))), (name, k)
+    shape = JetShape(("x",), (cap,))
+    got = Series.constant(w, cap) + Series.variable(cap)
+    want = MultiJet.constant(shape, w) + MultiJet.variable(shape, "x")
+    assert np.array_equal(got.c, want._flat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,6 +226,10 @@ def test_error_taxonomy():
         MultiJet.variable(other, "t").recip()
     with pytest.raises(SingularConstantTerm):
         MultiJet.variable(other, "t").sqrt()
+    with pytest.raises(SingularConstantTerm):
+        Series.variable(2).recip()
+    with pytest.raises(SingularConstantTerm):
+        Series.variable(2).sqrt()
     with pytest.raises(IndexOutOfCaps):
         MultiJet.variable(other, "t").extract((3,))
     with pytest.raises(UnknownVariable):
@@ -200,11 +250,9 @@ def test_gaussian_tt_coefficient_matches_full_jet(m):
 
 
 def test_gaussian_tt_coefficient_on_batched_jets():
-    # coefficients that are jets in another variable give a jet of the same kind
-    shape = JetShape(("x",), (2,))
-    x = MultiJet.variable(shape, "x")
-    base = MultiJet.constant(shape, np.array([0.1, 0.2, 0.3])) + x
+    # coefficients that are series in another variable give a series
+    base = Series.constant(np.array([0.1, 0.2, 0.3]), 2) + Series.variable(2)
     got = gaussian_tt_coefficient(2, base.exp(), base * 0.5, base * -0.3, base, base * 1j, base * 2.0)
     for i, x0 in enumerate((0.1, 0.2, 0.3)):
         want = gaussian_tt_coefficient(2, math.exp(x0), x0 * 0.5, x0 * -0.3, x0, x0 * 1j, x0 * 2.0)
-        assert abs(got.extract((0,))[i] - want) <= 1e-14 * max(1.0, abs(want))
+        assert abs(got.derivative(0)[i] - want) <= 1e-14 * max(1.0, abs(want))

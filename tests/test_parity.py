@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from mzphase.errors import DegenerateSignal
-from mzphase.jets import JetShape, MultiJet
+from mzphase.jets import Series
 from mzphase.parity import (
+    _loss_scalars,
+    _mix,
     classical_fisher,
-    loss_coefficients,
     optimal_phase,
     parity_expectation,
     phase_sensitivity,
@@ -18,26 +19,27 @@ from mzphase.states import ProbeParams
 from oracle_reference import parity_expectation_oracle
 
 
+def _loss_coefficients(phis, loss):
+    return _mix(Series.constant(np.array(phis), 2) + Series.variable(2), *_loss_scalars(loss))
+
+
 def test_loss_coefficient_sum_rule_float():
+    # on the constant terms of the phase series
     for loss in (0.0, 0.1, 0.5, 0.9):
-        for phi in (0.0, 0.4, 1.2):
-            lc = loss_coefficients(phi, loss)
-            assert lc.x1 + lc.x2 == loss - 2.0
-            assert lc.x3_conj == lc.x3.conjugate()
+        x1, x2, x3, x3c = _loss_coefficients([0.0, 0.4, 1.2], loss)
+        assert np.all(x1.c[:, 0] + x2.c[:, 0] == loss - 2.0)
+        assert np.array_equal(x3c.c[:, 0], x3.c[:, 0].conjugate())
 
 
 def test_loss_coefficient_jet_matches_float():
-    shape = JetShape(("phi",), (2,))
-    phi0 = 0.37
-    phi_jet = MultiJet.constant(shape, phi0) + MultiJet.variable(shape, "phi")
-    lc_jet = loss_coefficients(phi_jet, 0.25)
-    lc_num = loss_coefficients(phi0, 0.25)
-    for name in ("x1", "x2", "x3", "x3_conj"):
-        jet_val = getattr(lc_jet, name).extract((0,))
-        assert abs(jet_val - getattr(lc_num, name)) <= 1e-14
+    phi0, loss = 0.37, 0.25
+    root, cos, sin = math.sqrt(1 - loss), math.cos(phi0), math.sin(phi0)
+    want = ((loss - 2) / 2 + root * cos, (loss - 2) / 2 - root * cos, 0.5j * loss - root * sin, -0.5j * loss - root * sin)
+    series = _loss_coefficients([phi0], loss)
+    for got, num in zip(series, want):
+        assert abs(got.derivative(0)[0] - num) <= 1e-14
     # slope of x1 is -sqrt(1-l) sin(phi0)
-    want = -math.sqrt(0.75) * math.sin(phi0)
-    assert abs(lc_jet.x1.extract((1,)) - want) <= 1e-13
+    assert abs(series[0].derivative(1)[0] - -root * sin) <= 1e-13
 
 
 @pytest.mark.parametrize("m", range(6))
