@@ -13,6 +13,7 @@ tests/oracle_reference.py (alpha, r, m and loss; phi 0.37):
 - `qfi_lossy_numeric_check`;
 - `kerr_cq_numeric` at the closed-form optimum `kerr_mu_opt`, or at
   (mu1, mu2) = (-0.5, -0.3) where its 2x2 system is singular;
+- `kerr_mu_opt_numeric`: the operator-level Kerr minimum (cq, mu1, mu2);
 - `moments`: `moments_oracle` for w = 1..4 (no loss, so per (alpha, r, m));
 - `cutoff`: `default_cutoff` at weights 0, 2 and 4 (per (alpha, r, m)).
 
@@ -45,11 +46,12 @@ def measure() -> dict:
     from mzphase.errors import SingularNormalEquations
     from mzphase.moments import moment_set
     from mzphase.oracle import default_cutoff, moments_oracle, parity_signal_oracle
-    from mzphase.qfi_kerr import kerr_cq_numeric, kerr_mu_opt
+    from mzphase.qfi_kerr import kerr_cq_numeric, kerr_mu_opt, kerr_mu_opt_numeric
     from mzphase.qfi_linear import qfi_lossy_numeric_check
     from mzphase.states import ProbeParams
 
-    out: dict = {q: {} for q in ("parity", "qfi_lossy_numeric_check", "kerr_cq_numeric", "moments", "cutoff")}
+    quantities = ("parity", "qfi_lossy_numeric_check", "kerr_cq_numeric", "kerr_mu_opt_numeric", "moments", "cutoff")
+    out: dict = {q: {} for q in quantities}
     for alpha, r, m in itertools.product(GRID_ALPHA, GRID_R, GRID_M):
         p = ProbeParams(alpha=alpha, r=r, m=m)
         key = f"alpha={alpha} r={r} m={m}"
@@ -65,6 +67,7 @@ def measure() -> dict:
             except SingularNormalEquations:
                 mu = (-0.5, -0.3)
             out["kerr_cq_numeric"][at] = [kerr_cq_numeric(p, *mu)]
+            out["kerr_mu_opt_numeric"][at] = list(kerr_mu_opt_numeric(p))
     return out
 
 
@@ -114,6 +117,7 @@ def main(argv=None) -> int:
         "grid": {"alpha": GRID_ALPHA, "r": GRID_R, "m": GRID_M, "loss": GRID_LOSS, "phi": PHI},
         "index": {
             "parity": "value, first and second phase derivative",
+            "kerr_mu_opt_numeric": "cq, mu1, mu2",
             "moments": "w = 1, 2, 3, 4",
             "cutoff": "weight 0, 2, 4",
         },

@@ -30,8 +30,7 @@ full loss-branch grids, the phase and the second splitter) as the
 brute-force reference. `probe_marginal` keeps its last two marginals, so
 rows of a sweep that differ only in loss share one.
 
-Log-factorials come from one cached table of `math.lgamma` values; nothing
-here imports scipy.
+Log-factorials come from one cached table of `math.lgamma` values.
 """
 
 from __future__ import annotations

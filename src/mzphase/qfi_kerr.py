@@ -3,9 +3,10 @@
 Ideal: F_Q = 4 Var(n_b^2). Lossy: the purification bound C_Q is an upward
 quadratic in the two commutation parameters (mu1, mu2); its coefficients
 are polynomial in the first four photon-number moments through the
-factorial-moment cross sums below. The global minimizer solves a 2x2
-linear system; a bounded numeric search backs it up when that system is
-singular or indefinite.
+factorial-moment cross sums below. Its minimum is at the vertex, from a 2x2
+linear system; where that system is singular, at the least-norm vertex
+(flagged as a fallback). The operator-level check minimizes its own exact
+quadratic in (mu1, mu2) the same way: no search runs on either side.
 """
 
 from __future__ import annotations
@@ -105,25 +106,43 @@ def kerr_quadratic(ms: MomentSet, loss: float):
     return c0, b1, b2, a11, a12, a22
 
 
+def _vertex(mat: np.ndarray, rhs: np.ndarray) -> tuple[float, float, bool]:
+    """Minimizer (mu1, mu2) of mu.mat.mu / 2 - rhs.mu, and whether mat is singular.
+
+    mat (2x2, positive semidefinite up to rounding) counts as positive
+    definite when its smallest eigenvalue is above tol = 1e-12 * max(1,
+    largest) and |det| >= 1e-12 * max|entry|^2; then mat mu = rhs. Otherwise
+    mu is the least-norm minimizer, over the eigenvectors with eigenvalues
+    above tol.
+    """
+    eigs = np.linalg.eigvalsh(mat)
+    tol = 1e-12 * max(1.0, eigs[-1])
+    scale = float(np.max(np.abs(mat)))
+    det = float(np.linalg.det(mat))
+    if not (eigs[0] <= tol or abs(det) < 1e-12 * scale * scale):
+        mu = np.linalg.solve(mat, rhs)
+        return float(mu[0]), float(mu[1]), False
+    eigs, vecs = np.linalg.eigh(mat)
+    kept = eigs > tol
+    mu = vecs[:, kept] @ ((vecs[:, kept].T @ rhs) / eigs[kept])
+    return float(mu[0]), float(mu[1]), True
+
+
+def _kerr_vertex(ms: MomentSet, loss: float) -> tuple[float, float, bool]:
+    _, b1, b2, a11, a12, a22 = kerr_quadratic(ms, loss)
+    return _vertex(np.array([[2 * a11, a12], [a12, 2 * a22]]), -np.array([b1, b2]))
+
+
 def kerr_mu_opt(ms: MomentSet, loss: float) -> tuple[float, float]:
     """Global minimizer of the C_Q quadratic.
 
     Raises SingularNormalEquations when the quadratic form is not positive
     definite or its stationary system is singular.
     """
-    _, b1, b2, a11, a12, a22 = kerr_quadratic(ms, loss)
-    mat = np.array([[2 * a11, a12], [a12, 2 * a22]])
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-        raise SingularNormalEquations("quadratic form not positive definite")
-    scale = float(np.max(np.abs(mat)))
-    det = float(np.linalg.det(mat))
-    if scale <= 0 or abs(det) < 1e-12 * scale * scale:
-        raise SingularNormalEquations(
-            f"stationary system determinant {det:.3e} below tolerance"
-        )
-    mu = np.linalg.solve(mat, -np.array([b1, b2]))
-    return float(mu[0]), float(mu[1])
+    mu1, mu2, singular = _kerr_vertex(ms, loss)
+    if singular:
+        raise SingularNormalEquations("C_Q quadratic form is not positive definite")
+    return mu1, mu2
 
 
 def qfi_ideal_kerr(ms: MomentSet) -> QfiResult:
@@ -135,9 +154,8 @@ def qfi_ideal_kerr(ms: MomentSet) -> QfiResult:
 def qfi_lossy_kerr(ms: MomentSet, loss: float) -> QfiResult:
     """Purification-bound QFI for the quadratic phase under loss.
 
-    Prefers the closed-form optimum; falls back to a bounded grid +
-    simplex minimization (flagged) when the normal equations are singular
-    or the stationary point is not a minimum.
+    C_Q at the vertex of its quadratic, or at the least-norm vertex, flagged
+    as a fallback, where the quadratic form is singular.
     """
     if not 0 <= loss < 1:
         raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
@@ -145,27 +163,8 @@ def qfi_lossy_kerr(ms: MomentSet, loss: float) -> QfiResult:
         return qfi_ideal_kerr(ms)
     if ms.m1 <= 1e-14 and ms.var_n2 <= 1e-14:
         return QfiResult(0.0, math.inf, "lossy", degenerate=True)
-    try:
-        mu1, mu2 = kerr_mu_opt(ms, loss)
-    except SingularNormalEquations:
-        from scipy.optimize import minimize  # scipy loads only on this fallback
-
-        grid = np.linspace(-2.0, 1.0, 41)
-        best = (math.inf, 0.0, 0.0)
-        for u1 in grid:
-            for u2 in grid:
-                v = kerr_cq(ms, loss, float(u1), float(u2))
-                if v < best[0]:
-                    best = (v, float(u1), float(u2))
-        res = minimize(
-            lambda u: kerr_cq(ms, loss, u[0], u[1]),
-            x0=np.array(best[1:]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        val = min(best[0], float(res.fun))
-        return _result(val, "lossy", fallback=True)
-    return _result(kerr_cq(ms, loss, mu1, mu2), "lossy")
+    mu1, mu2, singular = _kerr_vertex(ms, loss)
+    return _result(kerr_cq(ms, loss, mu1, mu2), "lossy", fallback=singular)
 
 
 def kerr_cq_numeric(p: ProbeParams, mu1: float, mu2: float) -> float:
@@ -176,51 +175,22 @@ def kerr_cq_numeric(p: ProbeParams, mu1: float, mu2: float) -> float:
 
 
 def kerr_mu_opt_numeric(p: ProbeParams) -> tuple[float, float, float]:
-    """Bounded numeric minimum of the operator-level C_Q over (mu1, mu2).
+    """Minimum of the operator-level C_Q over (mu1, mu2), as (cq, mu1, mu2).
 
-    Returns (cq, mu1, mu2). Grid seed on [-2, 1]^2 then simplex polish;
-    deterministic.
+    With A = n^2, B = 2 n j and C = j^2 on the loss table's (surviving n,
+    lost j) entries, C_Q / 4 = Var_w(A - mu1 B - mu2 C) over its unnormalised
+    weights, as `cq_from_table` takes them. Its vertex solves
+    [[V_B, C_BC], [C_BC, V_C]] mu = [C_AB, C_AC] (`_vertex`; mu = 0 without
+    loss, where j = 0), and C_Q is evaluated there on the same table.
     """
-    from scipy.optimize import minimize
+    table = loss_weight_table(probe_marginal(p, weight=4), p.loss)
+    w, n, j = table.weight, table.survived, table.lost
+    a, b, c = n * n, 2.0 * n * j, j * j
 
-    marg = probe_marginal(p, weight=4)
-    table = loss_weight_table(marg, p.loss)
+    def cov(x, y):
+        return float(np.dot(w, x * y)) - float(np.dot(w, x)) * float(np.dot(w, y))
 
-    def value(u):
-        return cq_from_table(table, KrausFamily("kerr", p.loss, mu1=u[0], mu2=u[1]))
-
-    grid = np.linspace(-2.0, 1.0, 41)
-    best = (math.inf, 0.0, 0.0)
-    for u1 in grid:
-        for u2 in grid:
-            v = value((u1, u2))
-            if v < best[0]:
-                best = (v, float(u1), float(u2))
-    res = minimize(
-        value,
-        x0=np.array(best[1:]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-    )
-    if float(res.fun) < best[0]:
-        return float(res.fun), float(res.x[0]), float(res.x[1])
-    return best
-
-
-def kerr_gradient_check(p: ProbeParams, step: float = 1e-6) -> float:
-    """Max |finite-difference gradient| of operator C_Q at the closed-form
-    optimum, normalized by |C_Q|. Small values certify stationarity."""
-    from .moments import moment_set
-
-    ms = moment_set(p)
-    mu1, mu2 = kerr_mu_opt(ms, p.loss)
-    marg = probe_marginal(p, weight=4)
-    table = loss_weight_table(marg, p.loss)
-
-    def value(u1, u2):
-        return cq_from_table(table, KrausFamily("kerr", p.loss, mu1=u1, mu2=u2))
-
-    f0 = value(mu1, mu2)
-    g1 = (value(mu1 + step, mu2) - value(mu1 - step, mu2)) / (2 * step)
-    g2 = (value(mu1, mu2 + step) - value(mu1, mu2 - step)) / (2 * step)
-    return max(abs(g1), abs(g2)) / max(1.0, abs(f0))
+    v_bc = cov(b, c)
+    mat = np.array([[cov(b, b), v_bc], [v_bc, cov(c, c)]])
+    mu1, mu2, _ = _vertex(mat, np.array([cov(a, b), cov(a, c)]))
+    return cq_from_table(table, KrausFamily("kerr", p.loss, mu1=mu1, mu2=mu2)), mu1, mu2

@@ -26,8 +26,8 @@ class QfiResult:
     """A Fisher information value with its Cramer-Rao bound.
 
     regime is "ideal" or "lossy"; degenerate marks a probe with no photon
-    number spread at all (fq = 0, bound undefined); fallback marks values
-    from a numeric minimization rather than a closed form.
+    number spread at all (fq = 0, bound undefined); fallback marks a Kerr
+    value at the least-norm minimizer of a singular quadratic form.
     """
 
     fq: float

@@ -26,7 +26,8 @@ references of their array forms: the loss weight table, the photon-added
 squeezed-vacuum distribution, the corner clip by `fill_diagonal`, and the
 lossy linear bound found by a grid scan and a golden section; and the
 sector cutoff taken from distributions of the longest length the oracle
-builds.
+builds. `kerr_gradient_check` certifies that the closed-form Kerr optimum is
+a stationary point of the operator-level C_Q by central differences.
 """
 
 import math
@@ -37,6 +38,7 @@ import numpy as np
 
 from mzphase import oracle
 from mzphase.errors import CutoffTooSmall, ParamOutOfRange, UnitarityDrift
+from mzphase.moments import moment_set
 from mzphase.oracle import (
     SECTOR_TOL,
     FockGrid,
@@ -48,8 +50,10 @@ from mzphase.oracle import (
     build_input_state,
     cq_from_table,
     default_cutoff,
+    loss_weight_table,
     probe_marginal,
 )
+from mzphase.qfi_kerr import kerr_mu_opt
 from mzphase.states import ProbeParams, pasvs_norm
 
 # The equality grid of the loop-free oracle steps: 625 probes, with zero
@@ -106,6 +110,11 @@ def apply_bs_reference(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray
 
 
 # -- the explicit pipeline -------------------------------------------------------
+
+# Largest stack of branch grids `parity_signal_reference` passes to the
+# splitter at once; the splitter's copy and the grids the stack is built
+# from take about as much again each.
+_STACK_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -216,23 +225,32 @@ def parity_expectation_oracle(p: ProbeParams, cutoff: int | None = None) -> floa
 
 
 def parity_signal_reference(p: ProbeParams, cutoff: int | None = None) -> tuple[float, float, float]:
-    """Output parity and its two phase derivatives, one loss branch at a time."""
+    """Output parity and its two phase derivatives, one loss branch at a time.
+
+    The second splitter takes the value, slope and curvature grids of a chunk
+    of branches side by side, one (k, 3 * chunk) product per sector; the
+    chunk is capped so that its stack holds at most _STACK_BYTES. The sums
+    are accumulated branch by branch, in branch order."""
     nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
     lossy = apply_loss_channel(_prepared_after_first_splitter(p, nc), p.loss)
-    n = np.arange(nc + 1, dtype=float)[None, :]
-    signs = np.where(np.arange(nc + 1) % 2 == 0, 1.0, -1.0)[None, :]
+    d = nc + 1
+    n = np.arange(d, dtype=float)[None, :]
+    signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)[None, :]
+    chunk = max(1, _STACK_BYTES // (3 * 16 * d * d))
     f = d1 = d2 = 0.0
-    for u in lossy.branches:
-        v0 = u * np.exp(1j * p.phi * n)
-        # value, slope and curvature grids side by side: one (k, 3) product per sector
-        stack = np.stack([v0, 1j * n * v0, -(n * n) * v0], axis=-1)
-        w0, w1, w2 = np.moveaxis(apply_bs_reference(stack, nc, second=True), -1, 0)
-        pw0 = signs * w0
-        f += float(np.sum((pw0.conj() * w0).real))
-        d1 += 2.0 * float(np.sum((pw0.conj() * w1).real))
-        d2 += 2.0 * float(np.sum((pw0.conj() * w2).real)) + 2.0 * float(
-            np.sum((signs * w1.conj() * w1).real)
-        )
+    for start in range(0, len(lossy.branches), chunk):
+        v0 = np.stack(lossy.branches[start : start + chunk], axis=-1) * np.exp(1j * p.phi * n)[..., None]
+        # (d, d, branch, 3): each branch's value, slope and curvature side by side
+        stack = np.stack([v0, (1j * n)[..., None] * v0, (-(n * n))[..., None] * v0], axis=-1)
+        out = apply_bs_reference(stack.reshape(d, d, -1), nc, second=True).reshape(stack.shape)
+        for b in range(stack.shape[2]):
+            w0, w1, w2 = np.moveaxis(out[:, :, b], -1, 0)
+            pw0 = signs * w0
+            f += float(np.sum((pw0.conj() * w0).real))
+            d1 += 2.0 * float(np.sum((pw0.conj() * w1).real))
+            d2 += 2.0 * float(np.sum((pw0.conj() * w2).real)) + 2.0 * float(
+                np.sum((signs * w1.conj() * w1).real)
+            )
     return f, d1, d2
 
 
@@ -350,3 +368,20 @@ def default_cutoff_reference(p: ProbeParams, weight: int, length: int = 16384) -
     tail = np.cumsum(wq[::-1])[::-1]
     nc = int(np.nonzero(tail <= SECTOR_TOL * float(np.sum(wq)))[0][0])
     return (max(nc, p.m + 2, 8) + 7) // 8 * 8
+
+
+def kerr_gradient_check(p: ProbeParams, step: float = 1e-6) -> float:
+    """Max |finite-difference gradient| of operator C_Q at the closed-form
+    optimum, normalized by |C_Q|. Small values certify stationarity."""
+    ms = moment_set(p)
+    mu1, mu2 = kerr_mu_opt(ms, p.loss)
+    marg = probe_marginal(p, weight=4)
+    table = loss_weight_table(marg, p.loss)
+
+    def value(u1, u2):
+        return cq_from_table(table, KrausFamily("kerr", p.loss, mu1=u1, mu2=u2))
+
+    f0 = value(mu1, mu2)
+    g1 = (value(mu1 + step, mu2) - value(mu1 - step, mu2)) / (2 * step)
+    g2 = (value(mu1, mu2 + step) - value(mu1, mu2 - step)) / (2 * step)
+    return max(abs(g1), abs(g2)) / max(1.0, abs(f0))

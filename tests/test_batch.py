@@ -412,9 +412,9 @@ def test_sweep_rows_equal_row_at_a_time(quantity, phi, denom_tol, monkeypatch):
 
 
 def test_cli_sweeps_do_not_load_scipy(tmp_path):
-    # scipy's optimizers and special functions load only where the Kerr
-    # fallback runs: not for plain sweeps, and not for the Fock oracle's
-    # parity and QFI checks
+    # no sweep loads scipy: not a plain one, not the Fock oracle's parity and
+    # QFI checks, and not a Kerr row that falls back (r = 0, one photon) with
+    # its oracle check
     code = (
         "import sys, mzphase.cli\n"
         "from mzphase.sweep import SweepSpec, run_sweep\n"
@@ -426,7 +426,11 @@ def test_cli_sweeps_do_not_load_scipy(tmp_path):
         " sweep_values=(0.0, 0.2), m_list=(0, 2), phi=(0.3,), alpha=1.0, r=0.5, oracle_check=True, oracle_stride=1))\n"
         "assert 'oracle_qfi_kerr' in checked.header and 'oracle_rows=4' in checked.trailer\n"
         "assert {row[checked.header.index('status')] for row in checked.rows} == {'ok'}\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))\n"
+        "fell_back = run_sweep(SweepSpec(quantity=('qfi_kerr',), sweep_name='r', sweep_values=(0.0, 0.5),"
+        " m_list=(1,), alpha=0.0, loss=(0.1,), oracle_check=True, oracle_stride=1))\n"
+        "assert [row[fell_back.header.index('status')] for row in fell_back.rows] == ['kerr_fallback', 'ok']\n"
+        "assert 'oracle_rows=2' in fell_back.trailer\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(mzphase.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

@@ -252,7 +252,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_oracle_check_covers_kerr_fallback_rows(tmp_path):
     # at r = 0 the probe arm carries a Bernoulli count and the Kerr bound
-    # falls back to the numeric search; the oracle column must follow it
+    # falls back to the least-norm vertex; the oracle column must follow it
     path = tmp_path / "kerr.json"
     path.write_text(json.dumps({
         "schema_version": 1, "quantity": "qfi_kerr",
