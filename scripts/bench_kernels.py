@@ -7,7 +7,9 @@ Times entry points of the currently checked-out `src/` ("after") and of the
 `src/` tree given with --before-src ("before"), each side in its own fresh,
 single-threaded processes on the same machine:
 
-- `parity._signal_batch` per photon-addition order m at batch 1, 201, 1001;
+- the parity kernel `parity._signal` for one probe at a batch of phase points
+  (its row constants `_row_consts` repeated once per point), per
+  photon-addition order m at batch 1, 201, 1001;
 - `parity.optimal_phase` per m (its window scan plus the refinement);
 - `moments.moment_set` per m;
 - the Fock oracle (`oracle` warm, `oracle_first` as the first call in a fresh
@@ -159,15 +161,18 @@ def measure() -> dict:
     import numpy as np
 
     from mzphase.moments import moment_set
-    from mzphase.parity import _signal_batch, optimal_phase
+    from mzphase.parity import _row_consts, _signal, optimal_phase
     from mzphase.states import ProbeParams
+
+    def signal_batch(p, phis):
+        return _signal(phis, _row_consts(p.m, [p.alpha], [p.r], [p.loss]).take(np.zeros(phis.size, dtype=int)))
 
     out: dict = {"signal_batch": {}, "optimal_phase": {}, "moment_set": {}}
     for m in M_LIST:
         p = ProbeParams(alpha=2.0, r=0.5, m=m, loss=0.1)
         for batch in BATCHES:
             grid = np.linspace(1e-4, 1.5, batch)
-            out["signal_batch"][f"m{m}_b{batch}"] = _time(lambda: _signal_batch(p, grid))
+            out["signal_batch"][f"m{m}_b{batch}"] = _time(lambda: signal_batch(p, grid))
         out["optimal_phase"][f"m{m}"] = _time(lambda: optimal_phase(p))
         out["moment_set"][f"m{m}"] = _time(lambda: moment_set(p))
     out["oracle"] = {}

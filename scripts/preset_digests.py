@@ -5,9 +5,10 @@
 
 Runs the 19 presets (figures 2-5 and 7-11, panels a and b, and figure 12)
 single-threaded through `run_sweep` on the `src/` tree next to this script,
-and hashes the rendered CSV text: the bytes `mzphase figure <n> --out`
-writes. `--check` names every preset whose digest differs from the recorded
-one. The full run takes about 17 s on one core.
+once as they are and once with the oracle columns (`<name>+oracle`), and
+hashes the rendered CSV text: the bytes `mzphase figure <n> [--oracle] --out`
+writes. `--check` names every rendering whose digest differs from the
+recorded one. The full run takes about 25 s on one core.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,8 +31,10 @@ def digests() -> dict[str, str]:
 
     out = {}
     for n, panel in PRESETS:
-        text = run_sweep(figure_preset(n, panel=panel)).render()
-        out[f"{n}{panel}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        spec = figure_preset(n, panel=panel)
+        for name, run in ((f"{n}{panel}", spec), (f"{n}{panel}+oracle", replace(spec, oracle_check=True))):
+            text = run_sweep(run).render()
+            out[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return out
 
 
@@ -49,7 +53,7 @@ def main() -> int:
         print(f"changed: {name}")
     if changed:
         return 1
-    print(f"all {len(got)} presets match")
+    print(f"all {len(got)} preset renderings match")
     return 0
 
 

@@ -1,11 +1,17 @@
 """Independent brute-force Fock-space engine.
 
-Everything here works on explicit two-mode photon-number grids: the input
-product state is built from truncated Fock amplitude vectors, the first beam
-splitter acts exactly on each total-photon sector (it conserves n_a + n_b),
-loss on the probe arm is expanded into its Kraus branches, and phases are
-diagonal. No generating-function shortcuts: this is the cross-check engine
-for the analytic modules, sharing nothing with them but the state builders.
+Everything here works on explicit two-mode photon-number grids, plain
+(d, d) complex arrays amplitudes[n_a, n_b]: the input product state is the
+outer product of truncated Fock amplitude vectors, the first beam splitter
+acts exactly on each total-photon sector (it conserves n_a + n_b), loss on
+the probe arm is expanded into its Kraus branches, and phases are diagonal.
+No generating-function shortcuts: this is the cross-check engine for the
+analytic modules, sharing nothing with them but the state builders. The
+operator-level bounds (`qfi_linear.qfi_lossy_numeric_check`,
+`qfi_kerr.kerr_mu_opt_numeric`) read their weight tables from here
+(`probe_marginal`, `loss_weight_table`, `cq_from_table`) and minimise over
+their own commutation parameters, so no oracle value depends on a moment
+set.
 
 On sector N, with basis |n_a, N - n_a>, the 50:50 splitter
 U_N = exp(-i pi/4 J), J = a^dag b + a b^dag, is an SU(2) rotation (Yurke,
@@ -63,60 +69,6 @@ SECTOR_LIMIT = 600
 _LENGTH_MAX = 16384
 # i^k for k mod 4
 _I_POW = np.array([1, 1j, -1, -1j])
-
-
-@dataclass
-class FockGrid:
-    """Pure two-mode state on a square photon-number grid.
-
-    amplitudes[n_a, n_b], both indices 0..cutoff, row-major with n_a as the
-    slow index.
-    """
-
-    cutoff: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        d = self.cutoff + 1
-        if self.amplitudes.shape != (d, d):
-            raise ConsistencyError(
-                f"amplitude grid {self.amplitudes.shape} does not match cutoff {self.cutoff}"
-            )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def b_marginal(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
-
-
-@dataclass(frozen=True)
-class KrausFamily:
-    """Loss-channel Kraus family commuted past a phase shift.
-
-    kind "linear": branch j imprints phase exponent (n - gamma * j).
-    kind "kerr": branch j imprints n^2 - 2*mu1*n*j - mu2*j^2.
-    Here n is the photon number surviving the loss.
-    """
-
-    kind: str
-    loss: float
-    gamma: float = 0.0
-    mu1: float = 0.0
-    mu2: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "kerr"):
-            raise ParamOutOfRange(f"kind must be 'linear' or 'kerr', got {self.kind!r}")
-        if not 0 <= self.loss < 1:
-            raise ParamOutOfRange(f"loss must lie in [0, 1), got {self.loss}")
-
-    def generator(self, n, j):
-        """Phase exponent imprinted on branch j at surviving photon number n."""
-        if self.kind == "linear":
-            return n - self.gamma * j
-        return n * n - 2.0 * self.mu1 * n * j - self.mu2 * j * j
 
 
 @lru_cache(maxsize=None)
@@ -215,41 +167,6 @@ def _outside_sectors(cutoff: int) -> np.ndarray:
     return mask
 
 
-def _sector_mass_check(arr: np.ndarray, cutoff: int):
-    """Probability mass outside total-photon sectors 0..cutoff must be negligible.
-
-    A grid with a NaN or inf amplitude is no state at all, whatever its
-    cutoff: its non-finite norm is a ConsistencyError of its own."""
-    total = float(np.vdot(arr, arr).real)
-    if not math.isfinite(total):
-        raise ConsistencyError(f"state has a non-finite squared norm ({total}): NaN or inf amplitude")
-    corner = arr[_outside_sectors(cutoff)]
-    mass = float(np.vdot(corner, corner).real)
-    if not mass <= 1e-12 * max(total, 1e-300):
-        raise CutoffTooSmall(
-            f"state has {mass:.3e} of {total:.3e} outside retained sectors; increase cutoff"
-        )
-
-
-def _first_splitter(state: FockGrid) -> FockGrid:
-    """The first 50:50 splitter on a pure state, exactly per photon sector.
-
-    Requires the state's support to sit in complete sectors (n_a + n_b up to
-    the grid cutoff); mass outside is an error. The state is renormalized if
-    its norm drifted by less than 1e-9, else UnitarityDrift.
-    """
-    _sector_mass_check(state.amplitudes, state.cutoff)
-    before = state.norm
-    out = _apply_bs_array(state.amplitudes, state.cutoff)
-    after = float(np.linalg.norm(out))
-    drift = abs(after - before)
-    if not drift < 1e-9 * max(before, 1e-300):
-        raise UnitarityDrift(f"norm drifted by {drift:.3e} across the splitter")
-    if after > 0:
-        out *= before / after
-    return FockGrid(state.cutoff, out)
-
-
 # -- loss -------------------------------------------------------------------
 
 
@@ -285,14 +202,6 @@ def _loss_trace_check(cum: float, total_in: float):
 
 
 # -- input construction and cutoff policy ------------------------------------
-
-
-def build_input_state(p: ProbeParams, cutoff: int) -> FockGrid:
-    """Coherent (a) x photon-added squeezed vacuum (b) on a square grid."""
-    ca = coherent_fock_amplitudes(p.alpha, cutoff)
-    cb = pasvs_fock_amplitudes(p.r, p.m, cutoff)
-    amps = np.outer(ca, cb).astype(np.complex128)
-    return FockGrid(cutoff, amps)
 
 
 def _pasvs_probs(r: float, m: int, length: int) -> np.ndarray:
@@ -364,16 +273,35 @@ def default_cutoff(p: ProbeParams, weight: int = 0) -> int:
     return nc
 
 
-def _prepared_after_first_splitter(p: ProbeParams, cutoff: int) -> FockGrid:
-    arr = build_input_state(p, cutoff).amplitudes
-    # clip to complete sectors; the discarded corner carries at most the
-    # sector tail budget and the splitter then acts exactly
+def _prepared_after_first_splitter(p: ProbeParams, cutoff: int) -> np.ndarray:
+    """Input grid, coherent (a) x photon-added squeezed vacuum (b), after the
+    first 50:50 splitter, amplitudes[n_a, n_b] on 0..cutoff.
+
+    The grid is clipped to complete sectors (n_a + n_b up to the cutoff) and
+    renormalised; the discarded corner carries at most the sector tail
+    budget, so the splitter then acts exactly per photon sector. The state
+    is renormalised again if the splitter moved its norm by less than 1e-9,
+    else UnitarityDrift.
+    """
+    arr = np.outer(
+        coherent_fock_amplitudes(p.alpha, cutoff), pasvs_fock_amplitudes(p.r, p.m, cutoff)
+    ).astype(np.complex128)
     arr[_outside_sectors(cutoff)] = 0.0
     nrm = float(np.linalg.norm(arr))
     if 1.0 - nrm * nrm > 1e-9:
         raise CutoffTooSmall(f"sector clip removed {1 - nrm * nrm:.3e} probability")
     arr /= nrm
-    return _first_splitter(FockGrid(cutoff, arr))
+    before = float(np.linalg.norm(arr))
+    if not math.isfinite(before):
+        raise ConsistencyError(f"state has a non-finite squared norm ({before * before}): NaN or inf amplitude")
+    out = _apply_bs_array(arr, cutoff)
+    after = float(np.linalg.norm(out))
+    drift = abs(after - before)
+    if not drift < 1e-9 * max(before, 1e-300):
+        raise UnitarityDrift(f"norm drifted by {drift:.3e} across the splitter")
+    if after > 0:
+        out *= before / after
+    return out
 
 
 # -- pipeline observables -----------------------------------------------------
@@ -404,8 +332,8 @@ def parity_signal_oracle(
     """
     nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
     after_bs1 = _prepared_after_first_splitter(p, nc)
-    total_in = after_bs1.norm ** 2
-    prefs, cum = _kraus_prefactors(after_bs1.amplitudes, p.loss, total_in)
+    total_in = float(np.linalg.norm(after_bs1)) ** 2
+    prefs, cum = _kraus_prefactors(after_bs1, p.loss, total_in)
     _loss_trace_check(cum, total_in)
     d = nc + 1
     na, nb = np.nonzero(np.triu(~_outside_sectors(nc)))
@@ -413,7 +341,7 @@ def parity_signal_oracle(
     # pad[n] = pref_j[n], 0 where n + j > cutoff; there the gathers read the
     # next grid row, but never past the grid's end
     pad = np.zeros(d)
-    flat = after_bs1.amplitudes.ravel()
+    flat = after_bs1.ravel()
     g = np.zeros(na.size, dtype=np.complex128)
     for j, pref in enumerate(prefs):
         pad[: pref.size] = pref
@@ -430,10 +358,8 @@ def moments_oracle(p: ProbeParams, w: int, cutoff: int | None = None) -> float:
     """<n_b^w> just after the first splitter (pre-loss probe arm)."""
     if not isinstance(w, (int, np.integer)) or w < 0:
         raise ParamOutOfRange(f"moment order must be a non-negative int, got {w!r}")
-    nc = default_cutoff(p, weight=int(w)) if cutoff is None else cutoff
-    after_bs1 = _prepared_after_first_splitter(p, nc)
-    marg = after_bs1.b_marginal()
-    n = np.arange(nc + 1, dtype=float)
+    marg = probe_marginal(p, weight=int(w), cutoff=cutoff)
+    n = np.arange(marg.size, dtype=float)
     return float(np.dot(marg, n**w))
 
 
@@ -449,7 +375,7 @@ def probe_marginal(p: ProbeParams, weight: int = 2, cutoff: int | None = None) -
 def _probe_marginal(alpha: float, r: float, m: int, weight: int, cutoff: int | None) -> np.ndarray:
     p = ProbeParams(alpha=alpha, r=r, m=m)
     nc = default_cutoff(p, weight=weight) if cutoff is None else cutoff
-    marg = _prepared_after_first_splitter(p, nc).b_marginal()
+    marg = np.sum(np.abs(_prepared_after_first_splitter(p, nc)) ** 2, axis=0)
     marg.flags.writeable = False
     return marg
 
@@ -509,9 +435,9 @@ def loss_weight_table(marginal: np.ndarray, loss: float) -> LossWeightTable:
     )
 
 
-def cq_from_table(table: LossWeightTable, family: KrausFamily) -> float:
-    """C_Q of a diagonal Kraus family from the precomputed weight table."""
-    g = family.generator(table.survived, table.lost)
+def cq_from_table(table: LossWeightTable, g: np.ndarray) -> float:
+    """C_Q = 4 Var_w(g) of a diagonal Kraus family from the precomputed weight
+    table, given its phase exponent g at each (survived, lost) entry."""
     h1 = float(np.dot(table.weight, g * g))
     h2 = float(np.dot(table.weight, g))
     return 4.0 * (h1 - h2 * h2)

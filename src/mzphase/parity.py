@@ -235,15 +235,6 @@ def parity_signals(m, alpha, r, loss, phi) -> list:
     ]
 
 
-def _signal_batch(p: ProbeParams, phis: np.ndarray):
-    """Parity value/slope/curvature of one probe at a batch of phase points."""
-    c = _row_consts(p.m, [p.alpha], [p.r], [p.loss]).take(np.zeros(phis.size, dtype=int))
-    vals, degenerate = _signal(phis, c)
-    if degenerate.any():
-        raise _degenerate()
-    return vals[0], vals[1], vals[2]
-
-
 def parity_expectation(p: ProbeParams) -> ParitySignal:
     """Parity signal (value and first two phase derivatives) at p.phi."""
     return _result(parity_signals(p.m, [p.alpha], [p.r], [p.loss], [p.phi])[0])

@@ -25,14 +25,13 @@ DEGENERATE_TOL = 1e-14
 class QfiResult:
     """A Fisher information value with its Cramer-Rao bound.
 
-    regime is "ideal" or "lossy"; degenerate marks a probe with no photon
-    number spread at all (fq = 0, bound undefined); fallback marks a Kerr
-    value at the least-norm minimizer of a singular quadratic form.
+    degenerate marks a probe with no photon number spread at all (fq = 0,
+    bound undefined); fallback marks a Kerr value at the least-norm
+    minimizer of a singular quadratic form.
     """
 
     fq: float
     qcrb: float
-    regime: str
     degenerate: bool = False
     fallback: bool = False
 
@@ -48,15 +47,15 @@ class BenchmarkLimits:
     super_heisenberg: float
 
 
-def _result(fq: float, regime: str, degenerate: bool = False, fallback: bool = False) -> QfiResult:
+def _result(fq: float, degenerate: bool = False, fallback: bool = False) -> QfiResult:
     qcrb = math.inf if fq <= 0 else 1.0 / math.sqrt(fq)
-    return QfiResult(fq=fq, qcrb=qcrb, regime=regime, degenerate=degenerate, fallback=fallback)
+    return QfiResult(fq=fq, qcrb=qcrb, degenerate=degenerate, fallback=fallback)
 
 
 def qfi_ideal_linear(ms: MomentSet) -> QfiResult:
     """F_Q = 4 Var(n_b) for a pure probe and unitary phase."""
     fq = 4.0 * ms.var_n
-    return _result(fq, "ideal", degenerate=(fq <= DEGENERATE_TOL and ms.m1 <= DEGENERATE_TOL))
+    return _result(fq, degenerate=(fq <= DEGENERATE_TOL and ms.m1 <= DEGENERATE_TOL))
 
 
 def qfi_lossy_linear(ms: MomentSet, loss: float) -> QfiResult:
@@ -68,13 +67,12 @@ def qfi_lossy_linear(ms: MomentSet, loss: float) -> QfiResult:
     if not 0 <= loss < 1:
         raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
     if loss == 0.0:
-        res = qfi_ideal_linear(ms)
-        return QfiResult(res.fq, res.qcrb, "lossy", degenerate=res.degenerate)
+        return qfi_ideal_linear(ms)
     if ms.m1 <= DEGENERATE_TOL and ms.var_n <= DEGENERATE_TOL:
-        return QfiResult(0.0, math.inf, "lossy", degenerate=True)
+        return QfiResult(0.0, math.inf, degenerate=True)
     eta = 1.0 - loss
     fq = 4.0 * eta * ms.m1 * ms.var_n / (loss * ms.var_n + eta * ms.m1)
-    return _result(fq, "lossy")
+    return _result(fq)
 
 
 def benchmark_limits(nbar: float) -> BenchmarkLimits:

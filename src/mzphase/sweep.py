@@ -23,8 +23,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     BracketExceeded,
@@ -32,12 +30,11 @@ from .errors import (
     DegenerateSignal,
     InfeasibleTarget,
     SchemaViolation,
-    SingularNormalEquations,
     SpecInvalid,
     UnknownFigure,
 )
 from .moments import moment_set
-from .oracle import parity_signal_oracle, probe_marginal
+from .oracle import parity_signal_oracle
 from .parity import (  # the one-row entry points stay importable here: tracing wraps them by name
     _fisher_from,
     _result,
@@ -48,7 +45,7 @@ from .parity import (  # the one-row entry points stay importable here: tracing 
     parity_signals,
     phase_sensitivity,  # noqa: F401
 )
-from .qfi_kerr import kerr_cq_numeric, kerr_mu_opt, kerr_mu_opt_numeric, qfi_lossy_kerr
+from .qfi_kerr import kerr_mu_opt_numeric, qfi_lossy_kerr
 from .qfi_linear import benchmark_limits, qfi_lossy_linear, qfi_lossy_numeric_check
 from .states import ProbeParams, pasvs_mean_photons, solve_r_for_energy
 
@@ -373,9 +370,10 @@ def _guarded_dev(a: float, o: float) -> float:
     return abs(a - o) / max(1.0, abs(a), abs(o))
 
 
-def _oracle_value(q: str, p: ProbeParams, ms, fock=None) -> float:
+def _oracle_value(q: str, p: ProbeParams, fock=None) -> float:
     """The oracle's value of q; `fock` is the row's `parity_signal_oracle`
-    (None when the row asks for no parity-family quantity)."""
+    (None when the row asks for no parity-family quantity). The bounds are
+    the operator-level minima over the commutation parameters, at every loss."""
     if q == "parity":
         return fock[0]
     if q in ("sensitivity", "cfi"):
@@ -387,18 +385,7 @@ def _oracle_value(q: str, p: ProbeParams, ms, fock=None) -> float:
         fq = qfi_lossy_numeric_check(p)
         return fq if q == "qfi_linear" else (math.inf if fq <= 0 else fq**-0.5)
     if q in ("qfi_kerr", "qcrb_kerr"):
-        if p.loss == 0.0:  # F_Q = 4 Var(n_b^2) on the probe-arm distribution
-            marg = probe_marginal(p, weight=4)
-            n2 = np.arange(marg.size, dtype=float) ** 2
-            m2, m4 = float(np.dot(marg, n2)), float(np.dot(marg, n2 * n2))
-            fq = 4.0 * (m4 - m2 * m2)
-        else:
-            try:
-                mu = kerr_mu_opt(ms, p.loss)
-            except SingularNormalEquations:  # the row's bound fell back
-                fq = kerr_mu_opt_numeric(p)[0]
-            else:
-                fq = kerr_cq_numeric(p, *mu)
+        fq = kerr_mu_opt_numeric(p)[0]
         return fq if q == "qfi_kerr" else (math.inf if fq <= 0 else fq**-0.5)
     raise SpecInvalid(f"no oracle for quantity {q!r}")
 
@@ -451,7 +438,7 @@ def _compute_row(task: _RowTask, signal=None, optimum=None) -> dict:
     if task.oracle and out["status"] in ("ok", "kerr_fallback"):
         fock = parity_signal_oracle(p) if any(q in PHI_QUANTITIES for q in task.quantities) else None
         for q in task.quantities:
-            o = _oracle_value(q, p, ms, fock)
+            o = _oracle_value(q, p, fock)
             out["oracle"][q] = o
             out["dev"] = max(out["dev"], _guarded_dev(out["values"][q], o))
     return out

@@ -11,15 +11,20 @@ did before all three:
 
 - the complex splitter blocks U from the same spectral decomposition
   (`bs_block_reference`), applied one sector and one grid at a time
-  (`apply_bs_reference`), with the conjugated block for the second splitter;
-- the explicit pipeline: mixed states as lists of branch grids
-  (`DensityGrid`), the splitter on pure and mixed states, first or second
-  (`apply_beam_splitter`; the second splitter conj(U) is the first applied
-  under complex conjugation), the loss channel as full branch grids
-  (`apply_loss_channel`), the phase (`apply_phase`), and the parity read off
-  the output grid (`parity_expectation_oracle`, and `parity_signal_reference`
-  with its phase derivatives). Its cost grows like branches * cutoff^3 in
-  small Python-level products.
+  (`apply_bs_reference`), each block conjugated as it is applied for the
+  second splitter;
+- the explicit pipeline: pure states as plain (d, d) amplitude grids
+  (`input_grid`), mixed states as lists of branch grids (`DensityGrid`), the
+  splitter on pure and mixed states, first or second, with its sector-mass
+  and drift checks (`apply_beam_splitter`; the second splitter conj(U) is
+  the first applied under complex conjugation), the loss channel as full
+  branch grids (`apply_loss_channel`), the phase (`apply_phase`), and the
+  parity read off the output grid (`parity_expectation_oracle`, and
+  `parity_signal_reference` with its phase derivatives, which builds the
+  loss branches one chunk at a time). Its cost grows like
+  branches * cutoff^3 in small Python-level products;
+- the loss-channel Kraus family commuted past a phase shift, linear or Kerr
+  (`KrausFamily`), whose generator gives `cq_from_table` its phase exponents.
 
 The rest are the package's former Python loops, kept as the equality
 references of their array forms: the loss weight table, the photon-added
@@ -30,6 +35,7 @@ builds. `kerr_gradient_check` certifies that the closed-form Kerr optimum is
 a stationary point of the operator-level C_Q by central differences.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -37,24 +43,22 @@ from functools import lru_cache
 import numpy as np
 
 from mzphase import oracle
-from mzphase.errors import CutoffTooSmall, ParamOutOfRange, UnitarityDrift
+from mzphase.errors import ConsistencyError, CutoffTooSmall, ParamOutOfRange, UnitarityDrift
 from mzphase.moments import moment_set
 from mzphase.oracle import (
     SECTOR_TOL,
-    FockGrid,
-    KrausFamily,
     LossWeightTable,
     _coherent_probs,
+    _outside_sectors,
     _pasvs_probs,
     _prepared_after_first_splitter,
-    build_input_state,
     cq_from_table,
     default_cutoff,
     loss_weight_table,
     probe_marginal,
 )
 from mzphase.qfi_kerr import kerr_mu_opt
-from mzphase.states import ProbeParams, pasvs_norm
+from mzphase.states import ProbeParams, coherent_fock_amplitudes, pasvs_fock_amplitudes, pasvs_norm
 
 # The equality grid of the loop-free oracle steps: 625 probes, with zero
 # entries in the alpha = 0 marginals and up to near-total loss.
@@ -93,17 +97,14 @@ def bs_block_reference(total: int) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=1)
-def _conjugated_blocks(cutoff: int) -> list:
-    return [bs_block_reference(total).conj() for total in range(cutoff + 1)]
-
-
 def apply_bs_reference(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray:
     """Splitter on one (d, d) grid, or a (d, d, k) stack of k grids, one
     sector at a time."""
     out = arr.copy()
-    blocks = _conjugated_blocks(cutoff) if second else map(bs_block_reference, range(cutoff + 1))
-    for total, u in enumerate(blocks):
+    for total in range(cutoff + 1):
+        u = bs_block_reference(total)
+        if second:
+            u = u.conj()
         na = np.arange(total + 1)
         out[na, total - na] = u @ arr[na, total - na]
     return out
@@ -117,13 +118,21 @@ def apply_bs_reference(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray
 _STACK_BYTES = 16 * 2**20
 
 
+def input_grid(p: ProbeParams, cutoff: int) -> np.ndarray:
+    """Coherent (a) x photon-added squeezed vacuum (b) on a square grid,
+    amplitudes[n_a, n_b] on 0..cutoff, unclipped and unnormalised."""
+    ca = coherent_fock_amplitudes(p.alpha, cutoff)
+    cb = pasvs_fock_amplitudes(p.r, p.m, cutoff)
+    return np.outer(ca, cb).astype(np.complex128)
+
+
 @dataclass
 class DensityGrid:
     """Mixed two-mode state stored as an ensemble of unnormalized pure branches.
 
-    Each branch is an amplitude grid like FockGrid's; its squared norm is the
-    branch weight. Storing branches instead of a dense matrix keeps large
-    cutoffs tractable while remaining exact.
+    Each branch is a (d, d) amplitude grid like a pure state's; its squared
+    norm is the branch weight. Storing branches instead of a dense matrix
+    keeps large cutoffs tractable while remaining exact.
     """
 
     cutoff: int
@@ -139,25 +148,51 @@ class DensityGrid:
         return out
 
 
+def _sector_mass_check(arr: np.ndarray, cutoff: int):
+    """Probability mass outside total-photon sectors 0..cutoff must be negligible.
+
+    A grid with a NaN or inf amplitude is no state at all, whatever its
+    cutoff: its non-finite norm is a ConsistencyError of its own."""
+    total = float(np.vdot(arr, arr).real)
+    if not math.isfinite(total):
+        raise ConsistencyError(f"state has a non-finite squared norm ({total}): NaN or inf amplitude")
+    corner = arr[_outside_sectors(cutoff)]
+    mass = float(np.vdot(corner, corner).real)
+    if not mass <= 1e-12 * max(total, 1e-300):
+        raise CutoffTooSmall(
+            f"state has {mass:.3e} of {total:.3e} outside retained sectors; increase cutoff"
+        )
+
+
 def apply_beam_splitter(state, which: str):
     """Apply the first or second 50:50 splitter, exactly per photon sector.
 
     The second splitter conj(U) is the first under complex conjugation of
     the state before and after. Requires the state's support to sit in
-    complete sectors; mass outside is an error. A pure state is renormalized
-    if its norm drifted by less than 1e-9, else UnitarityDrift; a mixed
-    state's trace must not drift by 1e-9.
+    complete sectors; mass outside is an error. A pure state (a (d, d)
+    array) is renormalized if its norm drifted by less than 1e-9, else
+    UnitarityDrift; a mixed state's trace must not drift by 1e-9.
     """
     if which not in ("first", "second"):
         raise ParamOutOfRange(f"which must be 'first' or 'second', got {which!r}")
     flip = np.conjugate if which == "second" else np.asarray
-    if isinstance(state, FockGrid):
-        out = oracle._first_splitter(FockGrid(state.cutoff, flip(state.amplitudes)))
-        return FockGrid(state.cutoff, flip(out.amplitudes))
+    if isinstance(state, np.ndarray):
+        cutoff = state.shape[0] - 1
+        arr = flip(state)
+        _sector_mass_check(arr, cutoff)
+        before = float(np.linalg.norm(arr))
+        out = oracle._apply_bs_array(arr, cutoff)
+        after = float(np.linalg.norm(out))
+        drift = abs(after - before)
+        if not drift < 1e-9 * max(before, 1e-300):
+            raise UnitarityDrift(f"norm drifted by {drift:.3e} across the splitter")
+        if after > 0:
+            out *= before / after
+        return flip(out)
     if isinstance(state, DensityGrid):
         before = state.trace()
         for b in state.branches:
-            oracle._sector_mass_check(b, state.cutoff)
+            _sector_mass_check(b, state.cutoff)
         d = state.cutoff + 1
         stack = flip(np.asarray(state.branches).reshape(-1, d, d))
         out = DensityGrid(state.cutoff, list(flip(oracle._apply_bs_array(stack, state.cutoff))))
@@ -168,31 +203,37 @@ def apply_beam_splitter(state, which: str):
     raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
 
 
+def _loss_branches(b: np.ndarray, prefs: list):
+    """Loss branch j of the pure branch b, one full grid each, j ascending:
+    entry (n_a, n_b) is b[n_a, n_b + j] * pref_j[n_b]."""
+    size = b.shape[1]
+    for j, pref in enumerate(prefs):
+        branch = np.zeros_like(b)
+        branch[:, : size - j] = b[:, j:] * pref[None, :]
+        yield branch
+
+
 def apply_loss_channel(state, l: float) -> DensityGrid:
     """Photon loss with survival 1 - l on the probe (b) arm, one full grid
     per Kraus branch, with the oracle's branch stop and trace check."""
     if not 0 <= l < 1:
         raise ParamOutOfRange(f"loss must lie in [0, 1), got {l}")
-    if isinstance(state, FockGrid):
-        in_branches = [state.amplitudes]
-        total_in = state.norm ** 2
+    if isinstance(state, np.ndarray):
+        cutoff, in_branches = state.shape[0] - 1, [state]
+        total_in = float(np.linalg.norm(state)) ** 2
     elif isinstance(state, DensityGrid):
-        in_branches = state.branches
+        cutoff, in_branches = state.cutoff, state.branches
         total_in = state.trace()
     else:
         raise ParamOutOfRange(f"unsupported state type {type(state).__name__}")
-    size = state.cutoff + 1
     out = []
     cum = 0.0
     for b in in_branches:
         prefs, got = oracle._kraus_prefactors(b, l, total_in)
-        for j, pref in enumerate(prefs):
-            branch = np.zeros_like(b)
-            branch[:, : size - j] = b[:, j:] * pref[None, :]
-            out.append(branch)
+        out.extend(_loss_branches(b, prefs))
         cum += got
     oracle._loss_trace_check(cum, total_in)
-    return DensityGrid(state.cutoff, out)
+    return DensityGrid(cutoff, out)
 
 
 def apply_phase(state, phi: float, kind: str = "linear"):
@@ -203,9 +244,9 @@ def apply_phase(state, phi: float, kind: str = "linear"):
         expo = lambda n: n * n  # noqa: E731
     else:
         raise ParamOutOfRange(f"kind must be 'linear' or 'kerr', got {kind!r}")
-    if isinstance(state, FockGrid):
-        n = np.arange(state.cutoff + 1)
-        return FockGrid(state.cutoff, state.amplitudes * np.exp(1j * phi * expo(n))[None, :])
+    if isinstance(state, np.ndarray):
+        n = np.arange(state.shape[1])
+        return state * np.exp(1j * phi * expo(n))[None, :]
     if isinstance(state, DensityGrid):
         n = np.arange(state.cutoff + 1)
         f = np.exp(1j * phi * expo(n))[None, :]
@@ -227,19 +268,26 @@ def parity_expectation_oracle(p: ProbeParams, cutoff: int | None = None) -> floa
 def parity_signal_reference(p: ProbeParams, cutoff: int | None = None) -> tuple[float, float, float]:
     """Output parity and its two phase derivatives, one loss branch at a time.
 
-    The second splitter takes the value, slope and curvature grids of a chunk
-    of branches side by side, one (k, 3 * chunk) product per sector; the
-    chunk is capped so that its stack holds at most _STACK_BYTES. The sums
-    are accumulated branch by branch, in branch order."""
+    The loss branches are built a chunk at a time, after the loss channel's
+    trace check. The second splitter takes the value, slope and curvature
+    grids of a chunk of branches side by side, one (k, 3 * chunk) product
+    per sector; the chunk is capped so that its stack holds at most
+    _STACK_BYTES. The sums are accumulated branch by branch, in branch
+    order."""
     nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
-    lossy = apply_loss_channel(_prepared_after_first_splitter(p, nc), p.loss)
+    after_bs1 = _prepared_after_first_splitter(p, nc)
+    total_in = float(np.linalg.norm(after_bs1)) ** 2
+    prefs, cum = oracle._kraus_prefactors(after_bs1, p.loss, total_in)
+    oracle._loss_trace_check(cum, total_in)
+    branches = _loss_branches(after_bs1, prefs)
     d = nc + 1
     n = np.arange(d, dtype=float)[None, :]
     signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)[None, :]
     chunk = max(1, _STACK_BYTES // (3 * 16 * d * d))
     f = d1 = d2 = 0.0
-    for start in range(0, len(lossy.branches), chunk):
-        v0 = np.stack(lossy.branches[start : start + chunk], axis=-1) * np.exp(1j * p.phi * n)[..., None]
+    for start in range(0, len(prefs), chunk):
+        part = list(itertools.islice(branches, chunk))
+        v0 = np.stack(part, axis=-1) * np.exp(1j * p.phi * n)[..., None]
         # (d, d, branch, 3): each branch's value, slope and curvature side by side
         stack = np.stack([v0, (1j * n)[..., None] * v0, (-(n * n))[..., None] * v0], axis=-1)
         out = apply_bs_reference(stack.reshape(d, d, -1), nc, second=True).reshape(stack.shape)
@@ -252,6 +300,38 @@ def parity_signal_reference(p: ProbeParams, cutoff: int | None = None) -> tuple[
                 np.sum((signs * w1.conj() * w1).real)
             )
     return f, d1, d2
+
+
+@dataclass(frozen=True)
+class KrausFamily:
+    """Loss-channel Kraus family commuted past a phase shift.
+
+    kind "linear": branch j imprints phase exponent (n - gamma * j).
+    kind "kerr": branch j imprints n^2 - 2*mu1*n*j - mu2*j^2.
+    Here n is the photon number surviving the loss.
+    """
+
+    kind: str
+    loss: float
+    gamma: float = 0.0
+    mu1: float = 0.0
+    mu2: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("linear", "kerr"):
+            raise ParamOutOfRange(f"kind must be 'linear' or 'kerr', got {self.kind!r}")
+        if not 0 <= self.loss < 1:
+            raise ParamOutOfRange(f"loss must lie in [0, 1), got {self.loss}")
+
+    def generator(self, n, j):
+        """Phase exponent imprinted on branch j at surviving photon number n."""
+        if self.kind == "linear":
+            return n - self.gamma * j
+        return n * n - 2.0 * self.mu1 * n * j - self.mu2 * j * j
+
+    def cq(self, table: LossWeightTable) -> float:
+        """C_Q of the family from a loss weight table."""
+        return cq_from_table(table, self.generator(table.survived, table.lost))
 
 
 def loss_weight_table_reference(marginal: np.ndarray, loss: float) -> LossWeightTable:
@@ -302,9 +382,9 @@ def pasvs_probs_reference(r: float, m: int, length: int) -> np.ndarray:
     return probs / pasvs_norm(r, m)
 
 
-def prepared_after_first_splitter_reference(p: ProbeParams, cutoff: int) -> FockGrid:
+def prepared_after_first_splitter_reference(p: ProbeParams, cutoff: int) -> np.ndarray:
     """Input grid clipped to complete sectors one anti-diagonal at a time."""
-    arr = build_input_state(p, cutoff).amplitudes.copy()
+    arr = input_grid(p, cutoff)
     flipped = arr[::-1, :]
     for k in range(1, cutoff + 1):
         np.fill_diagonal(flipped[:, k:], 0.0)
@@ -312,7 +392,7 @@ def prepared_after_first_splitter_reference(p: ProbeParams, cutoff: int) -> Fock
     if 1.0 - nrm * nrm > 1e-9:
         raise CutoffTooSmall(f"sector clip removed {1 - nrm * nrm:.3e} probability")
     arr /= nrm
-    return apply_beam_splitter(FockGrid(cutoff, arr), "first")
+    return apply_beam_splitter(arr, "first")
 
 
 def numeric_check_reference(table: LossWeightTable, loss: float) -> float:
@@ -321,7 +401,7 @@ def numeric_check_reference(table: LossWeightTable, loss: float) -> float:
     section down to a bracket of 1e-10."""
 
     def value(gamma: float) -> float:
-        return cq_from_table(table, KrausFamily("linear", loss, gamma=gamma))
+        return KrausFamily("linear", loss, gamma=gamma).cq(table)
 
     grid = np.linspace(-2.0, 2.0, 41)
     vals = np.array([value(g) for g in grid])
@@ -379,7 +459,7 @@ def kerr_gradient_check(p: ProbeParams, step: float = 1e-6) -> float:
     table = loss_weight_table(marg, p.loss)
 
     def value(u1, u2):
-        return cq_from_table(table, KrausFamily("kerr", p.loss, mu1=u1, mu2=u2))
+        return KrausFamily("kerr", p.loss, mu1=u1, mu2=u2).cq(table)
 
     f0 = value(mu1, mu2)
     g1 = (value(mu1 + step, mu2) - value(mu1 - step, mu2)) / (2 * step)

@@ -1,10 +1,14 @@
-"""The optimal-phase search with a full 1001-point window scan, for tests only.
+"""The optimal-phase search with a full 1001-point window scan, and one probe
+at many phases, for tests only.
 
 Production `parity.optimal_phases` scans the window in two passes: every
 s-th grid point first, then the grid points around each local minimum of
 that coarse pass. This is the search as it was before: every row evaluates
 all 1001 grid points, picks the lowest-index best point, and refines it
 with the same `_Illinois` regula falsi. The two must agree bit for bit.
+
+`signal_batch` evaluates one probe at a batch of phase points: the row's
+kernel constants repeated once per point, in one `_signal` call.
 """
 
 import numpy as np
@@ -20,6 +24,15 @@ from mzphase.parity import (
     _sensitivities,
     _signal,
 )
+
+
+def signal_batch(p, phis: np.ndarray):
+    """Parity value/slope/curvature of one probe at a batch of phase points."""
+    c = _row_consts(p.m, [p.alpha], [p.r], [p.loss]).take(np.zeros(phis.size, dtype=int))
+    vals, degenerate = _signal(phis, c)
+    if degenerate.any():
+        raise _degenerate()
+    return vals[0], vals[1], vals[2]
 
 
 def optimal_phases_full_scan(m, alpha, r, loss) -> list:

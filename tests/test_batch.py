@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parity_reference import signal_batch
 
 import mzphase
 from mzphase import parity
@@ -27,7 +28,6 @@ from mzphase.parity import (
     MAX_STEPS,
     _fisher_from,
     _sensitivities,
-    _signal_batch,
     classical_fisher,
     optimal_phase,
     optimal_phases,
@@ -65,7 +65,7 @@ def test_batched_signal_equals_one_row_calls(m):
     )
     assert back[::-1] == batch
     phis = np.array([p.phi for p in probes])
-    got = _signal_batch(probes[5], phis)
+    got = signal_batch(probes[5], phis)
     want = [_signal(parity_expectation(replace(probes[5], phi=float(x)))) for x in phis]
     assert list(zip(*(g.tolist() for g in got))) == want
 
@@ -74,7 +74,7 @@ def _serial_evaluate(p, phis):
     """Sensitivity and q = P'(P''(1 - P^2) + P P'^2) at each phase, one
     scalar `_fisher_from` call per point."""
     sens, q = [], []
-    for v, d, dd in zip(*(x.tolist() for x in _signal_batch(p, phis))):
+    for v, d, dd in zip(*(x.tolist() for x in signal_batch(p, phis))):
         try:
             f = _fisher_from(v, d, dd)
         except DegenerateSignal:
@@ -219,7 +219,7 @@ def test_vectorised_fisher_step_equals_scalar_calls(monkeypatch):
     # a degenerate denominator: the kernel leaves NaN, inf here
     value[40:45] = dvalue[40:45] = ddvalue[40:45] = np.nan
     # real signals: the lossless scan runs into the cancellation near phi = 0
-    scans = [np.array(_signal_batch(ProbeParams(2.0, 0.5, m, l), _GRID)) for m in (0, 3) for l in (0.0, 0.3)]
+    scans = [np.array(signal_batch(ProbeParams(2.0, 0.5, m, l), _GRID)) for m in (0, 3) for l in (0.0, 0.3)]
     vals = np.concatenate([np.array([value, dvalue, ddvalue])] + scans, axis=1)
 
     want = []

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +18,6 @@ from mzphase.oracle import (
     _bs_blocks,
     _pasvs_probs,
     _prepared_after_first_splitter,
-    _sector_mass_check,
-    FockGrid,
-    KrausFamily,
-    build_input_state,
-    cq_from_table,
     default_cutoff,
     loss_weight_table,
     moments_oracle,
@@ -30,12 +26,15 @@ from mzphase.oracle import (
 )
 from mzphase.states import ProbeParams
 from mzphase.sweep import _guarded_dev, parse_config, run_sweep
+import oracle_reference
 from oracle_reference import (
     GRID_ALPHA,
     GRID_LOSS,
     GRID_M,
     GRID_R,
     DensityGrid,
+    KrausFamily,
+    _sector_mass_check,
     apply_beam_splitter,
     apply_bs_reference,
     apply_loss_channel,
@@ -43,6 +42,7 @@ from oracle_reference import (
     bs_block_reference,
     default_cutoff_reference,
     grid_marginal,
+    input_grid,
     loss_weight_table_reference,
     parity_expectation_oracle,
     parity_signal_reference,
@@ -98,22 +98,22 @@ def grid_with(cutoff, entries):
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     for (na, nb), v in entries.items():
         amps[na, nb] = v
-    return FockGrid(cutoff, amps)
+    return amps
 
 
 def test_single_photon_split():
     st = apply_beam_splitter(grid_with(4, {(0, 1): 1.0}), "first")
     s = 1.0 / math.sqrt(2.0)
-    assert st.amplitudes[0, 1] == pytest.approx(s, abs=1e-12)
-    assert st.amplitudes[1, 0] == pytest.approx(-1j * s, abs=1e-12)
-    assert st.norm == pytest.approx(1.0, abs=1e-12)
+    assert st[0, 1] == pytest.approx(s, abs=1e-12)
+    assert st[1, 0] == pytest.approx(-1j * s, abs=1e-12)
+    assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_photon_coincidence_cancels():
     st = apply_beam_splitter(grid_with(4, {(1, 1): 1.0}), "first")
-    assert abs(st.amplitudes[1, 1]) < 1e-12
-    assert abs(st.amplitudes[0, 2]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    assert abs(st.amplitudes[2, 0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    assert abs(st[1, 1]) < 1e-12
+    assert abs(st[0, 2]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    assert abs(st[2, 0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 def test_second_splitter_inverts_first():
@@ -125,9 +125,8 @@ def test_second_splitter_inverts_first():
         for na in range(total + 1):
             amps[na, total - na] = rng.normal() + 1j * rng.normal()
     amps /= np.linalg.norm(amps)
-    st = FockGrid(cutoff, amps)
-    back = apply_beam_splitter(apply_beam_splitter(st, "first"), "second")
-    assert np.max(np.abs(back.amplitudes - amps)) < 1e-12
+    back = apply_beam_splitter(apply_beam_splitter(amps, "first"), "second")
+    assert np.max(np.abs(back - amps)) < 1e-12
 
 
 def test_sector_mass_check_threshold():
@@ -149,7 +148,7 @@ def test_sector_mass_check_threshold():
 
 def _nan_grid(at, value=np.nan):
     st = grid_with(4, {(0, 0): 0.6, (1, 2): 0.8})
-    st.amplitudes[at] = value
+    st[at] = value
     return st
 
 
@@ -158,7 +157,7 @@ def test_sector_mass_check_rejects_nan(at):
     # a non-finite amplitude is its own error, not a cutoff that is too small
     for value in (np.nan, np.inf):
         with pytest.raises(ConsistencyError, match="non-finite"):
-            _sector_mass_check(_nan_grid(at, value).amplitudes, 4)
+            _sector_mass_check(_nan_grid(at, value), 4)
         with pytest.raises(ConsistencyError, match="non-finite"):
             apply_beam_splitter(_nan_grid(at, value), "first")
 
@@ -166,10 +165,10 @@ def test_sector_mass_check_rejects_nan(at):
 @pytest.mark.parametrize("mixed", [False, True])
 def test_splitter_drift_check_rejects_nan(monkeypatch, mixed):
     # past the sector check, a NaN amplitude must still stop the splitter
-    monkeypatch.setattr(oracle, "_sector_mass_check", lambda arr, cutoff: None)
+    monkeypatch.setattr(oracle_reference, "_sector_mass_check", lambda arr, cutoff: None)
     st = _nan_grid((2, 1))
     if mixed:
-        st = DensityGrid(4, [grid_with(4, {(0, 1): 0.6}).amplitudes, st.amplitudes])
+        st = DensityGrid(4, [grid_with(4, {(0, 1): 0.6}), st])
     with pytest.raises(UnitarityDrift, match="trace" if mixed else "norm"):
         apply_beam_splitter(st, "second")
 
@@ -178,16 +177,32 @@ def test_loss_trace_check_rejects_nan():
     with pytest.raises(TraceDrift):
         apply_loss_channel(_nan_grid((2, 1)), 0.3)
     with pytest.raises(TraceDrift):
-        apply_loss_channel(DensityGrid(4, [_nan_grid((1, 2)).amplitudes]), 0.3)
+        apply_loss_channel(DensityGrid(4, [_nan_grid((1, 2))]), 0.3)
 
 
 @pytest.mark.parametrize("alpha,r,m", [(0.0, 0.7, 2), (1.9, 1.0, 3), (3.0, 0.3, 0)])
 def test_masked_clip_matches_fill_diagonal_clip(alpha, r, m):
     p = ProbeParams(alpha=alpha, r=r, m=m)
     for nc in (default_cutoff(p), default_cutoff(p, weight=4)):
-        got = _prepared_after_first_splitter(p, nc).amplitudes
-        want = prepared_after_first_splitter_reference(p, nc).amplitudes
+        got = _prepared_after_first_splitter(p, nc)
+        want = prepared_after_first_splitter_reference(p, nc)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_prepared_state_rejects_non_finite_amplitude(monkeypatch, value):
+    # the corner clip passes a NaN norm, so the guard after it must stop it
+    amplitudes = oracle.coherent_fock_amplitudes
+
+    def broken(alpha, cutoff):
+        out = amplitudes(alpha, cutoff).copy()
+        out[2] = value
+        return out
+
+    monkeypatch.setattr(oracle, "coherent_fock_amplitudes", broken)
+    p = ProbeParams(alpha=1.0, r=0.5, m=1)
+    with np.errstate(invalid="ignore"), pytest.raises(ConsistencyError, match="non-finite"):
+        _prepared_after_first_splitter(p, default_cutoff(p))
 
 
 def test_splitter_rejects_incomplete_sector_mass():
@@ -229,15 +244,15 @@ def test_loss_keeps_coherent_state_coherent():
     cb = coherent_fock_amplitudes(beta, cutoff)
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     amps[0, :] = cb
-    rho = apply_loss_channel(FockGrid(cutoff, amps), l)
+    rho = apply_loss_channel(amps, l)
     want = np.abs(coherent_fock_amplitudes(beta * math.sqrt(1 - l), cutoff)) ** 2
     assert np.max(np.abs(rho.b_marginal() - want)) < 1e-10
 
 
 def test_density_matrix_is_physical():
     p = ProbeParams(alpha=1.0, r=0.4, m=1, loss=0.2)
-    st = build_input_state(p, 32)
-    st = FockGrid(32, st.amplitudes / st.norm)
+    st = input_grid(p, 32)
+    st = st / np.linalg.norm(st)
     rho = apply_loss_channel(st, p.loss)
     mat = density_matrix(rho)
     assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
@@ -254,11 +269,11 @@ def test_dense_matrix_refuses_large_cutoff():
 def test_phase_roundtrip_and_kinds():
     st = grid_with(4, {(0, 1): 0.6, (1, 0): 0.8})
     back = apply_phase(apply_phase(st, 0.37, "linear"), -0.37, "linear")
-    assert np.max(np.abs(back.amplitudes - st.amplitudes)) < 1e-15
+    assert np.max(np.abs(back - st)) < 1e-15
     lin = apply_phase(grid_with(4, {(0, 2): 1.0}), 0.5, "linear")
     ker = apply_phase(grid_with(4, {(0, 2): 1.0}), 0.5, "kerr")
-    assert lin.amplitudes[0, 2] == pytest.approx(np.exp(1j), abs=1e-15)
-    assert ker.amplitudes[0, 2] == pytest.approx(np.exp(2j), abs=1e-15)
+    assert lin[0, 2] == pytest.approx(np.exp(1j), abs=1e-15)
+    assert ker[0, 2] == pytest.approx(np.exp(2j), abs=1e-15)
     with pytest.raises(ParamOutOfRange):
         apply_phase(st, 0.1, "cubic")
 
@@ -396,6 +411,35 @@ def test_probe_marginal_shared_by_rows_that_differ_in_loss(monkeypatch):
     assert len(built) == 24
 
 
+def test_kerr_oracle_column_does_not_read_the_moment_set(monkeypatch):
+    # the oracle's Kerr bound is its own minimum over (mu1, mu2): moments
+    # moved by 1% move the analytic column and leave the oracle's alone
+    doc = {
+        "schema_version": 1,
+        "quantity": ["qfi_kerr"],
+        "sweep": {"name": "r", "start": 0.3, "stop": 0.9, "count": 3},
+        "fixed": {"alpha": 1.2},
+        "loss": [0.0, 0.2, 0.6],
+        "m_list": [0, 2],
+        "oracle_check": True,
+        "oracle_stride": 1,
+    }
+    spec = parse_config(json.dumps(doc))
+    plain = run_sweep(spec)
+    moments = sweep.moment_set
+
+    def perturbed(p):
+        ms = moments(p)
+        return replace(ms, m3=ms.m3 * 1.01, m4=ms.m4 * 1.01)
+
+    monkeypatch.setattr(sweep, "moment_set", perturbed)
+    moved = run_sweep(spec)
+    value, check, loss = (plain.header.index(name) for name in ("qfi_kerr", "oracle_qfi_kerr", "l"))
+    assert [row[check] for row in moved.rows] == [row[check] for row in plain.rows]
+    lossy = [i for i, row in enumerate(plain.rows) if float(row[loss]) > 0]
+    assert all(moved.rows[i][value] != plain.rows[i][value] for i in lossy)
+
+
 @pytest.mark.parametrize("second", [False, True])
 def test_stacked_splitter_matches_one_grid_at_a_time(second):
     # random entries everywhere, so the corner outside the sectors is covered;
@@ -453,7 +497,7 @@ def test_cq_table_matches_direct_variance():
     p = ProbeParams(alpha=1.0, r=0.5, m=1, loss=0.3)
     marg = probe_marginal(p, weight=2)
     table = loss_weight_table(marg, p.loss)
-    got = cq_from_table(table, KrausFamily("linear", p.loss, gamma=0.0))
+    got = KrausFamily("linear", p.loss, gamma=0.0).cq(table)
     eta = 1.0 - p.loss
     n = np.arange(marg.size)
     mean_in = float(np.dot(marg, n))

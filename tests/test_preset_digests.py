@@ -1,12 +1,14 @@
 """Every figure preset's CSV is byte-identical to its recorded digest.
 
 `scripts/preset_digests.py` records the SHA-256 of each preset's rendered
-CSV; this is its `--check`, one test per preset, so a moved cell on any
-preset row fails the suite and names the preset.
+CSV, once as it is and once with the oracle columns (`<name>+oracle`); this
+is its `--check`, one test per rendering, so a moved cell on any preset row
+fails the suite and names the preset.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,15 @@ DIGESTS = json.loads((Path(__file__).resolve().parent.parent / "scripts" / "pres
 
 
 def test_every_preset_has_a_digest():
-    assert len(DIGESTS) == 19
+    presets = [name for name in DIGESTS if not name.endswith("+oracle")]
+    assert len(presets) == 19
+    assert sorted(DIGESTS) == sorted(presets + [f"{name}+oracle" for name in presets])
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_preset_csv_matches_recorded_digest(name):
-    number = name.rstrip("ab")
-    text = run_sweep(figure_preset(int(number), panel=name[len(number):])).render()
+    preset, oracle = name.removesuffix("+oracle"), name.endswith("+oracle")
+    number = preset.rstrip("ab")
+    spec = figure_preset(int(number), panel=preset[len(number):])
+    text = run_sweep(replace(spec, oracle_check=oracle)).render()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name]
