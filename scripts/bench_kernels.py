@@ -16,8 +16,9 @@ single-threaded processes on the same machine:
   process, which includes building the beam-splitter blocks and any lazy
   import): `parity_signal_oracle` at r = 0.3, 0.65 and 1, and
   `qfi_lossy_numeric_check`, `kerr_cq_numeric`, `loss_weight_table` (on the
-  probe's weight-2 marginal, built by its first call) and `default_cutoff`
-  at r = 1 (the file records each r's sector cutoff). The probe-marginal
+  probe's weight-2 marginal, built by its first call, at the probe's loss and
+  at loss 0 as `loss_weight_table_loss0`) and `default_cutoff` at r = 1 (the
+  file records each r's sector cutoff). The probe-marginal
   cache of a tree that has one is cleared before every timed
   `qfi_lossy_numeric_check` and `kerr_cq_numeric` call, so both sides build
   the marginal each time. Each `oracle_first` entry also records the
@@ -46,6 +47,16 @@ single-threaded processes on the same machine:
   sweep searches them together). Its `optimize_deck` entry counts every
   kernel call and kernel point per sweep of the `optimize_deck` sweeps. It
   is taken once per side, after the timed rounds.
+- the `xcheck_deck` group, with --before-src only: the first XCHECK_SWEEPS
+  sweeps of the perfbench `xcheck` deck (seed XCHECK_SEED, every row
+  cross-checked by the Fock oracle), with both `src/` trees imported in one
+  process under two package names. After one untimed pass of each, every
+  round runs the deck sweep by sweep, the two trees alternating which runs
+  a sweep first, and sums each tree's time; it reports the seconds per
+  round, the ratio before / after per round and its median, and whether
+  every rendered CSV was byte-identical between the trees. Timings of the
+  two trees from separate processes spread too widely on a shared machine
+  to show a gain of a few tens of percent.
 
 The kernel probe is alpha = 2, r = 0.5, loss = 0.1; the oracle probe is the
 costliest corner of the `xcheck` benchmark workload, alpha = 1.9, m = 3,
@@ -86,6 +97,9 @@ ORACLE_R = (0.3, 0.65, 1.0)
 REFINE_PRESETS = ((5, "a"), (5, "b"), (9, "b"))
 OPTIMIZE_SEED = 1
 OPTIMIZE_SWEEPS = 12
+XCHECK_SEED = 1
+XCHECK_SWEEPS = 40
+XCHECK_ROUNDS = 6
 FIRST_RUNS = 3
 ROUNDS = 2
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +145,7 @@ def _oracle_calls() -> dict:
     # built on first use, so that no entry's first call finds the blocks built
     marg = lru_cache(maxsize=1)(lambda: probe_marginal(p, weight=2))
     calls["loss_weight_table"] = lambda: loss_weight_table(marg(), p.loss)
+    calls["loss_weight_table_loss0"] = lambda: loss_weight_table(marg(), 0.0)
     calls["default_cutoff"] = lambda: default_cutoff(p)
     return calls
 
@@ -282,6 +297,57 @@ def _optimize_deck() -> list:
     return [parse_config(s.text()) for s in itertools.islice(deck("optimize", OPTIMIZE_SEED), OPTIMIZE_SWEEPS)]
 
 
+def _load_tree(src: Path, name: str):
+    """The `mzphase` package under `src`, imported as the package `name`."""
+    import importlib.util
+
+    init = src / "mzphase" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.sweep")
+
+
+def measure_xcheck_deck(before_src: Path) -> dict:
+    """The `xcheck_deck` group: both trees in this process, interleaved sweep by sweep."""
+    import itertools
+
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import deck
+
+    texts = [s.text() for s in itertools.islice(deck("xcheck", XCHECK_SEED), XCHECK_SWEEPS)]
+    trees = {"before": _load_tree(before_src, "mzphase_before"), "after": _load_tree(ROOT / "src", "mzphase_after")}
+    specs = {name: [sweep.parse_config(t) for t in texts] for name, sweep in trees.items()}
+
+    def run(name: str, i: int) -> tuple[float, str]:
+        t0 = time.perf_counter()
+        text = trees[name].run_sweep(specs[name][i]).render()
+        return time.perf_counter() - t0, text
+
+    identical = all(run("before", i)[1] == run("after", i)[1] for i in range(len(texts)))
+    seconds = {"before": [], "after": []}
+    for rnd in range(XCHECK_ROUNDS):
+        spent = {"before": 0.0, "after": 0.0}
+        for i in range(len(texts)):
+            order = ("before", "after") if (rnd + i) % 2 == 0 else ("after", "before")
+            for name in order:
+                spent[name] += run(name, i)[0]
+        for name, dt in spent.items():
+            seconds[name].append(round(dt, 4))
+    ratios = [round(b / a, 3) for b, a in zip(seconds["before"], seconds["after"])]
+    return {
+        "seed": XCHECK_SEED,
+        "sweeps": len(texts),
+        "rounds": XCHECK_ROUNDS,
+        "before_s": seconds["before"],
+        "after_s": seconds["after"],
+        "ratio_per_round": ratios,
+        "ratio_median": statistics.median(ratios),
+        "csv_identical": identical,
+    }
+
+
 def _measure_rows() -> dict:
     """Sweep rows of one m evaluated together, against one call per row."""
     import numpy as np
@@ -379,6 +445,7 @@ def main(argv=None) -> int:
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--measure-first", metavar="NAME", help=argparse.SUPPRESS)
     ap.add_argument("--measure-refine", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--measure-xcheck-deck", type=Path, metavar="BEFORE_SRC", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.measure:
@@ -389,6 +456,9 @@ def main(argv=None) -> int:
         return 0
     if args.measure_refine:
         print(json.dumps(measure_refine()))
+        return 0
+    if args.measure_xcheck_deck:
+        print(json.dumps(measure_xcheck_deck(args.measure_xcheck_deck)))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -430,6 +500,7 @@ def main(argv=None) -> int:
         report[name]["refine_calls"] = _run(src, "--measure-refine")
     if args.before_src is not None:
         report["speedup_min"] = _speedups(report["before"]["ms"], report["after"]["ms"])
+        report["xcheck_deck"] = _run(ROOT / "src", "--measure-xcheck-deck", str(args.before_src.resolve()))
     report["rows_batch_gain_min"] = _batch_gains(report["after"]["ms"])
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")

@@ -23,7 +23,11 @@ float64 and shared by every cutoff; the splitter gathers a sector's entries
 times S^H, takes one real product with R_N and scatters them back times S.
 The blocks of sectors 0..N take sum (k+1)^2 * 8 B, which is about 11 MB up to
 N = 160 and 0.58 GB up to SECTOR_LIMIT; they are freed only when the process
-ends.
+ends. The splitter's sector layout (n_a, n_b, the S^H and S phase columns and
+the sector bounds) is kept once, for the largest cutoff seen, about 0.6 MB at
+N = 160: sector order does not depend on the cutoff, so a smaller cutoff reads
+its prefixes and forms only its flat indices. Per-cutoff copies would miss on
+most calls of a sweep whose cutoffs vary, or grow with every cutoff visited.
 
 `parity_signal_oracle` does not apply the second splitter: behind a 50:50
 splitter, b-port parity is a signed exchange of the two modes within each
@@ -34,7 +38,13 @@ time. The identity is tested on every sector up to 160, and
 tests/oracle_reference.py keeps the explicit pipeline (mixed-state grids,
 full loss-branch grids, the phase and the second splitter) as the
 brute-force reference. `probe_marginal` keeps its last two marginals, so
-rows of a sweep that differ only in loss share one.
+rows of a sweep that differ only in loss share one. At loss 0,
+`loss_weight_table` returns the marginal's nonzero entries with nothing lost,
+weight marginal * 1.0: what its recurrence gives there, with no recurrence.
+`default_cutoff` convolves each input distribution only up to its last level
+of at least 1e-100 (_SUPPORT_FLOOR), with a zero appended so that the tail
+test can end past it: each level left out holds under 1e-100, and their
+subnormal products were most of a full-length convolution's time.
 
 Log-factorials come from one cached table of `math.lgamma` values.
 """
@@ -67,6 +77,8 @@ SECTOR_TOL = 1e-11
 SECTOR_LIMIT = 600
 # Longest single-mode photon distribution `default_cutoff` builds.
 _LENGTH_MAX = 16384
+# Smallest single-mode probability `default_cutoff` convolves.
+_SUPPORT_FLOOR = 1e-100
 # i^k for k mod 4
 _I_POW = np.array([1, 1j, -1, -1j])
 
@@ -123,15 +135,38 @@ def _bs_blocks(cutoff: int) -> list:
     return [_bs_block(total) for total in range(cutoff + 1)]
 
 
-def _sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat grid indices of sectors 0..cutoff, sector after sector with n_a
-    ascending, the n_a of each, and the offset at which each sector starts
-    (cutoff + 2 entries)."""
+@dataclass(frozen=True)
+class _SectorLayout:
+    """Entries of sectors 0..cutoff, sector after sector with n_a ascending:
+    their n_a and n_b, the S^H and S phase columns, and the offset at which
+    each sector starts (cutoff + 2 Python ints). A smaller cutoff c reads the
+    first bounds[c + 1] entries."""
+
+    cutoff: int
+    na: np.ndarray
+    nb: np.ndarray
+    s_h: np.ndarray
+    s: np.ndarray
+    bounds: list
+
+
+def _build_layout(cutoff: int) -> _SectorLayout:
     d = cutoff + 1
+    bounds = [k * (k + 1) // 2 for k in range(d + 1)]
     total = np.repeat(np.arange(d), np.arange(1, d + 1))
-    start = np.concatenate(([0], np.cumsum(np.arange(1, d + 1))))
-    na = np.arange(total.size) - start[total]
-    return na * d + (total - na), na, start
+    na = np.arange(total.size) - np.array(bounds)[total]
+    return _SectorLayout(cutoff, na, total - na, _I_POW[-na % 4][:, None], _I_POW[na % 4][:, None], bounds)
+
+
+_layout = _build_layout(0)
+
+
+def _sector_layout(cutoff: int) -> _SectorLayout:
+    """The layout of the largest cutoff seen so far, grown to `cutoff` if needed."""
+    global _layout
+    if cutoff > _layout.cutoff:
+        _layout = _build_layout(cutoff)
+    return _layout
 
 
 def _apply_bs_array(arr: np.ndarray, cutoff: int) -> np.ndarray:
@@ -143,18 +178,21 @@ def _apply_bs_array(arr: np.ndarray, cutoff: int) -> np.ndarray:
     stack, and S goes back on in the scatter. Multiplying by a power of i
     is exact. Entries outside sectors 0..cutoff pass through.
     """
-    idx, na, start = _sectors(cutoff)
-    out = np.array(arr, dtype=np.complex128)
+    layout = _sector_layout(cutoff)
+    bounds = layout.bounds[: cutoff + 2]
+    size = bounds[-1]
     d = cutoff + 1
+    idx = layout.na[:size] * d + layout.nb[:size]
+    out = np.array(arr, dtype=np.complex128)
     flat = out.reshape(*arr.shape[:-2], d * d).T  # (d*d,) or (d*d, k), a view of out
-    packed = np.ascontiguousarray(flat[idx]).reshape(idx.size, -1)
-    packed *= _I_POW[-na % 4][:, None]
+    packed = np.ascontiguousarray(flat[idx]).reshape(size, -1)
+    packed *= layout.s_h[:size]
     pairs = packed.view(np.float64)  # (entries, 2k): real and imaginary parts
-    for total, rot in enumerate(_bs_blocks(cutoff)):
-        seg = pairs[start[total] : start[total + 1]]
+    for lo, hi, rot in zip(bounds, bounds[1:], _bs_blocks(cutoff)):
+        seg = pairs[lo:hi]
         seg[...] = rot @ seg
-    packed *= _I_POW[na % 4][:, None]
-    flat[idx] = packed.reshape(idx.size, *flat.shape[1:])
+    packed *= layout.s[:size]
+    flat[idx] = packed.reshape(size, *flat.shape[1:])
     return out
 
 
@@ -232,6 +270,11 @@ def _coherent_probs(alpha: float, length: int) -> np.ndarray:
     return np.exp(-alpha * alpha + n * (2.0 * math.log(alpha)) - _log_factorials(length))
 
 
+def _support_end(probs: np.ndarray) -> int:
+    """One past the last entry of `probs` at or above _SUPPORT_FLOOR."""
+    return int(np.flatnonzero(probs >= _SUPPORT_FLOOR)[-1]) + 1
+
+
 def default_cutoff(p: ProbeParams, weight: int = 0) -> int:
     """Sector cutoff from the exact total-photon distribution of the input.
 
@@ -244,7 +287,8 @@ def default_cutoff(p: ProbeParams, weight: int = 0) -> int:
     The distributions are doubled in length until the last two levels of
     each are below 1e-16: the photon-added squeezed vacuum fills only the
     levels of m's parity, so one level alone can be exactly 0 inside a tail
-    that still matters.
+    that still matters. Each is convolved only up to its last level at or
+    above _SUPPORT_FLOOR, and a zero appended lets the tail test end past it.
     """
     length = 1024
     while True:
@@ -255,7 +299,7 @@ def default_cutoff(p: ProbeParams, weight: int = 0) -> int:
         length *= 2
         if length > _LENGTH_MAX:
             raise CutoffTooSmall("input photon distributions too wide for the oracle")
-    q = np.convolve(pa, pb)
+    q = np.append(np.convolve(pa[: _support_end(pa)], pb[: _support_end(pb)]), 0.0)
     totals = np.arange(q.size, dtype=float)
     wq = q * totals**weight
     total_mass = float(np.sum(wq))
@@ -407,6 +451,9 @@ def loss_weight_table(marginal: np.ndarray, loss: float) -> LossWeightTable:
         empty = np.zeros(0)
         return LossWeightTable(empty, empty, empty)
     kf = ks.astype(float)
+    if loss == 0:
+        # what the recurrence below gives: eta**k == 1.0, and every row ends at j = 0
+        return LossWeightTable(kf, np.zeros(ks.size), np.asarray(marginal, dtype=float)[ks] * 1.0)
     width = int(ks[-1]) + 1
     # w[j] = Binom(k, j) l^j eta^(k-j) over the rows k, by the recurrence in j.
     # It is 0 from j = k + 1 on and never above 1, so every row runs to width.

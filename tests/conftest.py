@@ -1,6 +1,18 @@
-"""Shared pytest plumbing: collects acceptance summary lines."""
+"""Shared pytest plumbing: pins BLAS to one thread and collects acceptance
+summary lines.
 
-import pytest
+The Fock oracle's splitter blocks (`eigh` and a complex product) differ in
+their last bits between one and two BLAS threads, and the recorded `--oracle`
+preset digests are defined at one thread. The variables are set before
+anything imports numpy, which reads them once when it loads its BLAS.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
 
 ACCEPTANCE_LINES: list[str] = []
 

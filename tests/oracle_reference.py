@@ -13,6 +13,9 @@ did before all three:
   (`bs_block_reference`), applied one sector and one grid at a time
   (`apply_bs_reference`), each block conjugated as it is applied for the
   second splitter;
+- the production splitter with its sector layout built per call for the
+  cutoff at hand (`apply_bs_array_reference`), where `_apply_bs_array` reads
+  prefixes of one layout kept for the largest cutoff seen;
 - the explicit pipeline: pure states as plain (d, d) amplitude grids
   (`input_grid`), mixed states as lists of branch grids (`DensityGrid`), the
   splitter on pure and mixed states, first or second, with its sector-mass
@@ -107,6 +110,27 @@ def apply_bs_reference(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray
             u = u.conj()
         na = np.arange(total + 1)
         out[na, total - na] = u @ arr[na, total - na]
+    return out
+
+
+def apply_bs_array_reference(arr: np.ndarray, cutoff: int) -> np.ndarray:
+    """`oracle._apply_bs_array` with its sector layout built for this cutoff
+    alone, on every call: flat indices, n_a and sector offsets as arrays."""
+    d = cutoff + 1
+    total = np.repeat(np.arange(d), np.arange(1, d + 1))
+    start = np.concatenate(([0], np.cumsum(np.arange(1, d + 1))))
+    na = np.arange(total.size) - start[total]
+    idx = na * d + (total - na)
+    out = np.array(arr, dtype=np.complex128)
+    flat = out.reshape(*arr.shape[:-2], d * d).T
+    packed = np.ascontiguousarray(flat[idx]).reshape(idx.size, -1)
+    packed *= oracle._I_POW[-na % 4][:, None]
+    pairs = packed.view(np.float64)
+    for total, rot in enumerate(oracle._bs_blocks(cutoff)):
+        seg = pairs[start[total] : start[total + 1]]
+        seg[...] = rot @ seg
+    packed *= oracle._I_POW[na % 4][:, None]
+    flat[idx] = packed.reshape(idx.size, *flat.shape[1:])
     return out
 
 
@@ -440,9 +464,9 @@ def numeric_check_reference(table: LossWeightTable, loss: float) -> float:
 
 
 def default_cutoff_reference(p: ProbeParams, weight: int, length: int = 16384) -> int:
-    """`default_cutoff`'s tail rule on input distributions of a fixed length
-    (the longest the oracle builds), with no length search and no
-    SECTOR_LIMIT."""
+    """`default_cutoff`'s tail rule on whole input distributions of a fixed
+    length (by default the longest the oracle builds), with no length search,
+    no support floor and no SECTOR_LIMIT."""
     q = np.convolve(_coherent_probs(p.alpha, length), _pasvs_probs(p.r, p.m, length))
     wq = q * np.arange(q.size, dtype=float) ** weight
     tail = np.cumsum(wq[::-1])[::-1]

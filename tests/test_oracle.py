@@ -36,6 +36,7 @@ from oracle_reference import (
     KrausFamily,
     _sector_mass_check,
     apply_beam_splitter,
+    apply_bs_array_reference,
     apply_bs_reference,
     apply_loss_channel,
     apply_phase,
@@ -454,6 +455,23 @@ def test_stacked_splitter_matches_one_grid_at_a_time(second):
         np.testing.assert_allclose(g, apply_bs_reference(grid, cutoff, second), rtol=0, atol=1e-13)
 
 
+def test_splitter_layout_prefixes_match_per_call_layout(monkeypatch):
+    # one layout, grown only when a larger cutoff comes, serves every smaller one
+    monkeypatch.setattr(oracle, "_layout", oracle._build_layout(0))
+    rng = np.random.default_rng(11)
+    largest = 0
+    for cutoff in (160, 8, 128, 24, 168):
+        largest = max(largest, cutoff)
+        d = cutoff + 1
+        for shape in ((d, d), (3, d, d)):
+            arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert _apply_bs_array(arr, cutoff).tobytes() == apply_bs_array_reference(arr, cutoff).tobytes()
+        layout = oracle._layout
+        assert layout.cutoff == largest
+        assert layout.na.size == layout.nb.size == layout.s.size == (largest + 1) * (largest + 2) // 2
+        assert layout.bounds == [k * (k + 1) // 2 for k in range(largest + 2)]
+
+
 def test_splitter_blocks_built_once_per_sector():
     shared = _bs_blocks(160)
     misses = _bs_block.cache_info().misses
@@ -525,6 +543,32 @@ def test_loss_weight_table_matches_reference_loop():
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and np.array_equal(a, b), (alpha, r, m, loss, name)
     assert loss_weight_table(np.zeros(5), 0.3).weight.size == 0
+
+
+def test_loss_weight_table_at_loss_zero_is_the_marginal():
+    for alpha, r, m in itertools.product(GRID_ALPHA, GRID_R, GRID_M):
+        marg = grid_marginal(alpha, r, m)
+        ks = np.flatnonzero(marg)
+        got = loss_weight_table(marg, 0.0)
+        want = (ks.astype(float), np.zeros(ks.size), marg[ks] * 1.0)
+        for a, b in zip((got.survived, got.lost, got.weight), want):
+            assert a.dtype == b.dtype == np.float64
+            assert a.shape == b.shape and np.all(a == b), (alpha, r, m)
+
+
+def test_default_cutoff_matches_full_length_rule():
+    # the support floor and the shorter convolution pick the cutoff the whole
+    # 1024-level distributions pick: on the equality grid, the probes of the
+    # benchmark's cross-check workload and seeded probes up to alpha 4, r 1.5
+    # and m 10
+    grid = list(itertools.product(GRID_ALPHA, GRID_R, GRID_M))
+    xcheck = list(itertools.product((1.6, 1.7, 1.8, 1.9), np.linspace(0.3, 1.0, 6).tolist(), range(4)))
+    rng = np.random.default_rng(2024)
+    seeded = zip(rng.uniform(0.0, 4.0, 400).tolist(), rng.uniform(0.0, 1.5, 400).tolist(), rng.integers(0, 11, 400).tolist())
+    for alpha, r, m in grid + xcheck + list(seeded):
+        p = ProbeParams(alpha=alpha, r=r, m=m)
+        for weight in (0, 2, 4):
+            assert default_cutoff(p, weight=weight) == default_cutoff_reference(p, weight, length=1024), (p, weight)
 
 
 def test_default_cutoff_matches_reference_loop(monkeypatch):
