@@ -3,16 +3,19 @@
     git archive <base-rev> src | tar -x -C /tmp/base
     python3 scripts/oracle_moves.py --before-src /tmp/base/src --out ORACLE_MOVES_<n>.json
 
-Evaluates the oracle of the currently checked-out `src/` ("after") and of the
-`src/` tree given with --before-src ("before"), each in its own fresh,
-single-threaded process, on the 625 probes of the equality grid of
-tests/oracle_reference.py (alpha, r, m and loss; phi 0.37):
+Imports the `src/` tree given with --before-src ("before") and the checked-out
+`src/` ("after") into one process under two package names, with BLAS pinned
+to one thread (scripts/trees.py), and evaluates the oracle of each on the
+625 probes of the equality grid of tests/oracle_reference.py (alpha, r, m
+and loss; phi 0.37):
 
 - `parity`: `parity_signal_oracle` (value, first and second phase
   derivative) at the weight-2 cutoff;
 - `qfi_lossy_numeric_check`;
-- `kerr_cq_numeric` at the closed-form optimum `kerr_mu_opt`, or at
-  (mu1, mu2) = (-0.5, -0.3) where its 2x2 system is singular;
+- `kerr_cq_numeric`: C_Q on the loss table of the weight-4 marginal at the
+  closed-form optimum `kerr_mu_opt`, or at (mu1, mu2) = (-0.5, -0.3) where
+  its 2x2 system is singular, built from each tree's `probe_marginal`,
+  `loss_weight_table` and `cq_from_table` as tests/oracle_reference.py does;
 - `kerr_mu_opt_numeric`: the operator-level Kerr minimum (cq, mu1, mu2);
 - `moments`: `moments_oracle` for w = 1..4 (no loss, so per (alpha, r, m));
 - `cutoff`: `default_cutoff` at weights 0, 2 and 4 (per (alpha, r, m)).
@@ -20,7 +23,8 @@ tests/oracle_reference.py (alpha, r, m and loss; phi 0.37):
 The file lists every value that differs, one line each ("probe [index]:
 before -> after"), largest first, with its guarded deviation
 |a - b| / max(1, |a|, |b|), and per quantity the number of values, the
-number that moved and the largest deviation. About two minutes per side.
+number that moved and the largest deviation. An A/A run (`--before-src src`)
+lists none. About ten seconds per tree.
 """
 
 from __future__ import annotations
@@ -28,55 +32,46 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+from trees import ROOT, load_tree
 
 GRID_ALPHA = (0.0, 0.5, 1.6, 1.9, 3.0)
 GRID_R = (0.0, 0.3, 0.7, 1.0, 1.2)
 GRID_M = (0, 1, 2, 3, 6)
 GRID_LOSS = (0.0, 0.05, 0.21, 0.6, 0.9)
 PHI = 0.37
-ROOT = Path(__file__).resolve().parent.parent
 
 
-def measure() -> dict:
-    """Every value of the mzphase importable in this process, by quantity and probe."""
-    from mzphase.errors import SingularNormalEquations
-    from mzphase.moments import moment_set
-    from mzphase.oracle import default_cutoff, moments_oracle, parity_signal_oracle
-    from mzphase.qfi_kerr import kerr_cq_numeric, kerr_mu_opt, kerr_mu_opt_numeric
-    from mzphase.qfi_linear import qfi_lossy_numeric_check
-    from mzphase.states import ProbeParams
+def measure(t) -> dict:
+    """Every value of the loaded tree `t`, by quantity and probe."""
+    o, kerr = t.oracle, t.qfi_kerr
+
+    def kerr_cq_numeric(p, mu1: float, mu2: float) -> float:
+        table = o.loss_weight_table(o.probe_marginal(p, weight=4), p.loss)
+        n, j = table.survived, table.lost
+        return o.cq_from_table(table, n * n - 2.0 * mu1 * n * j - mu2 * j * j)
 
     quantities = ("parity", "qfi_lossy_numeric_check", "kerr_cq_numeric", "kerr_mu_opt_numeric", "moments", "cutoff")
     out: dict = {q: {} for q in quantities}
     for alpha, r, m in itertools.product(GRID_ALPHA, GRID_R, GRID_M):
-        p = ProbeParams(alpha=alpha, r=r, m=m)
+        p = t.states.ProbeParams(alpha=alpha, r=r, m=m)
         key = f"alpha={alpha} r={r} m={m}"
-        out["moments"][key] = [moments_oracle(p, w) for w in (1, 2, 3, 4)]
-        out["cutoff"][key] = [default_cutoff(p, weight=w) for w in (0, 2, 4)]
+        out["moments"][key] = [o.moments_oracle(p, w) for w in (1, 2, 3, 4)]
+        out["cutoff"][key] = [o.default_cutoff(p, weight=w) for w in (0, 2, 4)]
         for loss in GRID_LOSS:
-            p = ProbeParams(alpha=alpha, r=r, m=m, loss=loss, phi=PHI)
+            p = t.states.ProbeParams(alpha=alpha, r=r, m=m, loss=loss, phi=PHI)
             at = f"{key} l={loss}"
-            out["parity"][at] = list(parity_signal_oracle(p, cutoff=default_cutoff(p, weight=2)))
-            out["qfi_lossy_numeric_check"][at] = [qfi_lossy_numeric_check(p)]
+            out["parity"][at] = list(o.parity_signal_oracle(p, cutoff=o.default_cutoff(p, weight=2)))
+            out["qfi_lossy_numeric_check"][at] = [t.qfi_linear.qfi_lossy_numeric_check(p)]
             try:
-                mu = kerr_mu_opt(moment_set(p), loss)
-            except SingularNormalEquations:
+                mu = kerr.kerr_mu_opt(t.moments.moment_set(p), loss)
+            except t.errors.SingularNormalEquations:
                 mu = (-0.5, -0.3)
             out["kerr_cq_numeric"][at] = [kerr_cq_numeric(p, *mu)]
-            out["kerr_mu_opt_numeric"][at] = list(kerr_mu_opt_numeric(p))
+            out["kerr_mu_opt_numeric"][at] = list(kerr.kerr_mu_opt_numeric(p))
     return out
-
-
-def _run(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    done = subprocess.run([sys.executable, __file__, "--measure"], env=env, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def _guarded(a: float, b: float) -> float:
@@ -104,15 +99,11 @@ def compare(before: dict, after: dict) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--before-src", type=Path, help="src/ directory of the tree to compare against")
-    ap.add_argument("--out", type=Path, help="JSON file to write (required)")
-    ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--before-src", type=Path, required=True, help="src/ directory of the tree to compare against")
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = ap.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure()))
-        return 0
-    if args.out is None or args.before_src is None:
-        ap.error("--before-src and --out are required")
+    before = measure(load_tree(args.before_src.resolve(), "mzphase_before"))
+    after = measure(load_tree(ROOT / "src", "mzphase_after"))
     report = {
         "grid": {"alpha": GRID_ALPHA, "r": GRID_R, "m": GRID_M, "loss": GRID_LOSS, "phi": PHI},
         "index": {
@@ -121,7 +112,7 @@ def main(argv=None) -> int:
             "moments": "w = 1, 2, 3, 4",
             "cutoff": "weight 0, 2, 4",
         },
-        "quantities": compare(_run(args.before_src.resolve()), _run(ROOT / "src")),
+        "quantities": compare(before, after),
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for q, r in report["quantities"].items():

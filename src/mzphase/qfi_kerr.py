@@ -148,7 +148,7 @@ def kerr_mu_opt(ms: MomentSet, loss: float) -> tuple[float, float]:
 def qfi_ideal_kerr(ms: MomentSet) -> QfiResult:
     """F_Q = 4 Var(n_b^2) for a pure probe and quadratic phase."""
     fq = 4.0 * ms.var_n2
-    return _result(fq, degenerate=(fq <= 1e-14 and ms.m1 <= 1e-14))
+    return _result(fq)
 
 
 def qfi_lossy_kerr(ms: MomentSet, loss: float) -> QfiResult:
@@ -162,19 +162,9 @@ def qfi_lossy_kerr(ms: MomentSet, loss: float) -> QfiResult:
     if loss == 0.0:
         return qfi_ideal_kerr(ms)
     if ms.m1 <= 1e-14 and ms.var_n2 <= 1e-14:
-        return QfiResult(0.0, math.inf, degenerate=True)
+        return QfiResult(0.0, math.inf)
     mu1, mu2, singular = _kerr_vertex(ms, loss)
     return _result(kerr_cq(ms, loss, mu1, mu2), fallback=singular)
-
-
-def kerr_cq_numeric(p: ProbeParams, mu1: float, mu2: float) -> float:
-    """Operator-level C_Q from the Kraus family, for cross-checking.
-
-    Loss branch j imprints the phase exponent n^2 - 2 mu1 n j - mu2 j^2 at
-    surviving photon number n."""
-    table = loss_weight_table(probe_marginal(p, weight=4), p.loss)
-    n, j = table.survived, table.lost
-    return cq_from_table(table, n * n - 2.0 * mu1 * n * j - mu2 * j * j)
 
 
 def kerr_mu_opt_numeric(p: ProbeParams) -> tuple[float, float, float]:

@@ -25,14 +25,12 @@ DEGENERATE_TOL = 1e-14
 class QfiResult:
     """A Fisher information value with its Cramer-Rao bound.
 
-    degenerate marks a probe with no photon number spread at all (fq = 0,
-    bound undefined); fallback marks a Kerr value at the least-norm
-    minimizer of a singular quadratic form.
+    fallback marks a Kerr value at the least-norm minimizer of a singular
+    quadratic form.
     """
 
     fq: float
     qcrb: float
-    degenerate: bool = False
     fallback: bool = False
 
 
@@ -47,29 +45,29 @@ class BenchmarkLimits:
     super_heisenberg: float
 
 
-def _result(fq: float, degenerate: bool = False, fallback: bool = False) -> QfiResult:
+def _result(fq: float, fallback: bool = False) -> QfiResult:
     qcrb = math.inf if fq <= 0 else 1.0 / math.sqrt(fq)
-    return QfiResult(fq=fq, qcrb=qcrb, degenerate=degenerate, fallback=fallback)
+    return QfiResult(fq=fq, qcrb=qcrb, fallback=fallback)
 
 
 def qfi_ideal_linear(ms: MomentSet) -> QfiResult:
     """F_Q = 4 Var(n_b) for a pure probe and unitary phase."""
     fq = 4.0 * ms.var_n
-    return _result(fq, degenerate=(fq <= DEGENERATE_TOL and ms.m1 <= DEGENERATE_TOL))
+    return _result(fq)
 
 
 def qfi_lossy_linear(ms: MomentSet, loss: float) -> QfiResult:
     """Optimized purification bound under single-arm loss.
 
     Exactly the ideal value at loss = 0. A probe with neither mean photons
-    nor number variance carries no phase information: flagged degenerate.
+    nor number variance carries no phase information: (0, inf).
     """
     if not 0 <= loss < 1:
         raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
     if loss == 0.0:
         return qfi_ideal_linear(ms)
     if ms.m1 <= DEGENERATE_TOL and ms.var_n <= DEGENERATE_TOL:
-        return QfiResult(0.0, math.inf, degenerate=True)
+        return QfiResult(0.0, math.inf)
     eta = 1.0 - loss
     fq = 4.0 * eta * ms.m1 * ms.var_n / (loss * ms.var_n + eta * ms.m1)
     return _result(fq)

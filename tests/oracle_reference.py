@@ -34,8 +34,11 @@ references of their array forms: the loss weight table, the photon-added
 squeezed-vacuum distribution, the corner clip by `fill_diagonal`, and the
 lossy linear bound found by a grid scan and a golden section; and the
 sector cutoff taken from distributions of the longest length the oracle
-builds. `kerr_gradient_check` certifies that the closed-form Kerr optimum is
-a stationary point of the operator-level C_Q by central differences.
+builds. `kerr_cq_numeric` evaluates the operator-level Kerr C_Q at given
+commutation parameters on the same loss weight table the package's
+`kerr_mu_opt_numeric` minimizes over, and `kerr_gradient_check` certifies
+that the closed-form Kerr optimum is a stationary point of it by central
+differences.
 """
 
 import itertools
@@ -472,6 +475,16 @@ def default_cutoff_reference(p: ProbeParams, weight: int, length: int = 16384) -
     tail = np.cumsum(wq[::-1])[::-1]
     nc = int(np.nonzero(tail <= SECTOR_TOL * float(np.sum(wq)))[0][0])
     return (max(nc, p.m + 2, 8) + 7) // 8 * 8
+
+
+def kerr_cq_numeric(p: ProbeParams, mu1: float, mu2: float) -> float:
+    """Operator-level C_Q from the Kraus family at (mu1, mu2).
+
+    Loss branch j imprints the phase exponent n^2 - 2 mu1 n j - mu2 j^2 at
+    surviving photon number n."""
+    table = loss_weight_table(probe_marginal(p, weight=4), p.loss)
+    n, j = table.survived, table.lost
+    return cq_from_table(table, n * n - 2.0 * mu1 * n * j - mu2 * j * j)
 
 
 def kerr_gradient_check(p: ProbeParams, step: float = 1e-6) -> float:

@@ -19,7 +19,6 @@ from mzphase.oracle import moments_oracle
 from mzphase.parity import classical_fisher, optimal_phase, parity_expectation
 from mzphase.qfi_kerr import (
     kerr_cq,
-    kerr_cq_numeric,
     kerr_mu_opt_numeric,
     qfi_ideal_kerr,
     qfi_lossy_kerr,
@@ -32,7 +31,7 @@ from mzphase.qfi_linear import (
 )
 from mzphase.states import ProbeParams, solve_r_for_energy
 from mzphase.sweep import figure_preset, run_sweep
-from oracle_reference import kerr_gradient_check, parity_expectation_oracle
+from oracle_reference import kerr_cq_numeric, kerr_gradient_check, parity_expectation_oracle
 
 _T0 = time.perf_counter()
 

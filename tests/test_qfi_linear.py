@@ -57,9 +57,8 @@ def test_zero_loss_reduces_to_ideal_exactly():
 def test_vacuum_probe_is_degenerate():
     ms = moment_set(ProbeParams(alpha=0.0, r=0.0, m=0))
     res = qfi_lossy_linear(ms, 0.2)
-    assert res.degenerate
     assert res.fq == 0.0
-    assert math.isinf(res.qcrb)
+    assert res.qcrb == math.inf
 
 
 FROZEN_LOSSY = [

@@ -1,0 +1,85 @@
+"""The tree-comparison scripts, run on this checkout's `src/` loaded twice.
+
+`scripts/trees.py` imports a `src/` tree under a package name of its own, and
+`scripts/bench_kernels.py` and `scripts/oracle_moves.py` compare two such
+loads. Here both loads hold the same code (an A/A comparison): the paired
+timer must report both sides with a finite ratio, both loads must render a
+preset's CSV to the same bytes, and no oracle value may move. The budgets
+and the grid are cut down so that the module runs in a few seconds.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+import bench_kernels  # noqa: E402
+import oracle_moves  # noqa: E402
+from trees import ROOT, load_tree  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def twice():
+    return load_tree(ROOT / "src", "mzphase_aa_first"), load_tree(ROOT / "src", "mzphase_aa_second")
+
+
+def test_loads_are_separate_packages(twice):
+    first, second = twice
+    assert first.sweep is not second.sweep
+    assert first.oracle._probe_marginal is not second.oracle._probe_marginal
+
+
+def test_paired_timer_alternates_which_side_goes_first(monkeypatch):
+    monkeypatch.setattr(bench_kernels, "BUDGET_S", 0.0)
+    monkeypatch.setattr(bench_kernels, "MIN_PAIRS", 4)
+    order = []
+    # each call does a little work, so that no timing reads 0
+    got = bench_kernels.paired(*(lambda side=side: order.append(side) or sum(range(100)) for side in "ba"))
+    # one untimed call of each, then pairs (b, a), (a, b), (b, a), (a, b)
+    assert "".join(order) == "ba" + "ba" + "ab" + "ba" + "ab"
+    assert got["pairs"] == 4
+
+
+def test_paired_timer_reports_both_sides(twice, monkeypatch):
+    monkeypatch.setattr(bench_kernels, "BUDGET_S", 0.05)
+    monkeypatch.setattr(bench_kernels, "MIN_PAIRS", 4)
+    before, after = (bench_kernels.kernel_calls(t)["moment_set"]["m3"] for t in twice)
+    got = bench_kernels.paired(before, after)
+    assert got["pairs"] >= 4
+    assert got["before_ms"] > 0 and got["after_ms"] > 0
+    assert math.isfinite(got["ratio"]) and got["ratio"] > 0
+    assert got["ratio_q1"] <= got["ratio"] <= got["ratio_q3"]
+
+
+def test_oracle_entries_are_the_named_ones(twice):
+    # the fresh-process first calls are run by name before any tree loads
+    assert tuple(bench_kernels.oracle_calls(twice[0])) == bench_kernels.ORACLE_NAMES
+
+
+def test_first_call_runs_in_fresh_processes(monkeypatch):
+    monkeypatch.setattr(bench_kernels, "FIRST_RUNS", 1)
+    got = bench_kernels.first_calls({"before": ROOT / "src", "after": ROOT / "src"}, "default_cutoff")
+    for side in ("before", "after"):
+        assert got[side]["min_ms"] > 0
+        assert len(got[side]["maxrss_kb"]) == 1
+
+
+def test_both_loads_render_the_same_preset_csv(twice):
+    first, second = (t.sweep.run_sweep(t.sweep.figure_preset(2, "a")).render() for t in twice)
+    assert first == second
+
+
+def test_oracle_moves_on_one_probe(twice, monkeypatch):
+    for name, grid in (("GRID_ALPHA", (1.6,)), ("GRID_R", (0.7,)), ("GRID_M", (2,)), ("GRID_LOSS", (0.21,))):
+        monkeypatch.setattr(oracle_moves, name, grid)
+    before, after = (oracle_moves.measure(t) for t in twice)
+    report = oracle_moves.compare(before, after)
+    assert "kerr_cq_numeric" in report
+    assert all(q["values"] > 0 and q["moved"] == 0 for q in report.values())
+    # a moved value is found and named
+    probe = next(iter(after["parity"]))
+    after["parity"][probe][0] += 1e-9
+    assert oracle_moves.compare(before, after)["parity"]["moved"] == 1
