@@ -20,7 +20,6 @@ from .errors import (
     BracketExceeded,
     ConsistencyError,
     CutoffTooSmall,
-    DegenerateDenominator,
     DegenerateSignal,
     InfeasibleTarget,
     JetError,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 malformed spec or figure request, 2 hard numeric
-failure. Only the four `sweep.ROW_ERRORS` become a per-row status in the
+failure. Only the three `sweep.ROW_ERRORS` become a per-row status in the
 CSV; any other error inside a sweep (a `ConsistencyError`, say) aborts it
 with exit 2 and no `--out` file is written.
 """

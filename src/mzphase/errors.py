@@ -2,8 +2,12 @@
 
 Contract violations (bad arguments, series operations, configs) derive from
 ValueError; numeric/consistency failures discovered at runtime derive from
-RuntimeError. The multivariate jets the tests build their reference kernels
-with raise their own shape and index errors (`tests/jet_reference.py`).
+RuntimeError. A sweep turns InfeasibleTarget, BracketExceeded and
+DegenerateSignal into a per-row status (`sweep.ROW_ERRORS`); any other error
+aborts it. A kernel denominator below its floor, which the declared parameter
+domain rules out, is a ConsistencyError. The multivariate jets the tests
+build their reference kernels with raise their own shape and index errors
+(`tests/jet_reference.py`).
 """
 
 
@@ -29,10 +33,6 @@ class BracketExceeded(ValueError):
 
 class CutoffTooSmall(ValueError):
     """A Fock-space cutoff leaves more probability in the tail than allowed."""
-
-
-class DegenerateDenominator(RuntimeError):
-    """A kernel denominator lost its constant term; the expansion is invalid."""
 
 
 class DegenerateSignal(RuntimeError):

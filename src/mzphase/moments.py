@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateDenominator, ParamOutOfRange
+from .errors import ConsistencyError, ParamOutOfRange
 from .jets import Series, gaussian_tt_coefficient
 from .states import ProbeParams, _pasvs_norm_unchecked
 
@@ -50,9 +50,9 @@ def _moment_kernel(p: ProbeParams) -> Series:
     s = (ex - 1.0) * 0.5
     sp1 = s + 1.0
     m0 = 1.0 - (sp1 * sp1) * th**2
-    m0c = m0.derivative(0)[0]
+    m0c = m0.derivative(0)[0]  # sech^2 r, at least sech^2 3 on the declared domain
     if abs(m0c) < 1e-9:
-        raise DegenerateDenominator(f"moment kernel denominator {abs(m0c):.3e} at x = 0")
+        raise ConsistencyError(f"moment kernel denominator {abs(m0c):.3e} at x = 0")
     inv_m0 = m0.recip()
     # the coefficient linear in t is m2_lin / m0, with m2_lin = u + v tau
     v = ex - s

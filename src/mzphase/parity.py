@@ -38,19 +38,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DegenerateDenominator,
-    DegenerateSignal,
-    ParamOutOfRange,
-)
+from .errors import ConsistencyError, DegenerateSignal, ParamOutOfRange
 from .jets import Series, gaussian_tt_coefficient
-from .states import ProbeParams, _pasvs_norm_unchecked
+from .states import ProbeParams, _check_alpha, _check_rm, _pasvs_norm_unchecked, pasvs_mean_photons
 
 # imaginary residue allowed on physically real outputs
 RESIDUE_TOL = 1e-9
-# smallest |constant term| of the kernel denominator abar; below it a point
-# raises DegenerateDenominator (abar >= 1/cosh(r)^2 on the declared domain)
+# smallest |constant term| of the kernel denominator abar; below it the kernel
+# raises ConsistencyError. abar >= sech^2 r >= sech^2 3 = 0.0099 on the declared
+# domain, so it cannot fire there
 DENOM_TOL = 1e-9
 # most phase points per kernel call; bigger batches are split
 MAX_POINTS = 1 << 15
@@ -120,25 +116,29 @@ class _Consts(NamedTuple):
         return _Consts(*(c[idx] for c in self))
 
 
-def _per_row(m, n: int) -> list[int]:
-    """An order m given as one int for all n rows, or one per row, as n ints."""
-    return [int(m)] * n if np.ndim(m) == 0 else [int(x) for x in m]
+def _per_row(m, n: int) -> list:
+    """An order m given as one for all n rows, or one per row, as n orders."""
+    return [m] * n if np.ndim(m) == 0 else list(m)
 
 
 def _row_consts(m, alpha, r, loss) -> _Consts:
     """Per-row constants from the scalar `math` calls of a lone evaluation.
 
-    `m` is one photon-addition order for every row, or one per row."""
+    `m` is one photon-addition order for every row, or one per row. Each row
+    must lie in the `ProbeParams` domain; the first that does not raises
+    ParamOutOfRange."""
     rows = []
     for mm, a, rr, l in zip(_per_row(m, len(alpha)), alpha, r, loss):
-        a, rr = float(a), float(rr)
+        _check_alpha(a)
+        _check_rm(rr, mm)
+        a, rr, mm = float(a), float(rr), int(mm)
         th = math.tanh(rr)
         norm = 1.0 / (_pasvs_norm_unchecked(rr, mm) * math.cosh(rr))
         rows.append((*_loss_scalars(float(l)), th, th**2, th / 2.0, -th / 2.0, a, a**2, norm, mm))
     return _Consts(*(np.array(c) for c in zip(*rows)))
 
 
-def _kernel(phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(phi: np.ndarray, c: _Consts) -> np.ndarray:
     """Parity value/slope/curvature (rows of a (3, n) array) at n points.
 
     `phi` and every field of `c` hold one entry per point, the order m
@@ -147,21 +147,16 @@ def _kernel(phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
     `gaussian_tt_coefficient`, with every coefficient a phase series (cap 2)
     whose batch axis runs over the points. The series are built once for all
     points; the sum runs once per distinct m, on that m's points. A
-    point whose denominator constant term falls below DENOM_TOL is left out
-    of the evaluation, NaN in the result, and flagged in the returned mask.
+    denominator constant term below DENOM_TOL raises ConsistencyError.
     """
     phi_series = Series.constant(phi, _PHASE_CAP) + Series.variable(_PHASE_CAP)
     x1, x2, x3, x3c = _mix(phi_series, c.root, c.base, c.half, c.half_conj)
 
     hot = 1 + x2  # appears everywhere the probe quadrature survives
     abar = 1 - (hot * hot) * c.th2
-    degenerate = np.abs(abar.derivative(0)) < DENOM_TOL
-    if degenerate.any():
-        out = np.full((3, phi.size), np.nan)
-        keep = ~degenerate
-        if keep.any():
-            out[:, keep] = _kernel(phi[keep], c.take(keep))[0]
-        return out, degenerate
+    floor = np.abs(abar.derivative(0))
+    if np.any(floor < DENOM_TOL):
+        raise ConsistencyError(f"kernel denominator {float(floor.min()):.3e} below {DENOM_TOL:.0e}")
     inv_abar = abar.recip()
 
     x3sq = x3 * x3 + x3c * x3c
@@ -193,10 +188,10 @@ def _kernel(phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
         raise ConsistencyError(f"parity derivative order {order}: imaginary residue {worst:.3e}")
     if np.any(np.abs(out[0]) > 1 + 1e-10):
         raise ConsistencyError(f"parity magnitude {float(np.max(np.abs(out[0])))} exceeds 1")
-    return out, degenerate
+    return out
 
 
-def _signal(phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
+def _signal(phi: np.ndarray, c: _Consts) -> np.ndarray:
     """`_kernel` in calls of at most MAX_POINTS points."""
     if phi.size <= MAX_POINTS:
         return _kernel(phi, c)
@@ -204,11 +199,7 @@ def _signal(phi: np.ndarray, c: _Consts) -> tuple[np.ndarray, np.ndarray]:
         _kernel(phi[lo : lo + MAX_POINTS], c.take(slice(lo, lo + MAX_POINTS)))
         for lo in range(0, phi.size, MAX_POINTS)
     ]
-    return np.concatenate([v for v, _ in parts], axis=1), np.concatenate([d for _, d in parts])
-
-
-def _degenerate() -> DegenerateDenominator:
-    return DegenerateDenominator(f"kernel denominator constant term below {DENOM_TOL:.0e}")
+    return np.concatenate(parts, axis=1)
 
 
 def _result(outcome):
@@ -223,21 +214,21 @@ def parity_signals(m, alpha, r, loss, phi) -> list:
 
     `alpha`, `r`, `loss` and `phi` hold one number per row, and `m` is one
     photon-addition order for every row or one per row; the rows share one
-    kernel call per MAX_POINTS of them. Each entry of the result is that
-    row's ParitySignal, or the DegenerateDenominator its point raised; the
-    other rows are unaffected by it.
+    kernel call per MAX_POINTS of them. Returns one ParitySignal per row. A
+    row outside the `ProbeParams` domain, or a phase that is not finite,
+    raises ParamOutOfRange for the whole call.
     """
+    consts = _row_consts(m, alpha, r, loss)
     phi = np.asarray(phi, dtype=float)
-    vals, degenerate = _signal(phi, _row_consts(m, alpha, r, loss))
-    return [
-        _degenerate() if degenerate[i] else ParitySignal(float(vals[0, i]), float(vals[1, i]), float(vals[2, i]))
-        for i in range(phi.size)
-    ]
+    if not np.isfinite(phi).all():
+        raise ParamOutOfRange(f"phi must be finite, got {float(phi[~np.isfinite(phi)][0])}")
+    vals = _signal(phi, consts)
+    return [ParitySignal(float(vals[0, i]), float(vals[1, i]), float(vals[2, i])) for i in range(phi.size)]
 
 
 def parity_expectation(p: ProbeParams) -> ParitySignal:
     """Parity signal (value and first two phase derivatives) at p.phi."""
-    return _result(parity_signals(p.m, [p.alpha], [p.r], [p.loss], [p.phi])[0])
+    return parity_signals(p.m, [p.alpha], [p.r], [p.loss], [p.phi])[0]
 
 
 def _fisher_from(value: float, dvalue: float, ddvalue: float) -> float:
@@ -275,10 +266,9 @@ def _sensitivities(vals: np.ndarray) -> np.ndarray:
 
     The branches and arithmetic of `_fisher_from` and `_sensitivity_from`,
     point by point, so every entry has the bits of the scalar pair: inf where
-    the signal is phase-stationary (DegenerateSignal there), where F = 0, and
-    at the NaN points of a degenerate denominator (NaN fails every branch
-    test, as it does in the scalar form). A point with |parity| = 1 and a
-    nonzero slope raises the scalar form's ConsistencyError.
+    the signal is phase-stationary (DegenerateSignal there) and where F = 0.
+    A point with |parity| = 1 and a nonzero slope raises the scalar form's
+    ConsistencyError.
     """
     value, dvalue, ddvalue = vals
     live = ~((np.abs(dvalue) < 1e-12) & (np.abs(ddvalue) < 1e-12))
@@ -356,10 +346,8 @@ def _strides(m, alpha, r) -> np.ndarray:
     [1, MAX_STRIDE], where N = alpha^2 + the photon-added squeezed vacuum's
     mean photon number. The coarse spacing stays at or below 1/N, the scale
     of the narrowest fringe. `m` is one order for every row, or one per row."""
-    photons = np.array(
-        [float(a) ** 2 + _pasvs_norm_unchecked(float(rr), mm + 1) / _pasvs_norm_unchecked(float(rr), mm) - 1.0
-         for mm, a, rr in zip(_per_row(m, len(alpha)), alpha, r)]
-    )
+    rows = zip(_per_row(m, len(alpha)), alpha, r)
+    photons = np.array([float(a) ** 2 + pasvs_mean_photons(float(rr), mm) for mm, a, rr in rows])
     with np.errstate(divide="ignore"):
         return np.clip(np.floor(1.0 / (photons * GRID_STEP)), 1, MAX_STRIDE).astype(int)
 
@@ -372,25 +360,19 @@ def _window_scan(c: _Consts, stride: np.ndarray):
     with a finite sensitivity, all grid points between its two coarse
     neighbours; so the best point found, and its two grid neighbours, are
     evaluated. A row whose coarse pass has no finite point takes the whole
-    grid. The denominator's constant term, 1 - (l/2 - sqrt(1 - l) cos phi)^2
-    tanh^2 r, is lowest at a window end, and both ends are coarse points, so
-    a row's degenerate flag is that of the whole window. Returns the (3,
-    rows, grid) signal, NaN where not evaluated, the (rows, grid)
-    sensitivities, inf where not evaluated, and each row's
-    degenerate-denominator flag.
+    grid. Returns the (3, rows, grid) signal, NaN where not evaluated, and
+    the (rows, grid) sensitivities, inf where not evaluated.
     """
     rows, k = stride.size, _GRID.size
     vals = np.full((3, rows, k), np.nan)
     sens = np.full((rows, k), np.inf)
-    degenerate = np.zeros(rows, dtype=bool)
 
     def evaluate(mask):
         row, col = np.nonzero(mask)
         if row.size:
-            v, flagged = _signal(_GRID[col], c.take(row))
+            v = _signal(_GRID[col], c.take(row))
             vals[:, row, col] = v
             sens[row, col] = _sensitivities(v)
-            degenerate[row[flagged]] = True
 
     coarse = np.arange(k) % stride[:, None] == 0
     coarse[:, -1] = True
@@ -406,7 +388,7 @@ def _window_scan(c: _Consts, stride: np.ndarray):
         for low in np.flatnonzero(np.isfinite(s) & (s <= pad[:-2]) & (s <= pad[2:])):
             fine[j, cols[max(low - 1, 0)] : cols[min(low + 1, cols.size - 1)] + 1] = True
     evaluate(fine & ~coarse)
-    return vals, sens, degenerate
+    return vals, sens
 
 
 def optimal_phases(m, alpha, r, loss) -> list:
@@ -419,8 +401,9 @@ def optimal_phases(m, alpha, r, loss) -> list:
     call each, and each refinement step makes one call holding the next
     point of every row still refining. A row visits the same points as a
     search run alone, so its result is the same bit for bit. Each entry of
-    the result is (phi*, sensitivity), or the DegenerateSignal or
-    DegenerateDenominator that ended that row's search.
+    the result is (phi*, sensitivity), or the DegenerateSignal of a row with
+    no finite sensitivity in the window. A row outside the `ProbeParams`
+    domain raises ParamOutOfRange for the whole call.
     """
     consts = _row_consts(m, alpha, r, loss)
     n, k = consts.alpha.size, _GRID.size
@@ -430,12 +413,10 @@ def optimal_phases(m, alpha, r, loss) -> list:
     rows_per_block = max(1, MAX_POINTS // k)
     for lo in range(0, n, rows_per_block):
         rows = np.arange(lo, min(lo + rows_per_block, n))
-        vals, sens, degenerate = _window_scan(consts.take(rows), stride[rows])
+        vals, sens = _window_scan(consts.take(rows), stride[rows])
         for j, i in enumerate(rows):
             best = int(np.argmin(sens[j]))
-            if degenerate[j]:
-                out[i] = _degenerate()
-            elif not np.isfinite(sens[j, best]):
+            if not np.isfinite(sens[j, best]):
                 out[i] = DegenerateSignal("no finite sensitivity anywhere in the window")
             else:
                 out[i] = (float(_GRID[best]), float(sens[j, best]))
@@ -447,13 +428,11 @@ def optimal_phases(m, alpha, r, loss) -> list:
     live = list(search)
     while live:
         points = np.array([search[i].point() for i in live])
-        vals, degenerate = _signal(points, consts.take(live))
+        vals = _signal(points, consts.take(live))
         sens, q = _sensitivities(vals), _fisher_slope_sign(vals)
         running = []
         for j, i in enumerate(live):
-            if degenerate[j]:
-                out[i] = _degenerate()
-            elif search[i].done(float(points[j]), float(q[j]), float(sens[j])):
+            if search[i].done(float(points[j]), float(q[j]), float(sens[j])):
                 out[i] = search[i].best
             else:
                 running.append(i)

@@ -31,9 +31,17 @@ TAIL_TOL = 1e-10
 ENERGY_TOL = 1e-10
 
 
-def _is_order(m) -> bool:
-    """True for an integer photon-addition order in [0, M_MAX]; bools are not orders."""
-    return isinstance(m, (int, np.integer)) and not isinstance(m, bool) and 0 <= m <= M_MAX
+def _check_alpha(alpha: float):
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ParamOutOfRange(f"alpha must be finite and >= 0, got {alpha}")
+
+
+def _check_rm(r: float, m: int):
+    if not (math.isfinite(r) and 0 <= r <= R_MAX):
+        raise ParamOutOfRange(f"r must lie in [0, {R_MAX}], got {r}")
+    # an integer order in [0, M_MAX]; bools are not orders
+    if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and 0 <= m <= M_MAX):
+        raise ParamOutOfRange(f"m must be an int in [0, {M_MAX}], got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -54,12 +62,8 @@ class ProbeParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ParamOutOfRange(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not (math.isfinite(self.r) and 0 <= self.r <= R_MAX):
-            raise ParamOutOfRange(f"r must lie in [0, {R_MAX}], got {self.r}")
-        if not _is_order(self.m):
-            raise ParamOutOfRange(f"m must be an int in [0, {M_MAX}], got {self.m!r}")
+        _check_alpha(self.alpha)
+        _check_rm(self.r, self.m)
         if not (math.isfinite(self.loss) and 0 <= self.loss < 1):
             raise ParamOutOfRange(f"loss must lie in [0, 1), got {self.loss}")
         if not math.isfinite(self.phi):
@@ -84,13 +88,6 @@ def _pasvs_norm_unchecked(r: float, m: int) -> float:
     for n in range(m):
         prev, cur = cur, c2 * ((2 * n + 1) * cur - n * n * prev)
     return cur
-
-
-def _check_rm(r: float, m: int):
-    if not (math.isfinite(r) and 0 <= r <= R_MAX):
-        raise ParamOutOfRange(f"r must lie in [0, {R_MAX}], got {r}")
-    if not _is_order(m):
-        raise ParamOutOfRange(f"m must be an int in [0, {M_MAX}], got {m!r}")
 
 
 def pasvs_norm(r: float, m: int) -> float:
@@ -202,8 +199,7 @@ def coherent_fock_amplitudes(alpha: float, cutoff: int) -> np.ndarray:
 
     Poisson tail above the cutoff must stay below TAIL_TOL.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ParamOutOfRange(f"alpha must be finite and >= 0, got {alpha}")
+    _check_alpha(alpha)
     if cutoff < 0:
         raise CutoffTooSmall("cutoff must be >= 0")
     amps = np.zeros(cutoff + 1)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .errors import (
     BracketExceeded,
-    DegenerateDenominator,
     DegenerateSignal,
     InfeasibleTarget,
     SchemaViolation,
@@ -62,12 +61,7 @@ QUANTITIES = (
 PHI_QUANTITIES = ("parity", "sensitivity", "cfi")
 SWEEP_AXES = ("phi", "r", "alpha", "l", "nbar")
 # numeric row failures that become a status code instead of an abort
-ROW_ERRORS = (
-    InfeasibleTarget,
-    BracketExceeded,
-    DegenerateSignal,
-    DegenerateDenominator,
-)
+ROW_ERRORS = (InfeasibleTarget, BracketExceeded, DegenerateSignal)
 
 
 @dataclass(frozen=True)
@@ -407,7 +401,7 @@ def _compute_row(task: _RowTask, signal=None, optimum=None) -> dict:
     for q in task.quantities:
         try:
             if q == "parity":
-                value = _result(signal).value
+                value = signal.value
             elif q in ("sensitivity", "cfi"):
                 if task.phi_spec == "optimal" and opt_sens is None:
                     phi_star, opt_sens = _result(optimum)
@@ -416,8 +410,7 @@ def _compute_row(task: _RowTask, signal=None, optimum=None) -> dict:
                 if q == "sensitivity" and opt_sens is not None:
                     value = opt_sens
                 else:
-                    sig = _result(signal)
-                    value = _fisher_from(sig.value, sig.dvalue, sig.ddvalue)
+                    value = _fisher_from(signal.value, signal.dvalue, signal.ddvalue)
                     if q == "sensitivity":
                         value = _sensitivity_from(value)
             elif q == "qfi_linear":
@@ -449,8 +442,9 @@ def _parity_outcomes(tasks: list[_RowTask], quantities: tuple[str, ...]) -> tupl
 
     Returns two lists aligned with `tasks`: the ParitySignal at each row's
     phase (at phi* for phi "optimal"), and (phi*, sensitivity) for phi
-    "optimal" rows. An entry is None where the row needs none, or the row
-    error (DegenerateSignal, DegenerateDenominator) in place of the value.
+    "optimal" rows. An entry is None where the row needs none; a search
+    that found no finite sensitivity leaves its DegenerateSignal in place of
+    (phi*, sensitivity).
     Per m, one `parity_signals` call covers the rows at a numeric phase. One
     `optimal_phases` call searches the "optimal" rows of every m, and when
     cfi is asked for, one more `parity_signals` call evaluates them at their

@@ -17,7 +17,6 @@ from mzphase.errors import DegenerateSignal
 from mzphase.parity import (
     _GRID,
     MAX_POINTS,
-    _degenerate,
     _fisher_slope_sign,
     _Illinois,
     _row_consts,
@@ -29,9 +28,7 @@ from mzphase.parity import (
 def signal_batch(p, phis: np.ndarray):
     """Parity value/slope/curvature of one probe at a batch of phase points."""
     c = _row_consts(p.m, [p.alpha], [p.r], [p.loss]).take(np.zeros(phis.size, dtype=int))
-    vals, degenerate = _signal(phis, c)
-    if degenerate.any():
-        raise _degenerate()
+    vals = _signal(phis, c)
     return vals[0], vals[1], vals[2]
 
 
@@ -44,14 +41,12 @@ def optimal_phases_full_scan(m, alpha, r, loss) -> list:
     rows_per_call = max(1, MAX_POINTS // k)
     for lo in range(0, n, rows_per_call):
         rows = np.arange(lo, min(lo + rows_per_call, n))
-        vals, degenerate = _signal(np.tile(_GRID, rows.size), consts.take(np.repeat(rows, k)))
+        vals = _signal(np.tile(_GRID, rows.size), consts.take(np.repeat(rows, k)))
         sens = _sensitivities(vals)
         for j, i in enumerate(rows):
             row = slice(j * k, (j + 1) * k)
             best = int(np.argmin(sens[row]))
-            if degenerate[row].any():
-                out[i] = _degenerate()
-            elif not np.isfinite(sens[row][best]):
+            if not np.isfinite(sens[row][best]):
                 out[i] = DegenerateSignal("no finite sensitivity anywhere in the window")
             else:
                 out[i] = (float(_GRID[best]), float(sens[row][best]))
@@ -63,13 +58,11 @@ def optimal_phases_full_scan(m, alpha, r, loss) -> list:
     live = list(search)
     while live:
         points = np.array([search[i].point() for i in live])
-        vals, degenerate = _signal(points, consts.take(live))
+        vals = _signal(points, consts.take(live))
         sens, q = _sensitivities(vals), _fisher_slope_sign(vals)
         running = []
         for j, i in enumerate(live):
-            if degenerate[j]:
-                out[i] = _degenerate()
-            elif search[i].done(float(points[j]), float(q[j]), float(sens[j])):
+            if search[i].done(float(points[j]), float(q[j]), float(sens[j])):
                 out[i] = search[i].best
             else:
                 running.append(i)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mzphase.errors import DegenerateDenominator, DegenerateSignal, SingularNormalEquations
+from mzphase.errors import DegenerateSignal, SingularNormalEquations
 from mzphase.moments import moment_set, nb_moment
 from mzphase.oracle import moments_oracle
 from mzphase.parity import classical_fisher, optimal_phase, parity_expectation
@@ -208,7 +208,7 @@ def test_energy_matched_benchmark_inequalities(report, energy_matched):
         for phi in phis:
             try:
                 fc = classical_fisher(replace(base, phi=float(phi)))
-            except (DegenerateSignal, DegenerateDenominator):
+            except DegenerateSignal:
                 continue
             checked += 1
             dphi = math.inf if fc <= 0 else 1.0 / math.sqrt(fc)
@@ -259,7 +259,7 @@ def test_loss_degradation_monotone(report):
         for l in parity_ladder:
             try:
                 _, d = optimal_phase(_probe(2.0, 0.5, m, l, phi=0.1))
-            except (DegenerateSignal, DegenerateDenominator):
+            except DegenerateSignal:
                 d = math.inf
             dphi.append(d)
         if not all(dphi[i + 1] >= dphi[i] * (1 - 1e-9) for i in range(len(parity_ladder) - 1)):

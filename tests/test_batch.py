@@ -6,6 +6,7 @@ call (`parity_signals`) and searches their optimal phases in lockstep
 alone gets, so every comparison here is `==`, never approximate.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -21,7 +22,8 @@ from parity_reference import signal_batch
 
 import mzphase
 from mzphase import parity
-from mzphase.errors import ConsistencyError, DegenerateDenominator, DegenerateSignal
+from mzphase.cli import main
+from mzphase.errors import ConsistencyError, DegenerateSignal, ParamOutOfRange
 from mzphase.parity import (
     _GRID,
     BRACKET_TOL,
@@ -149,7 +151,7 @@ def _golden_optimal_phase(p):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (DegenerateSignal, DegenerateDenominator) as e:
+    except DegenerateSignal as e:
         return type(e)
 
 
@@ -216,8 +218,6 @@ def test_vectorised_fisher_step_equals_scalar_calls(monkeypatch):
     dvalue[20:30], ddvalue[20:30] = rng.uniform(-9e-13, 9e-13, 10), rng.uniform(-9e-13, 9e-13, 10)
     # no slope away from |P| = 1: F = 0, so inf
     dvalue[30:40] = 0.0
-    # a degenerate denominator: the kernel leaves NaN, inf here
-    value[40:45] = dvalue[40:45] = ddvalue[40:45] = np.nan
     # real signals: the lossless scan runs into the cancellation near phi = 0
     scans = [np.array(signal_batch(ProbeParams(2.0, 0.5, m, l), _GRID)) for m in (0, 3) for l in (0.0, 0.3)]
     vals = np.concatenate([np.array([value, dvalue, ddvalue])] + scans, axis=1)
@@ -230,7 +230,7 @@ def test_vectorised_fisher_step_equals_scalar_calls(monkeypatch):
             f = 0.0
         want.append(1.0 / math.sqrt(f) if f > 0 else math.inf)
     assert _sensitivities(vals).tolist() == want
-    assert np.isinf(want[20:45]).all() and np.isfinite(want[:10]).all()
+    assert np.isinf(want[20:40]).all() and np.isfinite(want[:10]).all()
 
     # |P| = 1 with a nonzero slope is inconsistent, in the batch as alone,
     # and it still aborts a sweep at the optimal phase
@@ -243,9 +243,9 @@ def test_vectorised_fisher_step_equals_scalar_calls(monkeypatch):
     signal = parity._signal
 
     def inconsistent(phi, c):
-        out, flagged = signal(phi, c)
+        out = signal(phi, c)
         out[:, 0] = (1.0, 1e-3, 0.5)
-        return out, flagged
+        return out
 
     monkeypatch.setattr(parity, "_signal", inconsistent)
     spec = SweepSpec(
@@ -263,11 +263,10 @@ def test_mixed_order_kernel_equals_single_order_batches():
     probes = [p for m in range(11) for p in _rows(m, rng, 12)]
     order = rng.permutation(len(probes))
     m, alpha, r, loss, phi = (np.array([getattr(probes[i], f) for i in order]) for f in ("m", "alpha", "r", "loss", "phi"))
-    vals, degenerate = parity._signal(phi, parity._row_consts(m, alpha, r, loss))
-    assert not degenerate.any()
+    vals = parity._signal(phi, parity._row_consts(m, alpha, r, loss))
     for k in range(11):
         at = np.flatnonzero(m == k)
-        alone, _ = parity._signal(phi[at], parity._row_consts(k, alpha[at], r[at], loss[at]))
+        alone = parity._signal(phi[at], parity._row_consts(k, alpha[at], r[at], loss[at]))
         assert vals[:, at].tolist() == alone.tolist()
 
 
@@ -333,25 +332,49 @@ def test_optimal_phase_sweep_makes_one_search_for_all_orders(monkeypatch):
     assert len(calls) <= 2 + max(steps) < 4 * (2 + min(steps))
 
 
-def test_degenerate_points_fail_alone(monkeypatch):
-    # a raised floor makes abar degenerate near phi = 0 and pi at r = 1 only
+_VALID = {"m": 1, "alpha": 1.0, "r": 0.5, "loss": 0.1, "phi": 0.3}
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [("r", 3.5), ("r", -0.5), ("r", math.nan), ("alpha", -1.0), ("m", 11), ("m", True), ("m", 1.5),
+     ("loss", 1.0), ("phi", math.inf)],
+)
+def test_out_of_domain_rows_raise(field, bad):
+    # the batch entry points take the ProbeParams domain row by row; valid
+    # rows around the bad one do not hide it
+    cols = {f: [v] * 3 for f, v in _VALID.items()}
+    cols[field][1] = bad
+    with pytest.raises(ParamOutOfRange):
+        ProbeParams(**{f: v[1] for f, v in cols.items()})
+    with pytest.raises(ParamOutOfRange):
+        parity_signals(*cols.values())
+    if field != "phi":
+        with pytest.raises(ParamOutOfRange):
+            optimal_phases(cols["m"], cols["alpha"], cols["r"], cols["loss"])
+
+
+def test_degenerate_denominator_fails_the_call(monkeypatch, tmp_path, capsys):
+    # a raised floor puts abar below it near phi = 0 and pi at r = 1 only;
+    # on the declared domain that cannot happen, so no row status holds it:
+    # the whole call fails, and a sweep aborts with the CLI's exit code 2
     monkeypatch.setattr(parity, "DENOM_TOL", 0.7)
     probes = [ProbeParams(1.5, rr, 2, 0.1, phi) for rr in (0.3, 1.0) for phi in (0.05, 1.5, 3.1)]
-    batch = parity_signals(
-        2, [p.alpha for p in probes], [p.r for p in probes], [p.loss for p in probes], [p.phi for p in probes]
-    )
-    kinds = [type(s) for s in batch]
-    assert kinds.count(DegenerateDenominator) == 2
-    for p, s in zip(probes, batch):
-        if isinstance(s, DegenerateDenominator):
-            with pytest.raises(DegenerateDenominator):
-                parity_expectation(p)
-        else:
-            assert s == parity_expectation(p)
-    rows = [ProbeParams(1.5, rr, 2, 0.1) for rr in (0.3, 1.0, 0.5)]
-    found = optimal_phases(2, [p.alpha for p in rows], [p.r for p in rows], [p.loss for p in rows])
-    assert isinstance(found[1], DegenerateDenominator)
-    assert [found[0], found[2]] == [optimal_phase(rows[0]), optimal_phase(rows[2])]
+    cols = [[getattr(p, f) for p in probes] for f in ("alpha", "r", "loss", "phi")]
+    assert parity_signals(2, *(c[:3] for c in cols)) == [parity_expectation(p) for p in probes[:3]]
+    with pytest.raises(ConsistencyError, match="denominator"):
+        parity_signals(2, *cols)
+    with pytest.raises(ConsistencyError, match="denominator"):
+        optimal_phases(2, [1.5] * 3, [0.3, 1.0, 0.5], [0.1] * 3)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "quantity": "parity", "sweep": {"name": "r", "values": [0.3, 1.0]},
+        "fixed": {"alpha": 1.5, "phi": 0.05}, "m_list": [2], "loss": 0.1,
+    }))
+    out = tmp_path / "never.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "numeric failure: ConsistencyError" in capsys.readouterr().err
 
 
 def _code(e):
@@ -372,7 +395,7 @@ def _row_alone(p, quantities, phi):
                 values[q] = opt[1] if opt else phase_sensitivity(p)
             else:
                 values[q] = classical_fisher(p)
-        except (DegenerateSignal, DegenerateDenominator) as e:
+        except DegenerateSignal as e:
             values[q] = math.nan
             status = _code(type(e)) if status == "ok" else status
     phi_cell = fnum(opt[0]) if opt else ("" if phi == "optimal" else fnum(phi))
@@ -385,9 +408,10 @@ def _row_alone(p, quantities, phi):
 )
 @pytest.mark.parametrize("denom_tol", [None, 0.9])
 def test_sweep_rows_equal_row_at_a_time(quantity, phi, denom_tol, monkeypatch):
-    # alpha = r = 0 at m = 0 is the vacuum: DegenerateSignal; the raised
-    # denominator floor fails the r = 0.8 rows, which share their kernel
-    # calls with the r = 0 and r = 0.3 rows
+    # alpha = r = 0 at m = 0 is the vacuum: DegenerateSignal, the status of
+    # its row alone. A raised denominator floor fails the r = 0.8 rows alone,
+    # which is no row status: it aborts the sweep they share with the r = 0
+    # and r = 0.3 rows
     if denom_tol is not None:
         monkeypatch.setattr(parity, "DENOM_TOL", denom_tol)
     statuses = []
@@ -396,6 +420,13 @@ def test_sweep_rows_equal_row_at_a_time(quantity, phi, denom_tol, monkeypatch):
             quantity=quantity, sweep_name="r", sweep_values=(0.0, 0.3, 0.8),
             m_list=(0, 1, 3), loss=(0.0, 0.2), phi=(phi,), alpha=alpha,
         )
+        if denom_tol is not None:
+            for m in spec.m_list:
+                with pytest.raises(ConsistencyError):
+                    _row_alone(ProbeParams(alpha, 0.8, m, 0.2, phi if phi != "optimal" else 0.0), quantity, phi)
+            with pytest.raises(ConsistencyError):
+                run_sweep(spec)
+            continue
         table = run_sweep(spec)
         for row in table.rows:
             cells = dict(zip(table.header, row))
@@ -405,10 +436,8 @@ def test_sweep_rows_equal_row_at_a_time(quantity, phi, denom_tol, monkeypatch):
             assert cells["phi"] == phi_cell
             assert [cells[q] for q in quantity] == [fnum(values[q]) for q in quantity]
             statuses.append((float(cells["r"]), status))
-    assert (0.0, "degenerate_signal") in statuses
-    assert ((0.8, "degenerate_denominator") in statuses) == (denom_tol is not None)
-    assert (0.3, "ok") in statuses
-    assert ((0.8, "ok") in statuses) == (denom_tol is None)
+    if denom_tol is None:
+        assert {(0.0, "degenerate_signal"), (0.3, "ok"), (0.8, "ok")} <= set(statuses)
 
 
 def test_cli_sweeps_do_not_load_scipy(tmp_path):

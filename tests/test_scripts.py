@@ -83,3 +83,34 @@ def test_oracle_moves_on_one_probe(twice, monkeypatch):
     probe = next(iter(after["parity"]))
     after["parity"][probe][0] += 1e-9
     assert oracle_moves.compare(before, after)["parity"]["moved"] == 1
+
+
+def test_refine_calls_on_both_loads(twice, monkeypatch):
+    # every name `refine_calls` reads must exist in `src/`, its except clause
+    # included: a row that ends in DegenerateSignal is left out of the counts
+    for name, value in (("ROW_M", (0,)), ("GROUPS", (1, 2)), ("REFINE_PRESETS", ((5, "a"),))):
+        monkeypatch.setattr(bench_kernels, name, value)
+    monkeypatch.setitem(bench_kernels.DECK_SWEEPS, "optimize", 1)
+    got = []
+    for tree in twice:
+        search = tree.parity.optimal_phase
+
+        def no_optimum(p, tree=tree, search=search):
+            if p.loss == 0.4:
+                raise tree.errors.DegenerateSignal("no finite sensitivity anywhere in the window")
+            return search(p)
+
+        monkeypatch.setattr(tree.parity, "optimal_phase", no_optimum)
+        got.append(bench_kernels.refine_calls(tree))
+    assert got[0] == got[1]
+    assert sorted(got[0]) == ["optimal_g1_m0", "optimal_g2_m0", "optimize_deck", "preset_5a"]
+    assert got[0]["optimal_g2_m0"]["rows"] == 1
+    assert got[0]["optimize_deck"]["sweeps"] == 1
+
+
+def test_first_table_call_finds_its_marginal_built(monkeypatch):
+    # the probe marginal takes about 200 ms to build in a fresh process, the
+    # table on it under 2 ms
+    monkeypatch.setattr(bench_kernels, "FIRST_RUNS", 1)
+    got = bench_kernels.first_calls({"before": ROOT / "src", "after": ROOT / "src"}, "loss_weight_table")
+    assert max(got[side]["min_ms"] for side in got) < 50

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzphase import parity
-from mzphase.errors import DegenerateDenominator, DegenerateSignal
-from mzphase.parity import _GRID, DENOM_TOL, GRID_STEP, MAX_STRIDE, optimal_phases
-from mzphase.states import R_MAX, pasvs_mean_photons
+from mzphase import moments, parity
+from mzphase.errors import ConsistencyError, DegenerateSignal
+from mzphase.jets import Series
+from mzphase.parity import _GRID, DENOM_TOL, GRID_STEP, MAX_STRIDE, optimal_phases, parity_signals
+from mzphase.states import M_MAX, R_MAX, ProbeParams, pasvs_mean_photons
 from parity_reference import optimal_phases_full_scan
 
 
@@ -89,33 +90,74 @@ def test_tied_coarse_minima_both_get_a_fine_pass(monkeypatch):
     # grid index i ties at the coarse points 330 and 340 around its minimum
     def signal(phi, c):
         slope = 1.0 / (1.0 + np.abs(np.searchsorted(_GRID, phi) - 335) / 5.0)
-        return np.array([0.0 * phi, slope, 0.0 * phi]), np.zeros(phi.size, dtype=bool)
+        return np.array([0.0 * phi, slope, 0.0 * phi])
 
     monkeypatch.setattr(parity, "_signal", signal)
     assert parity._strides(0, [1.0], [0.5]).tolist() == [MAX_STRIDE]
     assert optimal_phases(0, [1.0], [0.5], [0.1]) == [(float(_GRID[335]), 1.0)]
 
 
-def test_denominator_is_lowest_at_a_window_end():
+def _reciprocal_constants(call) -> float:
+    """Smallest |constant term| of every series `call` takes 1/x of."""
+    seen, recip = [], Series.recip
+
+    def spy(self):
+        seen.append(float(np.min(np.abs(self.derivative(0)))))
+        return recip(self)
+
+    Series.recip = spy
+    try:
+        call()
+    finally:
+        Series.recip = recip
+    return min(seen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, M_MAX),
+    st.floats(0.0, 4.0),
+    st.floats(0.0, R_MAX),
+    st.one_of(st.sampled_from([0.0, 1e-9, 0.1, 0.5, 0.8, 0.9, 1 - 1e-9]), st.floats(0.0, 1.0, exclude_max=True)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_denominator_is_lowest_at_a_window_end(m, alpha, r, loss, phi):
     # abar = 1 - (1 + x2)^2 tanh^2 r with 1 + x2 = l/2 - sqrt(1 - l) cos phi,
     # monotone in phi: its lowest value sits on a window end, which the
-    # coarse pass always takes; on the declared domain it never nears DENOM_TOL
-    for loss in (0.0, 1e-9, 0.1, 0.5, 0.8, 0.9, 1 - 1e-9):
-        hot = np.abs(loss / 2 - math.sqrt(1 - loss) * np.cos(_GRID))
-        assert hot.max() <= 1.0
-        assert int(np.argmax(hot)) in (0, _GRID.size - 1)
+    # coarse pass always takes
+    hot = np.abs(loss / 2 - math.sqrt(1 - loss) * np.cos(_GRID))
+    assert hot.max() <= 1.0
+    assert int(np.argmax(hot)) in (0, _GRID.size - 1)
+    # |1 + x2| <= 1 at every phase, so abar >= 1 - tanh^2 r = sech^2 r, and
+    # the moment kernel's denominator is sech^2 r at x = 0: neither comes near
+    # DENOM_TOL on the declared domain. The kernels also invert its square
+    # root, which is larger
+    floor = (1.0 - 1e-12) / math.cosh(r) ** 2
+    assert _reciprocal_constants(lambda: parity_signals(m, [alpha], [r], [loss], [phi])) >= floor
+    assert _reciprocal_constants(lambda: moments._moment_kernel(ProbeParams(alpha, r, m))) >= floor
     assert 1.0 / math.cosh(R_MAX) ** 2 > 1e6 * DENOM_TOL
+
+
+def _outcomes_or_error(search, m, alpha, r, loss):
+    try:
+        return _outcomes(search(m, alpha, r, loss))
+    except ConsistencyError:
+        return ConsistencyError
 
 
 @pytest.mark.parametrize("denom_tol", [0.5, 0.7, 0.9])
 def test_degenerate_denominator_as_in_full_scan(denom_tol, monkeypatch):
-    # a raised floor puts degenerate points in the window of the larger r
+    # a raised floor puts the windows of the larger r below it; the coarse
+    # pass holds both window ends, where the denominator is lowest, so the
+    # search fails on exactly the rows the full scan fails on
     monkeypatch.setattr(parity, "DENOM_TOL", denom_tol)
-    r = [0.0, 0.3, 0.6, 0.8, 1.0, 1.5]
+    found = []
     for m in (0, 2):
-        got, want = _both(m, [1.5] * len(r), r, [0.1] * len(r))
-        assert got == want
-        assert DegenerateDenominator in want and any(isinstance(x, tuple) for x in want)
+        for r in (0.0, 0.3, 0.6, 0.8, 1.0, 1.5):
+            got, want = (_outcomes_or_error(f, m, [1.5], [r], [0.1]) for f in (optimal_phases, optimal_phases_full_scan))
+            assert got == want
+            found.append(want)
+    assert ConsistencyError in found and any(isinstance(x, list) for x in found)
 
 
 def test_rows_without_a_finite_coarse_point_scan_the_whole_window(monkeypatch):
