@@ -4,10 +4,10 @@
     python3 scripts/preset_digests.py --check   # exit 1 if any preset's CSV changed
 
 Runs the 19 presets (figures 2-5 and 7-11, panels a and b, and figure 12)
-single-threaded, with BLAS pinned to one thread, through `run_sweep` on the `src/` tree next to this script,
-once as they are and once with the oracle columns (`<name>+oracle`), and
-hashes the rendered CSV text: the bytes `mzphase figure <n> [--oracle] --out`
-writes. `--check` names every rendering whose digest differs from the
+single-threaded, with BLAS pinned to one thread (scripts/trees.py), through
+`run_sweep` on the `src/` tree next to this script, once as they are and
+once with the oracle columns (`<name>+oracle`), and hashes the rendered CSV
+text: the bytes `mzphase figure <n> [--oracle] --out` writes. `--check` names every rendering whose digest differs from the
 recorded one. The full run takes about 10 s on one core. The `--oracle`
 bytes are defined at one BLAS thread: the splitter blocks of the Fock oracle
 differ in their last bits at two.
@@ -18,15 +18,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 from dataclasses import replace
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from trees import ROOT  # importing it pins the BLAS to one thread; nothing has loaded numpy yet
+
 DIGESTS = Path(__file__).resolve().with_suffix(".json")
 PRESETS = [(n, p) for n in (2, 3, 4, 5, 7, 8, 9, 10, 11) for p in ("a", "b")] + [(12, "")]
 

@@ -66,6 +66,7 @@ from .errors import (
 )
 from .states import (
     ProbeParams,
+    _check_loss,
     coherent_fock_amplitudes,
     pasvs_fock_amplitudes,
     pasvs_norm,
@@ -443,8 +444,7 @@ class LossWeightTable:
 
 
 def loss_weight_table(marginal: np.ndarray, loss: float) -> LossWeightTable:
-    if not 0 <= loss < 1:
-        raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
+    _check_loss(loss)
     eta = 1.0 - loss
     ks = np.flatnonzero(marginal)
     if not ks.size:

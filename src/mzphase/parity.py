@@ -25,9 +25,9 @@ one call per scan pass and per refinement step; the one-row functions
 `optimal_phase`) are the same calls with a single row. A point's result does
 not depend on what shares its call: the per-row constants come from the same
 `math` calls whatever the batch, and every array operation acts point by
-point. The batched sensitivity (`_sensitivities`) is array arithmetic with
-the branches and operation order of the scalar `_fisher_from`, so it too
-gives each point the scalar bits.
+point. The Fisher information and the sensitivity have one rule, array
+arithmetic point by point (`_fisher`, `_sensitivities`), which the one-row
+functions, the search and the sweep all call.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DegenerateSignal, ParamOutOfRange
 from .jets import Series, gaussian_tt_coefficient
-from .states import ProbeParams, _check_alpha, _check_rm, _pasvs_norm_unchecked, pasvs_mean_photons
+from .states import ProbeParams, _check_alpha, _check_loss, _check_rm, _pasvs_norm_unchecked, pasvs_mean_photons
 
 # imaginary residue allowed on physically real outputs
 RESIDUE_TOL = 1e-9
@@ -76,8 +76,7 @@ class ParitySignal:
 
 
 def _loss_scalars(loss: float) -> tuple:
-    if not 0 <= loss < 1:
-        raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
+    _check_loss(loss)
     return math.sqrt(1.0 - loss), (loss - 2.0) / 2.0, 0.5j * loss, -0.5j * loss
 
 
@@ -124,11 +123,16 @@ def _per_row(m, n: int) -> list:
 def _row_consts(m, alpha, r, loss) -> _Consts:
     """Per-row constants from the scalar `math` calls of a lone evaluation.
 
-    `m` is one photon-addition order for every row, or one per row. Each row
-    must lie in the `ProbeParams` domain; the first that does not raises
-    ParamOutOfRange."""
+    `m` is one photon-addition order for every row, or one per row. A call
+    with no rows, or whose columns differ in length, raises ParamOutOfRange,
+    and so does the first row outside the `ProbeParams` domain."""
+    n = len(alpha)
+    orders = _per_row(m, n)
+    if not n or {len(orders), len(r), len(loss)} != {n}:
+        lengths = f"{len(orders)} m, {n} alpha, {len(r)} r, {len(loss)} loss"
+        raise ParamOutOfRange(f"a batch needs one or more rows and one entry per row in each column: got {lengths}")
     rows = []
-    for mm, a, rr, l in zip(_per_row(m, len(alpha)), alpha, r, loss):
+    for mm, a, rr, l in zip(orders, alpha, r, loss):
         _check_alpha(a)
         _check_rm(rr, mm)
         a, rr, mm = float(a), float(rr), int(mm)
@@ -209,21 +213,28 @@ def _result(outcome):
     return outcome
 
 
+def _signals(m, alpha, r, loss, phi) -> np.ndarray:
+    """`parity_signals` as a (3, rows) value/slope/curvature array."""
+    consts = _row_consts(m, alpha, r, loss)
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != consts.alpha.shape:
+        raise ParamOutOfRange(f"a batch needs one phi per row: got {phi.size} phi for {consts.alpha.size} rows")
+    if not np.isfinite(phi).all():
+        raise ParamOutOfRange(f"phi must be finite, got {float(phi[~np.isfinite(phi)][0])}")
+    return _signal(phi, consts)
+
+
 def parity_signals(m, alpha, r, loss, phi) -> list:
     """Parity signal of many rows, evaluated together.
 
     `alpha`, `r`, `loss` and `phi` hold one number per row, and `m` is one
     photon-addition order for every row or one per row; the rows share one
     kernel call per MAX_POINTS of them. Returns one ParitySignal per row. A
-    row outside the `ProbeParams` domain, or a phase that is not finite,
-    raises ParamOutOfRange for the whole call.
+    call with no rows or with columns of different lengths, a row outside
+    the `ProbeParams` domain, or a phase that is not finite raises
+    ParamOutOfRange for the whole call.
     """
-    consts = _row_consts(m, alpha, r, loss)
-    phi = np.asarray(phi, dtype=float)
-    if not np.isfinite(phi).all():
-        raise ParamOutOfRange(f"phi must be finite, got {float(phi[~np.isfinite(phi)][0])}")
-    vals = _signal(phi, consts)
-    return [ParitySignal(float(vals[0, i]), float(vals[1, i]), float(vals[2, i])) for i in range(phi.size)]
+    return [ParitySignal(*point) for point in _signals(m, alpha, r, loss, phi).T.tolist()]
 
 
 def parity_expectation(p: ProbeParams) -> ParitySignal:
@@ -231,44 +242,14 @@ def parity_expectation(p: ProbeParams) -> ParitySignal:
     return parity_signals(p.m, [p.alpha], [p.r], [p.loss], [p.phi])[0]
 
 
-def _fisher_from(value: float, dvalue: float, ddvalue: float) -> float:
-    denom = 1.0 - value * value
-    if abs(dvalue) < 1e-12 and abs(ddvalue) < 1e-12:
-        raise DegenerateSignal("parity signal is phase-stationary to second order")
-    if denom < 1e-12:
-        if abs(dvalue) < 1e-6:
-            # |signal| = 1 extremum: slope and fluctuation vanish together,
-            # their ratio limits to |curvature|
-            return abs(ddvalue)
-        raise ConsistencyError(
-            f"|parity| = 1 with nonzero slope {dvalue:.3e}: inconsistent signal"
-        )
-    return dvalue * dvalue / denom
+def _fisher(vals: np.ndarray) -> np.ndarray:
+    """Fisher information F = P'^2 / (1 - P^2) of the parity outcome at each
+    point of a (3, n) value/slope/curvature array.
 
-
-def _sensitivity_from(fisher: float) -> float:
-    return math.inf if fisher == 0.0 else 1.0 / math.sqrt(fisher)
-
-
-def classical_fisher(p: ProbeParams) -> float:
-    """Fisher information of the even/odd parity outcome about the phase."""
-    sig = parity_expectation(p)
-    return _fisher_from(sig.value, sig.dvalue, sig.ddvalue)
-
-
-def phase_sensitivity(p: ProbeParams) -> float:
-    """One-shot phase uncertainty 1/sqrt(F); inf where F = 0."""
-    return _sensitivity_from(classical_fisher(p))
-
-
-def _sensitivities(vals: np.ndarray) -> np.ndarray:
-    """1/sqrt(F) at each point of a (3, n) value/slope/curvature array.
-
-    The branches and arithmetic of `_fisher_from` and `_sensitivity_from`,
-    point by point, so every entry has the bits of the scalar pair: inf where
-    the signal is phase-stationary (DegenerateSignal there) and where F = 0.
-    A point with |parity| = 1 and a nonzero slope raises the scalar form's
-    ConsistencyError.
+    At a |P| = 1 extremum (1 - P^2 < 1e-12, |P'| < 1e-6) slope and
+    fluctuation vanish together, and F is their limit |P''|; there a larger
+    slope is an inconsistent signal: ConsistencyError. F is NaN where the
+    signal is phase-stationary to second order (|P'|, |P''| below 1e-12).
     """
     value, dvalue, ddvalue = vals
     live = ~((np.abs(dvalue) < 1e-12) & (np.abs(ddvalue) < 1e-12))
@@ -279,14 +260,31 @@ def _sensitivities(vals: np.ndarray) -> np.ndarray:
         raise ConsistencyError(
             f"|parity| = 1 with nonzero slope {float(dvalue[bad][0]):.3e}: inconsistent signal"
         )
-    plain = live & ~edge
-    fisher = np.zeros(value.shape)
-    fisher[plain] = dvalue[plain] * dvalue[plain] / denom[plain]
-    fisher[edge] = np.abs(ddvalue[edge])
-    out = np.full(value.shape, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fisher = np.where(edge, np.abs(ddvalue), dvalue * dvalue / denom)
+    return np.where(live, fisher, np.nan)
+
+
+def _sensitivities(fisher: np.ndarray) -> np.ndarray:
+    """Phase uncertainty 1/sqrt(F) at each point; inf where F is 0 or NaN."""
+    out = np.full(fisher.shape, np.inf)
     info = fisher > 0
     out[info] = 1.0 / np.sqrt(fisher[info])
     return out
+
+
+def classical_fisher(p: ProbeParams) -> float:
+    """Fisher information of the even/odd parity outcome about the phase;
+    DegenerateSignal where the signal is phase-stationary to second order."""
+    (fisher,) = _fisher(_signals(p.m, [p.alpha], [p.r], [p.loss], [p.phi])).tolist()
+    if math.isnan(fisher):
+        raise DegenerateSignal("parity signal is phase-stationary to second order")
+    return fisher
+
+
+def phase_sensitivity(p: ProbeParams) -> float:
+    """One-shot phase uncertainty 1/sqrt(F); inf where F = 0."""
+    return _sensitivities(np.array([classical_fisher(p)])).item()
 
 
 def _fisher_slope_sign(vals: np.ndarray) -> np.ndarray:
@@ -372,7 +370,7 @@ def _window_scan(c: _Consts, stride: np.ndarray):
         if row.size:
             v = _signal(_GRID[col], c.take(row))
             vals[:, row, col] = v
-            sens[row, col] = _sensitivities(v)
+            sens[row, col] = _sensitivities(_fisher(v))
 
     coarse = np.arange(k) % stride[:, None] == 0
     coarse[:, -1] = True
@@ -402,8 +400,9 @@ def optimal_phases(m, alpha, r, loss) -> list:
     point of every row still refining. A row visits the same points as a
     search run alone, so its result is the same bit for bit. Each entry of
     the result is (phi*, sensitivity), or the DegenerateSignal of a row with
-    no finite sensitivity in the window. A row outside the `ProbeParams`
-    domain raises ParamOutOfRange for the whole call.
+    no finite sensitivity in the window. A call with no rows or with columns
+    of different lengths, or a row outside the `ProbeParams` domain, raises
+    ParamOutOfRange for the whole call.
     """
     consts = _row_consts(m, alpha, r, loss)
     n, k = consts.alpha.size, _GRID.size
@@ -429,7 +428,7 @@ def optimal_phases(m, alpha, r, loss) -> list:
     while live:
         points = np.array([search[i].point() for i in live])
         vals = _signal(points, consts.take(live))
-        sens, q = _sensitivities(vals), _fisher_slope_sign(vals)
+        sens, q = _sensitivities(_fisher(vals)), _fisher_slope_sign(vals)
         running = []
         for j, i in enumerate(live):
             if search[i].done(float(points[j]), float(q[j]), float(sens[j])):

@@ -15,11 +15,11 @@ import math
 
 import numpy as np
 
-from .errors import ParamOutOfRange, SingularNormalEquations
+from .errors import SingularNormalEquations
 from .moments import MomentSet
 from .oracle import cq_from_table, loss_weight_table, probe_marginal
 from .qfi_linear import QfiResult, _result
-from .states import ProbeParams
+from .states import ProbeParams, _check_loss
 
 
 def _omegas(mu1: float, mu2: float):
@@ -35,8 +35,7 @@ def _omegas(mu1: float, mu2: float):
 
 def kerr_cq(ms: MomentSet, loss: float, mu1: float, mu2: float) -> float:
     """Closed-form C_Q at the given commutation parameters."""
-    if not 0 <= loss < 1:
-        raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
+    _check_loss(loss)
     eta = 1.0 - loss
     w1, w2, w3, w4, w5, w6, w7 = _omegas(mu1, mu2)
     k1 = w1 * eta**2 - 2 * w2 * eta - mu2
@@ -157,8 +156,7 @@ def qfi_lossy_kerr(ms: MomentSet, loss: float) -> QfiResult:
     C_Q at the vertex of its quadratic, or at the least-norm vertex, flagged
     as a fallback, where the quadratic form is singular.
     """
-    if not 0 <= loss < 1:
-        raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
+    _check_loss(loss)
     if loss == 0.0:
         return qfi_ideal_kerr(ms)
     if ms.m1 <= 1e-14 and ms.var_n2 <= 1e-14:

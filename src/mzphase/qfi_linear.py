@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ParamOutOfRange
 from .moments import MomentSet
 from .oracle import loss_weight_table, probe_marginal
-from .states import ProbeParams
+from .states import ProbeParams, _check_loss
 
 DEGENERATE_TOL = 1e-14
 
@@ -62,8 +62,7 @@ def qfi_lossy_linear(ms: MomentSet, loss: float) -> QfiResult:
     Exactly the ideal value at loss = 0. A probe with neither mean photons
     nor number variance carries no phase information: (0, inf).
     """
-    if not 0 <= loss < 1:
-        raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
+    _check_loss(loss)
     if loss == 0.0:
         return qfi_ideal_linear(ms)
     if ms.m1 <= DEGENERATE_TOL and ms.var_n <= DEGENERATE_TOL:

@@ -44,6 +44,11 @@ def _check_rm(r: float, m: int):
         raise ParamOutOfRange(f"m must be an int in [0, {M_MAX}], got {m!r}")
 
 
+def _check_loss(loss: float):
+    if not 0 <= loss < 1:
+        raise ParamOutOfRange(f"loss must lie in [0, 1), got {loss}")
+
+
 @dataclass(frozen=True)
 class ProbeParams:
     """Input and channel parameters for one interferometer configuration.
@@ -64,8 +69,7 @@ class ProbeParams:
     def __post_init__(self):
         _check_alpha(self.alpha)
         _check_rm(self.r, self.m)
-        if not (math.isfinite(self.loss) and 0 <= self.loss < 1):
-            raise ParamOutOfRange(f"loss must lie in [0, 1), got {self.loss}")
+        _check_loss(self.loss)
         if not math.isfinite(self.phi):
             raise ParamOutOfRange(f"phi must be finite, got {self.phi}")
 

@@ -6,14 +6,14 @@ are computed by pure functions of the resolved probe parameters, so the
 output is deterministic and byte-stable; numeric trouble at isolated points
 becomes a per-row status code instead of an abort.
 
-The parity-family quantities (parity, sensitivity, cfi) are evaluated in
-batches before the per-row pass: one `parity.parity_signals` call per
-photon-addition order m for the rows at a fixed phase, and one lockstep
+The parity-family cells (parity, sensitivity, cfi) come from batch arrays
+before the per-row pass (`_parity_outcomes`): one kernel call per
+photon-addition order m for the rows at a fixed phase, one lockstep
 `parity.optimal_phases` search for all rows at the optimal phase, whatever
-their m. A row's values are the same bits a one-row evaluation gives.
-Moments, QFI bounds and oracle checks stay per row, and only they go to the
-`--threads` workers; a sweep without them runs in the calling process
-whatever `threads` says.
+their m, and one `parity._fisher` call per signal batch. A row's values are
+the same bits a one-row evaluation gives. Moments, QFI bounds and oracle
+checks stay per row, and only they go to the `--threads` workers; a sweep
+without them runs in the calling process whatever `threads` says.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -35,18 +37,18 @@ from .errors import (
 from .moments import moment_set
 from .oracle import parity_signal_oracle
 from .parity import (  # the one-row entry points stay importable here: tracing wraps them by name
-    _fisher_from,
+    _fisher,
     _result,
-    _sensitivity_from,
+    _sensitivities,
+    _signals,
     optimal_phase,  # noqa: F401
     optimal_phases,
     parity_expectation,  # noqa: F401
-    parity_signals,
     phase_sensitivity,  # noqa: F401
 )
 from .qfi_kerr import kerr_mu_opt_numeric, qfi_lossy_kerr
 from .qfi_linear import benchmark_limits, qfi_lossy_linear, qfi_lossy_numeric_check
-from .states import ProbeParams, pasvs_mean_photons, solve_r_for_energy
+from .states import M_MAX, R_MAX, ProbeParams, pasvs_mean_photons, solve_r_for_energy
 
 QUANTITIES = (
     "parity",
@@ -218,7 +220,8 @@ def parse_config(text: str) -> SweepSpec:
     m_list = doc.get("m_list", [0, 1, 2, 3])
     _expect(isinstance(m_list, list) and m_list, "$.m_list", "expected a non-empty list")
     for i, m in enumerate(m_list):
-        _expect(isinstance(m, int) and not isinstance(m, bool) and 0 <= m <= 10, f"$.m_list[{i}]", "expected an integer in 0..10")
+        is_order = isinstance(m, int) and not isinstance(m, bool) and 0 <= m <= M_MAX
+        _expect(is_order, f"$.m_list[{i}]", f"expected an integer in 0..{M_MAX}")
 
     energy_mode = doc.get("energy_mode", "fixed_r")
     _expect(energy_mode in ("fixed_r", "fixed_total"), "$.energy_mode", "expected fixed_r or fixed_total")
@@ -271,7 +274,7 @@ def validate_spec(spec: SweepSpec):
         _invalid("m_list must be ascending and free of duplicates")
 
     lo, hi = spec.sweep_values[0], spec.sweep_values[-1]
-    axis_range = {"r": (0.0, 3.0), "alpha": (0.0, math.inf), "l": (0.0, 1.0 - 1e-12), "nbar": (1e-12, math.inf)}
+    axis_range = {"r": (0.0, R_MAX), "alpha": (0.0, math.inf), "l": (0.0, 1.0 - 1e-12), "nbar": (1e-12, math.inf)}
     if spec.sweep_name in axis_range:
         a, b = axis_range[spec.sweep_name]
         if lo < a or hi > b:
@@ -331,8 +334,8 @@ def validate_spec(spec: SweepSpec):
         if (spec.alpha is None) == (spec.r is None):
             _invalid("fixed_total needs exactly one of alpha or r fixed; the other is solved")
 
-    if spec.r is not None and not 0 <= spec.r <= 3:
-        _invalid(f"r {spec.r} outside [0, 3]")
+    if spec.r is not None and not 0 <= spec.r <= R_MAX:
+        _invalid(f"r {spec.r} outside [0, {R_MAX:g}]")
     if spec.alpha is not None and spec.alpha < 0:
         _invalid(f"alpha {spec.alpha} must be non-negative")
     if spec.nbar is not None and spec.nbar <= 0:
@@ -371,10 +374,8 @@ def _oracle_value(q: str, p: ProbeParams, fock=None) -> float:
     if q == "parity":
         return fock[0]
     if q in ("sensitivity", "cfi"):
-        fisher = _fisher_from(*fock)
-        if q == "cfi":
-            return fisher
-        return math.inf if fisher <= 0 else 1.0 / math.sqrt(fisher)
+        fisher = _fisher(np.reshape(fock, (3, 1)))
+        return (fisher if q == "cfi" else _sensitivities(fisher)).item()
     if q in ("qfi_linear", "qcrb_linear"):
         fq = qfi_lossy_numeric_check(p)
         return fq if q == "qfi_linear" else (math.inf if fq <= 0 else fq**-0.5)
@@ -384,35 +385,22 @@ def _oracle_value(q: str, p: ProbeParams, fock=None) -> float:
     raise SpecInvalid(f"no oracle for quantity {q!r}")
 
 
-def _compute_row(task: _RowTask, signal=None, optimum=None) -> dict:
-    """One CSV row. `signal` and `optimum` are the row's entries from
-    `_parity_outcomes`."""
+def _compute_row(task: _RowTask, parity=None) -> dict:
+    """One CSV row. `parity` is the row's entry from `_parity_outcomes`; this
+    adds the moments, bounds and oracle checks. The quantities are read in
+    order, so the first that fails sets the status."""
     out = {"status": task.status, "phi": None, "values": {}, "oracle": {}, "dev": 0.0}
     if task.status != "ok":
         for q in task.quantities:
             out["values"][q] = math.nan
         return out
-    phi_val = task.phi_spec if isinstance(task.phi_spec, float) else 0.0
-    p = ProbeParams(alpha=task.alpha, r=task.r, m=task.m, loss=task.loss, phi=phi_val)
-    needs_moments = any(q.endswith(("_linear", "_kerr")) for q in task.quantities)
-    ms = moment_set(ProbeParams(task.alpha, task.r, task.m, task.loss)) if needs_moments else None
-    resolved_phi = phi_val if isinstance(task.phi_spec, float) else None
-    opt_sens = None
+    out["phi"], cells = parity or (None, {})
+    p = ProbeParams(task.alpha, task.r, task.m, task.loss, 0.0 if out["phi"] is None else out["phi"])
+    ms = moment_set(p) if any(q.endswith(("_linear", "_kerr")) for q in task.quantities) else None
     for q in task.quantities:
         try:
-            if q == "parity":
-                value = signal.value
-            elif q in ("sensitivity", "cfi"):
-                if task.phi_spec == "optimal" and opt_sens is None:
-                    phi_star, opt_sens = _result(optimum)
-                    resolved_phi = phi_star
-                    p = replace(p, phi=phi_star)
-                if q == "sensitivity" and opt_sens is not None:
-                    value = opt_sens
-                else:
-                    value = _fisher_from(signal.value, signal.dvalue, signal.ddvalue)
-                    if q == "sensitivity":
-                        value = _sensitivity_from(value)
+            if q in PHI_QUANTITIES:
+                value = _result(cells[q])
             elif q == "qfi_linear":
                 value = qfi_lossy_linear(ms, task.loss).fq
             elif q == "qcrb_linear":
@@ -427,9 +415,8 @@ def _compute_row(task: _RowTask, signal=None, optimum=None) -> dict:
             out["values"][q] = math.nan
             if out["status"] == "ok":
                 out["status"] = _code(e)
-    out["phi"] = resolved_phi
     if task.oracle and out["status"] in ("ok", "kerr_fallback"):
-        fock = parity_signal_oracle(p) if any(q in PHI_QUANTITIES for q in task.quantities) else None
+        fock = parity_signal_oracle(p) if cells else None
         for q in task.quantities:
             o = _oracle_value(q, p, fock)
             out["oracle"][q] = o
@@ -437,44 +424,53 @@ def _compute_row(task: _RowTask, signal=None, optimum=None) -> dict:
     return out
 
 
-def _parity_outcomes(tasks: list[_RowTask], quantities: tuple[str, ...]) -> tuple[list, list]:
+def _parity_outcomes(tasks: list[_RowTask], quantities: tuple[str, ...]) -> list:
     """Parity-family outcomes of every row, evaluated in batches.
 
-    Returns two lists aligned with `tasks`: the ParitySignal at each row's
-    phase (at phi* for phi "optimal"), and (phi*, sensitivity) for phi
-    "optimal" rows. An entry is None where the row needs none; a search
-    that found no finite sensitivity leaves its DegenerateSignal in place of
-    (phi*, sensitivity).
-    Per m, one `parity_signals` call covers the rows at a numeric phase. One
-    `optimal_phases` call searches the "optimal" rows of every m, and when
-    cfi is asked for, one more `parity_signals` call evaluates them at their
-    phi*.
+    One entry per task: None for a row that needs none, else (phi, cells):
+    the row's phase (phi* for phi "optimal", None where its search found no
+    finite sensitivity), and each parity-family quantity's value or the
+    DegenerateSignal that stopped it. Per m, one kernel call covers the rows
+    at a numeric phase; one `optimal_phases` call searches the "optimal"
+    rows of every m and gives their sensitivity, and for cfi one more kernel
+    call evaluates them at phi*.
     """
-    signals, optima = [None] * len(tasks), [None] * len(tasks)
-    if not any(q in PHI_QUANTITIES for q in quantities):
-        return signals, optima
+    outcomes: list = [None] * len(tasks)
+    asked = [q for q in PHI_QUANTITIES if q in quantities]
     fixed, optimal = defaultdict(list), []
     for i, task in enumerate(tasks):
-        if task.status == "ok":
-            if task.phi_spec == "optimal":
-                optimal.append(i)
-            else:
-                fixed[task.m].append(i)
+        if asked and task.status == "ok":
+            (optimal if task.phi_spec == "optimal" else fixed[task.m]).append(i)
 
     def params(rows):
         return [[getattr(tasks[i], f) for i in rows] for f in ("m", "alpha", "r", "loss")]
 
+    def cells(rows, phis, names):
+        # F only for sensitivity or cfi: a parity-only sweep never took the rule's |P| = 1 check
+        vals = _signals(*params(rows), phis)
+        if names == ["parity"]:
+            return [{"parity": v} for v in vals[0].tolist()]
+        fisher = _fisher(vals)
+        cols = {"parity": vals[0].tolist(), "cfi": fisher.tolist(), "sensitivity": _sensitivities(fisher).tolist()}
+        out = [{q: cols[q][j] for q in names} for j in range(len(rows))]
+        for j in np.flatnonzero(np.isnan(fisher)):  # phase-stationary to second order
+            stop = DegenerateSignal("parity signal is phase-stationary to second order")
+            out[j].update((q, stop) for q in names if q != "parity")
+        return out
+
     if optimal:
         for i, res in zip(optimal, optimal_phases(*params(optimal))):
-            optima[i] = res
-        found = [i for i in optimal if not isinstance(optima[i], Exception)]
-        if "cfi" in quantities and found:
-            for i, sig in zip(found, parity_signals(*params(found), [optima[i][0] for i in found])):
-                signals[i] = sig
+            failed = isinstance(res, Exception)
+            outcomes[i] = (None, dict.fromkeys(asked, res)) if failed else (res[0], {"sensitivity": res[1]})
+        found = [i for i in optimal if outcomes[i][0] is not None]
+        if "cfi" in asked and found:
+            for i, got in zip(found, cells(found, [outcomes[i][0] for i in found], ["cfi"])):
+                outcomes[i][1].update(got)
     for rows in fixed.values():
-        for i, sig in zip(rows, parity_signals(*params(rows), [tasks[i].phi_spec for i in rows])):
-            signals[i] = sig
-    return signals, optima
+        phis = [tasks[i].phi_spec for i in rows]
+        for i, phi, got in zip(rows, phis, cells(rows, phis, asked)):
+            outcomes[i] = (phi, got)
+    return outcomes
 
 
 def _code(e: Exception) -> str:
@@ -606,7 +602,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> CsvTable:
         meta.append(f"oracle_stride={stride}")
         meta.append("oracle_dev_metric=guarded_relative")
 
-    signals, optima = _parity_outcomes(tasks, spec.quantity)
+    parity = _parity_outcomes(tasks, spec.quantity)
     # parity-family values are all in hand now: only moments, bounds and
     # oracle checks are worth a worker pool
     per_row_work = spec.oracle_check or any(q not in PHI_QUANTITIES for q in spec.quantity)
@@ -614,9 +610,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> CsvTable:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_compute_row, tasks, signals, optima, chunksize=8))
+            results = list(pool.map(_compute_row, tasks, parity, chunksize=8))
     else:
-        results = [_compute_row(*args) for args in zip(tasks, signals, optima)]
+        results = [_compute_row(*args) for args in zip(tasks, parity)]
 
     uses_phi = any(q in PHI_QUANTITIES for q in spec.quantity)
     header = ["panel", spec.sweep_name]

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from parity_reference import signal_batch
+from parity_reference import fisher_from, sensitivity_from, signal_batch
 
 import mzphase
 from mzphase import parity
@@ -28,7 +28,7 @@ from mzphase.parity import (
     _GRID,
     BRACKET_TOL,
     MAX_STEPS,
-    _fisher_from,
+    _fisher,
     _sensitivities,
     classical_fisher,
     optimal_phase,
@@ -37,6 +37,9 @@ from mzphase.parity import (
     parity_signals,
     phase_sensitivity,
 )
+from mzphase.moments import moment_set
+from mzphase.qfi_kerr import qfi_lossy_kerr
+from mzphase.qfi_linear import qfi_lossy_linear
 from mzphase.states import R_MAX, ProbeParams
 from mzphase.sweep import SweepSpec, fnum, run_sweep
 
@@ -74,14 +77,14 @@ def test_batched_signal_equals_one_row_calls(m):
 
 def _serial_evaluate(p, phis):
     """Sensitivity and q = P'(P''(1 - P^2) + P P'^2) at each phase, one
-    scalar `_fisher_from` call per point."""
+    scalar `fisher_from` call per point."""
     sens, q = [], []
     for v, d, dd in zip(*(x.tolist() for x in signal_batch(p, phis))):
         try:
-            f = _fisher_from(v, d, dd)
+            f = fisher_from(v, d, dd)
         except DegenerateSignal:
             f = 0.0
-        sens.append(1.0 / math.sqrt(f) if f > 0 else math.inf)
+        sens.append(sensitivity_from(f))
         q.append(d * (dd * (1.0 - v * v) + v * (d * d)))
     return sens, q
 
@@ -225,21 +228,22 @@ def test_vectorised_fisher_step_equals_scalar_calls(monkeypatch):
     want = []
     for point in vals.T.tolist():
         try:
-            f = _fisher_from(*point)
+            f = fisher_from(*point)
         except DegenerateSignal:
             f = 0.0
-        want.append(1.0 / math.sqrt(f) if f > 0 else math.inf)
-    assert _sensitivities(vals).tolist() == want
+        want.append(sensitivity_from(f))
+    assert _sensitivities(_fisher(vals)).tolist() == want
     assert np.isinf(want[20:40]).all() and np.isfinite(want[:10]).all()
+    assert np.isnan(_fisher(vals)[20:30]).all()
 
     # |P| = 1 with a nonzero slope is inconsistent, in the batch as alone,
     # and it still aborts a sweep at the optimal phase
     bad = vals.copy()
     bad[:, 7] = (1.0, 1e-3, 0.5)
     with pytest.raises(ConsistencyError):
-        _fisher_from(*bad[:, 7])
+        fisher_from(*bad[:, 7])
     with pytest.raises(ConsistencyError):
-        _sensitivities(bad)
+        _fisher(bad)
     signal = parity._signal
 
     def inconsistent(phi, c):
@@ -254,6 +258,54 @@ def test_vectorised_fisher_step_equals_scalar_calls(monkeypatch):
     )
     with pytest.raises(ConsistencyError):
         run_sweep(spec)
+
+
+_edge_value = st.builds(
+    lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), st.floats(1.0 - 2e-12, 1.0 + 1e-10)
+)
+# one strategy per branch of the rule; each straddles its branch's bounds
+_signal_point = st.one_of(
+    # 1 - P^2 well above 1e-12: F = P'^2 / (1 - P^2), 0 at a zero slope
+    st.tuples(st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), st.floats(-1e3, 1e3)),
+    # |P| = 1 to within 1e-12: the limit |P''| below a 1e-6 slope, ConsistencyError above it
+    st.tuples(_edge_value, st.floats(-2e-6, 2e-6), st.floats(-1e3, 1e3)),
+    # slope and curvature near or below 1e-12: phase-stationary, NaN
+    st.tuples(st.one_of(_edge_value, st.floats(-1.0, 1.0)), st.floats(-2e-12, 2e-12), st.floats(-2e-12, 2e-12)),
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_signal_point, min_size=1, max_size=12))
+def test_fisher_rule_equals_scalar_reference(points):
+    # the array rule gives each point the bits of the scalar reference, NaN
+    # exactly where the reference raises DegenerateSignal, and raises
+    # ConsistencyError where the reference does, alone or in a batch
+    fisher, ok = [], []
+    for point in points:
+        try:
+            fisher.append(fisher_from(*point))
+        except DegenerateSignal:
+            fisher.append(math.nan)
+        except ConsistencyError:
+            with pytest.raises(ConsistencyError):
+                _fisher(np.array([point]).T)
+            continue
+        ok.append(point)
+    if len(ok) < len(points):
+        with pytest.raises(ConsistencyError):
+            _fisher(np.array(points).T)
+    if not ok:
+        return
+    got = _fisher(np.array(ok).T)
+    stationary = np.isnan(fisher)
+    assert np.isnan(got).tolist() == stationary.tolist()
+    assert _bits(got[~stationary]) == _bits(np.array(fisher)[~stationary])
+    want = [math.inf if math.isnan(f) else sensitivity_from(f) for f in fisher]
+    assert _bits(_sensitivities(got)) == _bits(want)
 
 
 def test_mixed_order_kernel_equals_single_order_batches():
@@ -336,6 +388,28 @@ _VALID = {"m": 1, "alpha": 1.0, "r": 0.5, "loss": 0.1, "phi": 0.3}
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parity_signals(0, [1.0, 1.0], [0.5], [0.1], [0.3]),
+        lambda: parity_signals([0, 1, 2], [1.0], [0.5], [0.1], [0.3]),
+        lambda: parity_signals(0, [1.0], [0.5], [0.1], [0.3, 0.4]),
+        lambda: parity_signals(0, [1.0, 1.0], [0.5, 0.5], [0.1, 0.1], [0.3]),
+        lambda: parity_signals(0, [], [], [], []),
+        lambda: optimal_phases(0, [], [], []),
+        lambda: optimal_phases([0, 1], [1.0], [0.5], [0.1]),
+        lambda: optimal_phases(0, [1.0], [0.5, 0.5], [0.1]),
+    ],
+    ids=["two_alpha_one_r", "three_m_one_row", "one_row_two_phi", "two_rows_one_phi", "empty", "empty_search",
+         "two_m_one_row_search", "two_r_one_alpha_search"],
+)
+def test_ragged_batches_raise(call):
+    # a batch takes one entry per row in every column (m may be one for all
+    # rows) and at least one row; anything else is rejected whole
+    with pytest.raises(ParamOutOfRange, match="per row"):
+        call()
+
+
+@pytest.mark.parametrize(
     "field,bad",
     [("r", 3.5), ("r", -0.5), ("r", math.nan), ("alpha", -1.0), ("m", 11), ("m", True), ("m", 1.5),
      ("loss", 1.0), ("phi", math.inf)],
@@ -382,19 +456,28 @@ def _code(e):
 
 
 def _row_alone(p, quantities, phi):
-    """Status, values and phi cell of one sweep row, from the one-row functions."""
+    """Status, values and phi cell of one sweep row, from the one-row
+    functions, one quantity after another: the first that fails, or a Kerr
+    fallback, sets the status."""
     status, values, opt = "ok", {}, None
     for q in quantities:
         try:
-            if phi == "optimal" and q != "parity" and opt is None:
+            if phi == "optimal" and q in ("sensitivity", "cfi") and opt is None:
                 opt = optimal_phase(p)
                 p = replace(p, phi=opt[0])
             if q == "parity":
                 values[q] = parity_expectation(p).value
             elif q == "sensitivity":
                 values[q] = opt[1] if opt else phase_sensitivity(p)
-            else:
+            elif q == "cfi":
                 values[q] = classical_fisher(p)
+            elif q.endswith("_linear"):
+                res = qfi_lossy_linear(moment_set(p), p.loss)
+                values[q] = res.fq if q == "qfi_linear" else res.qcrb
+            else:
+                res = qfi_lossy_kerr(moment_set(p), p.loss)
+                values[q] = res.fq if q == "qfi_kerr" else res.qcrb
+                status = "kerr_fallback" if res.fallback and status == "ok" else status
         except DegenerateSignal as e:
             values[q] = math.nan
             status = _code(type(e)) if status == "ok" else status
@@ -404,14 +487,21 @@ def _row_alone(p, quantities, phi):
 
 @pytest.mark.parametrize(
     "quantity,phi",
-    [(("parity", "sensitivity", "cfi"), 0.3), (("cfi", "sensitivity"), "optimal"), (("sensitivity", "cfi"), "optimal")],
+    [
+        (("parity", "sensitivity", "cfi"), 0.3), (("cfi", "sensitivity"), "optimal"), (("sensitivity", "cfi"), "optimal"),
+        # bounds before and after a parity-family quantity: the vacuum rows
+        # keep their bound values and fail on the parity family, and the
+        # one-photon rows (m = 1 at alpha = r = 0, loss 0.2) fall back on the
+        # Kerr bound
+        (("qfi_kerr", "sensitivity", "qcrb_linear"), 0.3), (("cfi", "qcrb_kerr", "sensitivity"), "optimal"),
+    ],
 )
 @pytest.mark.parametrize("denom_tol", [None, 0.9])
 def test_sweep_rows_equal_row_at_a_time(quantity, phi, denom_tol, monkeypatch):
     # alpha = r = 0 at m = 0 is the vacuum: DegenerateSignal, the status of
-    # its row alone. A raised denominator floor fails the r = 0.8 rows alone,
-    # which is no row status: it aborts the sweep they share with the r = 0
-    # and r = 0.3 rows
+    # its row alone; a row's status is that of its first failing quantity. A
+    # raised denominator floor fails the r = 0.8 rows alone, which is no row
+    # status: it aborts the sweep they share with the r = 0 and r = 0.3 rows
     if denom_tol is not None:
         monkeypatch.setattr(parity, "DENOM_TOL", denom_tol)
     statuses = []
@@ -438,6 +528,8 @@ def test_sweep_rows_equal_row_at_a_time(quantity, phi, denom_tol, monkeypatch):
             statuses.append((float(cells["r"]), status))
     if denom_tol is None:
         assert {(0.0, "degenerate_signal"), (0.3, "ok"), (0.8, "ok")} <= set(statuses)
+        if "qfi_kerr" in quantity or "qcrb_kerr" in quantity:
+            assert (0.0, "kerr_fallback") in statuses
 
 
 def test_cli_sweeps_do_not_load_scipy(tmp_path):

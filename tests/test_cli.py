@@ -289,7 +289,7 @@ def test_unlisted_row_error_aborts_without_output(tmp_path, capsys, monkeypatch)
         raise ConsistencyError("injected")
 
     # the batched parity pass is where a parity sweep's kernel runs
-    monkeypatch.setattr(mzphase.sweep, "parity_signals", broken)
+    monkeypatch.setattr(mzphase.sweep, "_signals", broken)
     path = tmp_path / "cfg.json"
     path.write_text(cfg())
     out = tmp_path / "never.csv"
