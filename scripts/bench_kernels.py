@@ -52,6 +52,11 @@ Not paired:
   measured in a fresh process. The two `loss_weight_table` entries time the
   table alone: their input marginal, and with it the blocks, is built
   untimed before the call;
+- `block_cache`: the splitter blocks built to cutoffs 160 and then 320 in a
+  fresh process per tree (FIRST_RUNS processes each, the trees alternating
+  as in `oracle_first`), with their bytes, the process's `ru_maxrss` (kB)
+  after the import and after each cutoff, and the resident cost per block
+  byte, (maxrss - maxrss after the import) / bytes, as its median;
 - `refine_calls`, counts per tree: the kernel calls the optimal-phase search
   makes after its two scan passes, per row (mean and maximum over rows with
   a result, one `optimal_phase` call each) and per lockstep group (maximum
@@ -99,6 +104,7 @@ DECK_SEED = 1
 BUDGET_S = 2.0
 MIN_PAIRS = 40
 FIRST_RUNS = 3
+BLOCK_CUTOFFS = (160, 320)
 ORACLE_NAMES = (
     *(f"parity_signal_r{r}" for r in ORACLE_R),
     "qfi_lossy_numeric_check",
@@ -226,8 +232,27 @@ def measure_first(name: str) -> dict:
     return {"ms": ms, "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
 
 
-def first_calls(srcs: dict, name: str) -> dict:
-    """`measure_first` in FIRST_RUNS fresh processes per tree, the trees alternating.
+def measure_blocks(cutoffs) -> dict:
+    """Peak resident set in kB of this process (the tree on PYTHONPATH) after
+    the import and after building the splitter blocks to each cutoff in turn,
+    with the blocks' bytes."""
+    import resource
+
+    import mzphase
+
+    def maxrss() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+    out = {"import_maxrss_kb": maxrss(), "bytes": {}, "maxrss_kb": {}}
+    for cutoff in cutoffs:
+        out["bytes"][cutoff] = sum(rot.nbytes for rot in mzphase.oracle._bs_blocks(cutoff))
+        out["maxrss_kb"][cutoff] = maxrss()
+    return out
+
+
+def fresh_runs(srcs: dict, *args: str) -> dict:
+    """This script run with `args` in FIRST_RUNS fresh processes per tree, the
+    trees alternating: each side's parsed stdout, in run order.
 
     On Linux a child's `ru_maxrss` starts at its parent's peak, so this runs
     before the parent loads either tree."""
@@ -235,9 +260,30 @@ def first_calls(srcs: dict, name: str) -> dict:
     for i in range(FIRST_RUNS):
         for side in srcs if i % 2 == 0 else list(srcs)[::-1]:
             env = dict(os.environ, PYTHONPATH=str(srcs[side]))
-            cmd = [sys.executable, __file__, "--measure-first", name]
-            done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
+            done = subprocess.run([sys.executable, __file__, *args], env=env, check=True, capture_output=True, text=True)
             runs[side].append(json.loads(done.stdout))
+    return runs
+
+
+def block_cache(srcs: dict) -> dict:
+    """`measure_blocks` at BLOCK_CUTOFFS in fresh processes per tree."""
+    out = {}
+    for side, rs in fresh_runs(srcs, "--measure-blocks", *map(str, BLOCK_CUTOFFS)).items():
+        out[side] = {"import_maxrss_kb": [r["import_maxrss_kb"] for r in rs]}
+        for c in map(str, BLOCK_CUTOFFS):  # JSON keys
+            out[side][f"cutoff{c}"] = {
+                "bytes": rs[0]["bytes"][c],
+                "maxrss_kb": [r["maxrss_kb"][c] for r in rs],
+                "resident_per_byte": round(
+                    statistics.median((r["maxrss_kb"][c] - r["import_maxrss_kb"]) * 1024 / r["bytes"][c] for r in rs), 3
+                ),
+            }
+    return out
+
+
+def first_calls(srcs: dict, name: str) -> dict:
+    """`measure_first` in FIRST_RUNS fresh processes per tree, the trees alternating."""
+    runs = fresh_runs(srcs, "--measure-first", name)
     return {
         side: {
             "min_ms": round(min(r["ms"] for r in rs), 4),
@@ -327,15 +373,20 @@ def main(argv=None) -> int:
     ap.add_argument("--before-label", default="parent commit", help="what --before-src holds")
     ap.add_argument("--out", type=Path, help="JSON file to write")
     ap.add_argument("--measure-first", metavar="NAME", help=argparse.SUPPRESS)
+    ap.add_argument("--measure-blocks", metavar="CUTOFF", type=int, nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.measure_first:
         print(json.dumps(measure_first(args.measure_first)))
+        return 0
+    if args.measure_blocks:
+        print(json.dumps(measure_blocks(args.measure_blocks)))
         return 0
     if args.before_src is None or args.out is None:
         ap.error("--before-src and --out are required")
 
     srcs = {"before": args.before_src.resolve(), "after": ROOT / "src"}
     first = {name: first_calls(srcs, name) for name in ORACLE_NAMES}
+    blocks = block_cache(srcs)
 
     import numpy as np
 
@@ -372,6 +423,7 @@ def main(argv=None) -> int:
         "units": "ms per call",
         "paired": {},
         "oracle_first": first,
+        "block_cache": blocks,
     }
     for group, names in after.items():
         for name, call in names.items():

@@ -21,13 +21,21 @@ antisymmetric one, so R_N = S^H U_N S is real orthogonal. Each sector's R_N
 is built once per process from the spectral decomposition of J, stored in
 float64 and shared by every cutoff; the splitter gathers a sector's entries
 times S^H, takes one real product with R_N and scatters them back times S.
-The blocks of sectors 0..N take sum (k+1)^2 * 8 B, which is about 11 MB up to
-N = 160 and 0.58 GB up to SECTOR_LIMIT; they are freed only when the process
-ends. The splitter's sector layout (n_a, n_b, the S^H and S phase columns and
-the sector bounds) is kept once, for the largest cutoff seen, about 0.6 MB at
-N = 160: sector order does not depend on the cutoff, so a smaller cutoff reads
-its prefixes and forms only its flat indices. Per-cutoff copies would miss on
-most calls of a sweep whose cutoffs vary, or grow with every cutoff visited.
+The blocks of sectors 0..N take sum (k+1)^2 * 8 B: 10.7 MB up to N = 160,
+84.5 MB up to 320 and 553.4 MB up to SECTOR_LIMIT (MB = 2^20 B). They live
+in one slab, reserved for sectors 0..SECTOR_LIMIT at the first block build,
+so only the pages of built blocks become resident, and they are freed only
+when the process ends. In a fresh process (2 CPUs, numpy 2.4.6, one BLAS
+thread) building the blocks to 160, 320 and 600 raises the peak resident set
+by 14.6, 94.6 and 579.7 MB (1.37x, 1.12x and 1.05x their bytes); as one
+array per block, 160 and 320 raised it by 23.2 and 175.7 MB (2.17x and
+2.08x), because the blocks and their freed build temporaries fragmented one
+heap. The splitter's sector layout (n_a, n_b, the S^H and S phase
+columns and the sector bounds) is kept once, for the largest cutoff seen,
+about 0.6 MB at N = 160: sector order does not depend on the cutoff, so a
+smaller cutoff reads its prefixes and forms only its flat indices.
+Per-cutoff copies would miss on most calls of a sweep whose cutoffs vary,
+or grow with every cutoff visited.
 
 `parity_signal_oracle` does not apply the second splitter: behind a 50:50
 splitter, b-port parity is a signed exchange of the two modes within each
@@ -52,6 +60,7 @@ Log-factorials come from one cached table of `math.lgamma` values.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,6 +110,18 @@ def _log_factorials(n: int) -> np.ndarray:
 # -- beam splitter ----------------------------------------------------------
 
 
+# Every block R_N in one float64 slab, block N at offset N(N+1)(2N+1)/6. It is
+# reserved for sectors 0..SECTOR_LIMIT at the first block build: address space
+# only, its pages become resident as blocks are written into them. It is a
+# private anonymous map, not np.empty, because numpy advises huge pages for
+# arrays from 4 MB up, and those would make 2 MB resident at a time.
+_slab = None
+
+
+def _block_offset(total: int) -> int:
+    return total * (total + 1) * (2 * total + 1) // 6
+
+
 @lru_cache(maxsize=None)
 def _bs_block(total: int) -> np.ndarray:
     """Real rotation R = S^H U S of the 50:50 splitter on one sector.
@@ -108,21 +129,28 @@ def _bs_block(total: int) -> np.ndarray:
     U = exp(-i pi/4 (a^dag b + a b^dag)) on sector N (total photons), basis
     |n_a, N - n_a>, n_a = 0..N, and S = diag(i^n_a). The coupling operator is
     real symmetric tridiagonal there, so U is built from its spectral
-    decomposition; R is checked to be real and orthogonal to 1e-10 and kept
-    as a float64 array. The block does not depend on the grid cutoff; it is
-    cached for the life of the process and read only.
+    decomposition; R is checked to be real and orthogonal to 1e-10 and
+    written to its place in the block slab. The block does not depend on the
+    grid cutoff; it is kept for the life of the process and returned as a
+    read-only view of the slab.
     """
+    global _slab
+    if _slab is None:
+        pages = mmap.mmap(-1, 8 * _block_offset(SECTOR_LIMIT + 1), flags=mmap.MAP_PRIVATE)
+        _slab = np.frombuffer(pages, dtype=np.float64)
     na = np.arange(total + 1)
     off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
     j_op = np.diag(off, 1) + np.diag(off, -1)
     vals, vecs = np.linalg.eigh(j_op)
     u = (vecs * np.exp(-1j * (np.pi / 4) * vals)) @ vecs.T
     s = _I_POW[na % 4]
-    rot = s.conj()[:, None] * u * s[None, :]
-    residue = np.max(np.abs(rot.imag))
+    u *= s.conj()[:, None]
+    u *= s
+    residue = np.max(np.abs(u.imag))
     if not residue < 1e-10:
         raise UnitarityDrift(f"sector {total} rotation has imaginary residue {residue:.3e}")
-    rot = np.ascontiguousarray(rot.real)
+    rot = _slab[_block_offset(total) : _block_offset(total + 1)].reshape(total + 1, total + 1)
+    rot[...] = u.real
     defect = np.max(np.abs(rot.T @ rot - np.eye(total + 1)))
     if not defect < 1e-10:
         raise UnitarityDrift(f"sector {total} block orthogonality defect {defect:.3e}")
@@ -132,7 +160,9 @@ def _bs_block(total: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)  # its cache_info() counts cutoff changes in the traced benchmark
 def _bs_blocks(cutoff: int) -> list:
-    """The shared blocks of sectors 0..cutoff."""
+    """The shared blocks of sectors 0..cutoff, which the slab holds up to SECTOR_LIMIT."""
+    if cutoff > SECTOR_LIMIT:
+        raise ParamOutOfRange(f"cutoff {cutoff} exceeds the oracle limit {SECTOR_LIMIT}")
     return [_bs_block(total) for total in range(cutoff + 1)]
 
 
@@ -170,21 +200,23 @@ def _sector_layout(cutoff: int) -> _SectorLayout:
     return _layout
 
 
-def _apply_bs_array(arr: np.ndarray, cutoff: int) -> np.ndarray:
+def _apply_bs_array(arr: np.ndarray, cutoff: int, copy: bool = True) -> np.ndarray:
     """First splitter on one grid (d, d) or a stack of grids (k, d, d).
 
     Sector entries are gathered sector-major, (entries, k), times S^H; each
     sector then takes one real product with its rotation on the
     (entries, 2k) float64 view of the gathered amplitudes, for the whole
     stack, and S goes back on in the scatter. Multiplying by a power of i
-    is exact. Entries outside sectors 0..cutoff pass through.
+    is exact. Entries outside sectors 0..cutoff pass through. With
+    copy=False the splitter acts in place on `arr`, which must then be a
+    C-contiguous complex128 array (else ValueError).
     """
     layout = _sector_layout(cutoff)
     bounds = layout.bounds[: cutoff + 2]
     size = bounds[-1]
     d = cutoff + 1
     idx = layout.na[:size] * d + layout.nb[:size]
-    out = np.array(arr, dtype=np.complex128)
+    out = np.array(arr, dtype=np.complex128, copy=copy, order="C")
     flat = out.reshape(*arr.shape[:-2], d * d).T  # (d*d,) or (d*d, k), a view of out
     packed = np.ascontiguousarray(flat[idx]).reshape(size, -1)
     packed *= layout.s_h[:size]
@@ -328,9 +360,8 @@ def _prepared_after_first_splitter(p: ProbeParams, cutoff: int) -> np.ndarray:
     is renormalised again if the splitter moved its norm by less than 1e-9,
     else UnitarityDrift.
     """
-    arr = np.outer(
-        coherent_fock_amplitudes(p.alpha, cutoff), pasvs_fock_amplitudes(p.r, p.m, cutoff)
-    ).astype(np.complex128)
+    arr = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    np.outer(coherent_fock_amplitudes(p.alpha, cutoff), pasvs_fock_amplitudes(p.r, p.m, cutoff), out=arr.real)
     arr[_outside_sectors(cutoff)] = 0.0
     nrm = float(np.linalg.norm(arr))
     if 1.0 - nrm * nrm > 1e-9:
@@ -339,7 +370,7 @@ def _prepared_after_first_splitter(p: ProbeParams, cutoff: int) -> np.ndarray:
     before = float(np.linalg.norm(arr))
     if not math.isfinite(before):
         raise ConsistencyError(f"state has a non-finite squared norm ({before * before}): NaN or inf amplitude")
-    out = _apply_bs_array(arr, cutoff)
+    out = _apply_bs_array(arr, cutoff, copy=False)
     after = float(np.linalg.norm(out))
     drift = abs(after - before)
     if not drift < 1e-9 * max(before, 1e-300):
@@ -420,7 +451,8 @@ def probe_marginal(p: ProbeParams, weight: int = 2, cutoff: int | None = None) -
 def _probe_marginal(alpha: float, r: float, m: int, weight: int, cutoff: int | None) -> np.ndarray:
     p = ProbeParams(alpha=alpha, r=r, m=m)
     nc = default_cutoff(p, weight=weight) if cutoff is None else cutoff
-    marg = np.sum(np.abs(_prepared_after_first_splitter(p, nc)) ** 2, axis=0)
+    amp = np.abs(_prepared_after_first_splitter(p, nc))
+    marg = np.sum(np.square(amp, out=amp), axis=0)
     marg.flags.writeable = False
     return marg
 

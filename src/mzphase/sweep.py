@@ -12,14 +12,17 @@ photon-addition order m for the rows at a fixed phase, one lockstep
 `parity.optimal_phases` search for all rows at the optimal phase, whatever
 their m, and one `parity._fisher` call per signal batch. A row's values are
 the same bits a one-row evaluation gives. Moments, QFI bounds and oracle
-checks stay per row, and only they go to the `--threads` workers; a sweep
-without them runs in the calling process whatever `threads` says.
+checks stay per row, and only they go to the `--threads` workers, eight
+rows at a time: at most min(threads, os.cpu_count(), chunks of such rows)
+workers start, so a sweep with one chunk of them or none runs in the calling
+process. `threads` below 1 raises ParamOutOfRange.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
@@ -30,6 +33,7 @@ from .errors import (
     BracketExceeded,
     DegenerateSignal,
     InfeasibleTarget,
+    ParamOutOfRange,
     SchemaViolation,
     SpecInvalid,
     UnknownFigure,
@@ -64,6 +68,8 @@ PHI_QUANTITIES = ("parity", "sensitivity", "cfi")
 SWEEP_AXES = ("phi", "r", "alpha", "l", "nbar")
 # numeric row failures that become a status code instead of an abort
 ROW_ERRORS = (InfeasibleTarget, BracketExceeded, DegenerateSignal)
+# rows per task a `--threads` worker takes at a time
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -521,6 +527,8 @@ def _resolve_energy(spec: SweepSpec, m: int, nbar: float) -> tuple[float, float]
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> CsvTable:
+    if threads < 1:
+        raise ParamOutOfRange(f"threads must be at least 1, got {threads}")
     validate_spec(spec)
     if spec.quantity == ("limits",):
         return _limits_table(spec)
@@ -604,13 +612,16 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> CsvTable:
 
     parity = _parity_outcomes(tasks, spec.quantity)
     # parity-family values are all in hand now: only moments, bounds and
-    # oracle checks are worth a worker pool
-    per_row_work = spec.oracle_check or any(q not in PHI_QUANTITIES for q in spec.quantity)
-    if threads > 1 and per_row_work:
+    # oracle checks are worth a worker, and no more workers than cores or
+    # than chunks of such rows
+    per_row_work = any(q not in PHI_QUANTITIES for q in spec.quantity)
+    busy = sum(per_row_work or t.oracle for t in tasks)
+    workers = min(threads, os.cpu_count() or 1, -(-busy // _CHUNK))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_compute_row, tasks, parity, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_compute_row, tasks, parity, chunksize=_CHUNK))
     else:
         results = [_compute_row(*args) for args in zip(tasks, parity)]
 

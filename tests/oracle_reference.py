@@ -13,6 +13,9 @@ did before all three:
   (`bs_block_reference`), applied one sector and one grid at a time
   (`apply_bs_reference`), each block conjugated as it is applied for the
   second splitter;
+- the real rotation R built by the same arithmetic as `_bs_block`, in an
+  array of its own, neither cached nor written to the block slab
+  (`bs_rotation_reference`);
 - the production splitter with its sector layout built per call for the
   cutoff at hand (`apply_bs_array_reference`), where `_apply_bs_array` reads
   prefixes of one layout kept for the largest cutoff seen;
@@ -53,6 +56,7 @@ from mzphase.errors import ConsistencyError, CutoffTooSmall, ParamOutOfRange, Un
 from mzphase.moments import moment_set
 from mzphase.oracle import (
     SECTOR_TOL,
+    _I_POW,
     LossWeightTable,
     _coherent_probs,
     _outside_sectors,
@@ -101,6 +105,25 @@ def bs_block_reference(total: int) -> np.ndarray:
         raise UnitarityDrift(f"sector {total} block unitarity defect {defect:.3e}")
     u.flags.writeable = False
     return u
+
+
+def bs_rotation_reference(total: int) -> np.ndarray:
+    """R = S^H U S, S = diag(i^n_a), on one sector by the arithmetic of
+    `oracle._bs_block` (the same `eigh` and checks, with its phase products
+    out of place), in a new array."""
+    na = np.arange(total + 1)
+    off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
+    j_op = np.diag(off, 1) + np.diag(off, -1)
+    vals, vecs = np.linalg.eigh(j_op)
+    u = (vecs * np.exp(-1j * (np.pi / 4) * vals)) @ vecs.T
+    s = _I_POW[na % 4]
+    rot = s.conj()[:, None] * u * s[None, :]
+    if not np.max(np.abs(rot.imag)) < 1e-10:
+        raise UnitarityDrift(f"sector {total} rotation is not real")
+    rot = np.ascontiguousarray(rot.real)
+    if not np.max(np.abs(rot.T @ rot - np.eye(total + 1))) < 1e-10:
+        raise UnitarityDrift(f"sector {total} rotation is not orthogonal")
+    return rot
 
 
 def apply_bs_reference(arr: np.ndarray, cutoff: int, second: bool) -> np.ndarray:

@@ -3,11 +3,13 @@
 import concurrent.futures
 import json
 import math
+import os
+from dataclasses import replace
 
 import pytest
 
 from mzphase.cli import main
-from mzphase.errors import SchemaViolation, SpecInvalid, UnknownFigure
+from mzphase.errors import ParamOutOfRange, SchemaViolation, SpecInvalid, UnknownFigure
 from mzphase.parity import parity_expectation
 from mzphase.moments import moment_set
 from mzphase.qfi_kerr import qfi_ideal_kerr
@@ -200,18 +202,25 @@ def test_preset_shapes():
     assert f12.quantity == ("qcrb_kerr",) and f12.loss == (0.0, 0.1)
 
 
-def test_threads_reproduce_sequential_output():
+def test_threads_reproduce_sequential_output(monkeypatch):
     # the second spec sends batched optimal-phase outcomes to the workers
-    # alongside per-row bound work
+    # alongside per-row bound work: 10 rows, two chunks, so two workers
     optimal = cfg(
         quantity=["sensitivity", "qcrb_linear"],
-        sweep={"name": "l", "values": [0.0, 0.2, 0.4]},
+        sweep={"name": "l", "values": [0.0, 0.1, 0.2, 0.3, 0.4]},
         fixed={"alpha": 2.0, "r": 0.5, "phi": "optimal"},
         m_list=[0, 2],
+    )
+    pool = concurrent.futures.ProcessPoolExecutor
+    started = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers) or pool(max_workers)
     )
     for text in (cfg(m_list=[0, 1]), optimal):
         spec = parse_config(text)
         assert run_sweep(spec, threads=2).render() == run_sweep(spec, threads=1).render()
+    assert started == [2]
 
 
 def test_threads_without_per_row_work_start_no_pool(monkeypatch):
@@ -232,6 +241,61 @@ def test_threads_without_per_row_work_start_no_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert [run_sweep(spec, threads=2).render() for spec in specs] == want
+
+
+class _StubPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in the
+    calling process, starting none."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "rows,threads,cores,oracle_stride,workers",
+    [
+        (48, 8, 4, None, 4),  # cores bind
+        (48, 2, 4, None, 2),  # threads bind
+        (12, 8, 4, None, 2),  # two chunks of 8 rows
+        (8, 8, 4, None, None),  # one chunk: no pool
+        (24, 2, None, None, None),  # cpu_count unknown: one core
+        (24, 8, 4, 1, 3),  # parity with every row checked by the oracle
+        (24, 8, 4, 3, None),  # parity with 8 oracle rows: one chunk
+    ],
+)
+def test_threads_start_at_most_one_worker_per_core_and_chunk(monkeypatch, rows, threads, cores, oracle_stride, workers):
+    quantity, fixed = (["parity"], {"r": 0.5, "phi": 0.3}) if oracle_stride else (["qcrb_linear"], {"r": 0.5})
+    sweep = {"name": "alpha", "start": 0.5, "stop": 2.0, "count": rows}
+    spec = parse_config(cfg(quantity=quantity, sweep=sweep, fixed=fixed, m_list=[1]))
+    if oracle_stride:
+        spec = replace(spec, oracle_check=True, oracle_stride=oracle_stride)
+    want = run_sweep(spec, threads=1).render()
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_StubPool, "started", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
+    assert run_sweep(spec, threads=threads).render() == want
+    assert _StubPool.started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_are_refused(tmp_path, capsys, threads):
+    with pytest.raises(ParamOutOfRange, match="threads"):
+        run_sweep(parse_config(cfg()), threads=threads)
+    out = tmp_path / "t.csv"
+    assert main(["figure", "2", "--threads", str(threads), "--out", str(out)]) == 1
+    assert "threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -12,6 +12,7 @@ from scipy.special import gammaln
 from mzphase import oracle, sweep
 from mzphase.errors import ConsistencyError, CutoffTooSmall, ParamOutOfRange, TraceDrift, UnitarityDrift
 from mzphase.oracle import (
+    SECTOR_LIMIT,
     _I_POW,
     _apply_bs_array,
     _bs_block,
@@ -41,6 +42,7 @@ from oracle_reference import (
     apply_loss_channel,
     apply_phase,
     bs_block_reference,
+    bs_rotation_reference,
     default_cutoff_reference,
     grid_marginal,
     input_grid,
@@ -455,6 +457,21 @@ def test_stacked_splitter_matches_one_grid_at_a_time(second):
         np.testing.assert_allclose(g, apply_bs_reference(grid, cutoff, second), rtol=0, atol=1e-13)
 
 
+def test_splitter_in_place_on_owned_grids_only():
+    rng = np.random.default_rng(5)
+    cutoff = 16
+    grid = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(cutoff + 1, cutoff + 1))
+    want = _apply_bs_array(grid, cutoff)
+    # a copy in any memory order is C-ordered before the sectors are gathered
+    assert _apply_bs_array(np.asfortranarray(grid), cutoff).tobytes() == want.tobytes()
+    owned = grid.copy()
+    assert _apply_bs_array(owned, cutoff, copy=False) is owned
+    assert owned.tobytes() == want.tobytes()
+    for shared in (np.asfortranarray(grid), grid.real):
+        with pytest.raises(ValueError):
+            _apply_bs_array(shared, cutoff, copy=False)
+
+
 def test_splitter_layout_prefixes_match_per_call_layout(monkeypatch):
     # one layout, grown only when a larger cutoff comes, serves every smaller one
     monkeypatch.setattr(oracle, "_layout", oracle._build_layout(0))
@@ -482,6 +499,47 @@ def test_splitter_blocks_built_once_per_sector():
     _bs_blocks(168)
     info = _bs_block.cache_info()
     assert info.misses - misses == info.currsize - size <= 8
+
+
+def _block_at(total: int) -> np.ndarray:
+    """Where block `total` lies in the slab: offset N(N+1)(2N+1)/6, (N+1)^2 entries."""
+    start = total * (total + 1) * (2 * total + 1) // 6
+    return oracle._slab[start : start + (total + 1) ** 2]
+
+
+def test_splitter_blocks_are_read_only_views_into_one_slab():
+    blocks = _bs_blocks(160)
+    assert oracle._slab.size == (SECTOR_LIMIT + 1) * (SECTOR_LIMIT + 2) * (2 * SECTOR_LIMIT + 3) // 6
+    for total, rot in enumerate(blocks):
+        assert rot.shape == (total + 1, total + 1) and not rot.flags.writeable
+        assert np.shares_memory(rot, oracle._slab)
+        assert rot.ctypes.data == _block_at(total).ctypes.data
+        assert rot.tobytes() == bs_rotation_reference(total).tobytes(), total
+
+
+def test_larger_cutoff_moves_no_built_block():
+    built = [(rot.ctypes.data, rot.tobytes()) for rot in _bs_blocks(160)]
+    blocks = _bs_blocks(320)
+    assert [(rot.ctypes.data, rot.tobytes()) for rot in blocks[:161]] == built
+    for total in (161, 250, 320):
+        assert np.shares_memory(blocks[total], oracle._slab)
+        assert blocks[total].ctypes.data == _block_at(total).ctypes.data
+        assert blocks[total].tobytes() == bs_rotation_reference(total).tobytes()
+
+
+def test_block_lists_count_cutoff_changes():
+    _bs_blocks.cache_clear()
+    for cutoff in (160, 320, 160, 168, 160):
+        _bs_blocks(cutoff)
+    info = _bs_blocks.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
+
+
+def test_cutoff_past_the_slab_is_refused():
+    p = ProbeParams(alpha=1.0, r=0.5, m=1, loss=0.1, phi=0.2)
+    with pytest.raises(ParamOutOfRange, match="oracle limit"):
+        parity_signal_oracle(p, cutoff=SECTOR_LIMIT + 1)
+    parity_signal_oracle(p, cutoff=default_cutoff(p))
 
 
 @pytest.mark.parametrize("lost,raises", [(1e-8, True), (1e-10, False)])

@@ -67,6 +67,18 @@ def test_first_call_runs_in_fresh_processes(monkeypatch):
         assert len(got[side]["maxrss_kb"]) == 1
 
 
+def test_block_cache_runs_in_fresh_processes(monkeypatch):
+    monkeypatch.setattr(bench_kernels, "FIRST_RUNS", 1)
+    monkeypatch.setattr(bench_kernels, "BLOCK_CUTOFFS", (24, 48))
+    got = bench_kernels.block_cache({"before": ROOT / "src", "after": ROOT / "src"})
+    for side in ("before", "after"):
+        small, large = got[side]["cutoff24"], got[side]["cutoff48"]
+        assert small["bytes"] == 8 * sum((k + 1) ** 2 for k in range(25))
+        assert large["bytes"] == 8 * sum((k + 1) ** 2 for k in range(49))
+        assert got[side]["import_maxrss_kb"][0] <= small["maxrss_kb"][0] <= large["maxrss_kb"][0]
+        assert math.isfinite(large["resident_per_byte"]) and large["resident_per_byte"] >= 0
+
+
 def test_both_loads_render_the_same_preset_csv(twice):
     first, second = (t.sweep.run_sweep(t.sweep.figure_preset(2, "a")).render() for t in twice)
     assert first == second
