@@ -114,7 +114,9 @@ def _log_factorials(n: int) -> np.ndarray:
 # reserved for sectors 0..SECTOR_LIMIT at the first block build: address space
 # only, its pages become resident as blocks are written into them. It is a
 # private anonymous map, not np.empty, because numpy advises huge pages for
-# arrays from 4 MB up, and those would make 2 MB resident at a time.
+# arrays from 4 MB up, and those would make 2 MB resident at a time. Strict
+# overcommit and address-space limits count all 553.4 MB of it in each
+# process that builds a block.
 _slab = None
 
 
@@ -200,24 +202,24 @@ def _sector_layout(cutoff: int) -> _SectorLayout:
     return _layout
 
 
-def _apply_bs_array(arr: np.ndarray, cutoff: int, copy: bool = True) -> np.ndarray:
-    """First splitter on one grid (d, d) or a stack of grids (k, d, d).
+def _apply_bs_array(arr: np.ndarray, cutoff: int) -> np.ndarray:
+    """First splitter, in place, on one grid (d, d) or a stack of grids (k, d, d).
 
     Sector entries are gathered sector-major, (entries, k), times S^H; each
     sector then takes one real product with its rotation on the
     (entries, 2k) float64 view of the gathered amplitudes, for the whole
     stack, and S goes back on in the scatter. Multiplying by a power of i
-    is exact. Entries outside sectors 0..cutoff pass through. With
-    copy=False the splitter acts in place on `arr`, which must then be a
-    C-contiguous complex128 array (else ValueError).
+    is exact. Entries outside sectors 0..cutoff pass through. `arr` must be
+    a C-contiguous complex128 array, else ValueError; it is returned.
     """
+    if arr.dtype != np.complex128 or not arr.flags.c_contiguous:
+        raise ValueError(f"the splitter needs a C-contiguous complex128 grid, got {arr.dtype}")
     layout = _sector_layout(cutoff)
     bounds = layout.bounds[: cutoff + 2]
     size = bounds[-1]
     d = cutoff + 1
     idx = layout.na[:size] * d + layout.nb[:size]
-    out = np.array(arr, dtype=np.complex128, copy=copy, order="C")
-    flat = out.reshape(*arr.shape[:-2], d * d).T  # (d*d,) or (d*d, k), a view of out
+    flat = arr.reshape(*arr.shape[:-2], d * d).T  # (d*d,) or (d*d, k), a view of arr
     packed = np.ascontiguousarray(flat[idx]).reshape(size, -1)
     packed *= layout.s_h[:size]
     pairs = packed.view(np.float64)  # (entries, 2k): real and imaginary parts
@@ -226,7 +228,7 @@ def _apply_bs_array(arr: np.ndarray, cutoff: int, copy: bool = True) -> np.ndarr
         seg[...] = rot @ seg
     packed *= layout.s[:size]
     flat[idx] = packed.reshape(size, *flat.shape[1:])
-    return out
+    return arr
 
 
 @lru_cache(maxsize=4)
@@ -370,14 +372,14 @@ def _prepared_after_first_splitter(p: ProbeParams, cutoff: int) -> np.ndarray:
     before = float(np.linalg.norm(arr))
     if not math.isfinite(before):
         raise ConsistencyError(f"state has a non-finite squared norm ({before * before}): NaN or inf amplitude")
-    out = _apply_bs_array(arr, cutoff, copy=False)
-    after = float(np.linalg.norm(out))
+    _apply_bs_array(arr, cutoff)
+    after = float(np.linalg.norm(arr))
     drift = abs(after - before)
     if not drift < 1e-9 * max(before, 1e-300):
         raise UnitarityDrift(f"norm drifted by {drift:.3e} across the splitter")
     if after > 0:
-        out *= before / after
-    return out
+        arr *= before / after
+    return arr
 
 
 # -- pipeline observables -----------------------------------------------------

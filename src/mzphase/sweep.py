@@ -12,10 +12,11 @@ photon-addition order m for the rows at a fixed phase, one lockstep
 `parity.optimal_phases` search for all rows at the optimal phase, whatever
 their m, and one `parity._fisher` call per signal batch. A row's values are
 the same bits a one-row evaluation gives. Moments, QFI bounds and oracle
-checks stay per row, and only they go to the `--threads` workers, eight
-rows at a time: at most min(threads, os.cpu_count(), chunks of such rows)
-workers start, so a sweep with one chunk of them or none runs in the calling
-process. `threads` below 1 raises ParamOutOfRange.
+checks stay per row, and only they go to the `--threads` workers, in
+chunks of eight consecutive rows: at most min(threads, os.cpu_count(),
+chunks holding such a row) workers start, so a sweep whose such rows all
+fall in one chunk, or that has none, runs in the calling process. `threads`
+below 1 raises ParamOutOfRange.
 """
 
 from __future__ import annotations
@@ -613,10 +614,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> CsvTable:
     parity = _parity_outcomes(tasks, spec.quantity)
     # parity-family values are all in hand now: only moments, bounds and
     # oracle checks are worth a worker, and no more workers than cores or
-    # than chunks of such rows
+    # than the pool's chunks that hold such a row
     per_row_work = any(q not in PHI_QUANTITIES for q in spec.quantity)
-    busy = sum(per_row_work or t.oracle for t in tasks)
-    workers = min(threads, os.cpu_count() or 1, -(-busy // _CHUNK))
+    busy = {i // _CHUNK for i, t in enumerate(tasks) if per_row_work or t.oracle}
+    workers = min(threads, os.cpu_count() or 1, len(busy))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
 

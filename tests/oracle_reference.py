@@ -147,7 +147,7 @@ def apply_bs_array_reference(arr: np.ndarray, cutoff: int) -> np.ndarray:
     start = np.concatenate(([0], np.cumsum(np.arange(1, d + 1))))
     na = np.arange(total.size) - start[total]
     idx = na * d + (total - na)
-    out = np.array(arr, dtype=np.complex128)
+    out = np.array(arr, dtype=np.complex128, order="C")
     flat = out.reshape(*arr.shape[:-2], d * d).T
     packed = np.ascontiguousarray(flat[idx]).reshape(idx.size, -1)
     packed *= oracle._I_POW[-na % 4][:, None]
@@ -228,7 +228,7 @@ def apply_beam_splitter(state, which: str):
     flip = np.conjugate if which == "second" else np.asarray
     if isinstance(state, np.ndarray):
         cutoff = state.shape[0] - 1
-        arr = flip(state)
+        arr = np.array(flip(state), dtype=np.complex128, order="C")
         _sector_mass_check(arr, cutoff)
         before = float(np.linalg.norm(arr))
         out = oracle._apply_bs_array(arr, cutoff)
@@ -244,7 +244,7 @@ def apply_beam_splitter(state, which: str):
         for b in state.branches:
             _sector_mass_check(b, state.cutoff)
         d = state.cutoff + 1
-        stack = flip(np.asarray(state.branches).reshape(-1, d, d))
+        stack = np.array(flip(np.asarray(state.branches).reshape(-1, d, d)), dtype=np.complex128, order="C")
         out = DensityGrid(state.cutoff, list(flip(oracle._apply_bs_array(stack, state.cutoff))))
         drift = abs(out.trace() - before)
         if not drift < 1e-9 * max(before, 1e-300):

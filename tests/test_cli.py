@@ -271,7 +271,8 @@ class _StubPool:
         (8, 8, 4, None, None),  # one chunk: no pool
         (24, 2, None, None, None),  # cpu_count unknown: one core
         (24, 8, 4, 1, 3),  # parity with every row checked by the oracle
-        (24, 8, 4, 3, None),  # parity with 8 oracle rows: one chunk
+        (24, 8, 4, 3, 3),  # parity with 8 oracle rows spread over three chunks
+        (24, 8, 4, 24, None),  # parity with one oracle row: one chunk
     ],
 )
 def test_threads_start_at_most_one_worker_per_core_and_chunk(monkeypatch, rows, threads, cores, oracle_stride, workers):
