@@ -54,9 +54,11 @@ Not paired:
   untimed before the call;
 - `block_cache`: the splitter blocks built to cutoffs 160 and then 320 in a
   fresh process per tree (FIRST_RUNS processes each, the trees alternating
-  as in `oracle_first`), with their bytes, the process's `ru_maxrss` (kB)
-  after the import and after each cutoff, and the resident cost per block
-  byte, (maxrss - maxrss after the import) / bytes, as its median;
+  as in `oracle_first`), with their bytes, the ms each cutoff's
+  `_bs_blocks` call takes (at 320, the blocks 161..320 that 160 left
+  unbuilt), the process's `ru_maxrss` (kB) after the import and after each
+  cutoff, and the resident cost per block byte, (maxrss - maxrss after the
+  import) / bytes, as its median;
 - `refine_calls`, counts per tree: the kernel calls the optimal-phase search
   makes after its two scan passes, per row (mean and maximum over rows with
   a result, one `optimal_phase` call each) and per lockstep group (maximum
@@ -103,7 +105,7 @@ DECK_SWEEPS = {"optimize": 12, "xcheck": 20}
 DECK_SEED = 1
 BUDGET_S = 2.0
 MIN_PAIRS = 40
-FIRST_RUNS = 3
+FIRST_RUNS = 5
 BLOCK_CUTOFFS = (160, 320)
 ORACLE_NAMES = (
     *(f"parity_signal_r{r}" for r in ORACLE_R),
@@ -235,7 +237,7 @@ def measure_first(name: str) -> dict:
 def measure_blocks(cutoffs) -> dict:
     """Peak resident set in kB of this process (the tree on PYTHONPATH) after
     the import and after building the splitter blocks to each cutoff in turn,
-    with the blocks' bytes."""
+    with the blocks' bytes and the ms of each build."""
     import resource
 
     import mzphase
@@ -243,9 +245,12 @@ def measure_blocks(cutoffs) -> dict:
     def maxrss() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-    out = {"import_maxrss_kb": maxrss(), "bytes": {}, "maxrss_kb": {}}
+    out = {"import_maxrss_kb": maxrss(), "bytes": {}, "ms": {}, "maxrss_kb": {}}
     for cutoff in cutoffs:
-        out["bytes"][cutoff] = sum(rot.nbytes for rot in mzphase.oracle._bs_blocks(cutoff))
+        t0 = time.perf_counter()
+        blocks = mzphase.oracle._bs_blocks(cutoff)
+        out["ms"][cutoff] = (time.perf_counter() - t0) * 1e3
+        out["bytes"][cutoff] = sum(rot.nbytes for rot in blocks)
         out["maxrss_kb"][cutoff] = maxrss()
     return out
 
@@ -273,6 +278,7 @@ def block_cache(srcs: dict) -> dict:
         for c in map(str, BLOCK_CUTOFFS):  # JSON keys
             out[side][f"cutoff{c}"] = {
                 "bytes": rs[0]["bytes"][c],
+                "median_ms": round(statistics.median(r["ms"][c] for r in rs), 4),
                 "maxrss_kb": [r["maxrss_kb"][c] for r in rs],
                 "resident_per_byte": round(
                     statistics.median((r["maxrss_kb"][c] - r["import_maxrss_kb"]) * 1024 / r["bytes"][c] for r in rs), 3

@@ -8,9 +8,10 @@ single-threaded, with BLAS pinned to one thread (scripts/trees.py), through
 `run_sweep` on the `src/` tree next to this script, once as they are and
 once with the oracle columns (`<name>+oracle`), and hashes the rendered CSV
 text: the bytes `mzphase figure <n> [--oracle] --out` writes. `--check` names every rendering whose digest differs from the
-recorded one. The full run takes about 10 s on one core. The `--oracle`
-bytes are defined at one BLAS thread: the splitter blocks of the Fock oracle
-differ in their last bits at two.
+recorded one. The full run takes about 10 s on one core. The one BLAS
+thread keeps the oracle's sector products from oversubscribing shared
+cores; the digests do not depend on it (tests/test_preset_digests.py
+renders the `--oracle` presets at two threads too).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
 package `name`, with its own module objects and caches, so two checkouts (or
 one checkout twice, for an A/A run) can be called one after the other in
 one interpreter. Importing this module pins the BLAS to one thread before
-anything loads numpy: the Fock oracle's splitter blocks differ in their last
-bits at two threads.
+anything loads numpy, so that the Fock oracle's sector products do not
+oversubscribe cores shared with other work.
 """
 
 from __future__ import annotations

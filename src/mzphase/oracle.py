@@ -15,27 +15,22 @@ set.
 
 On sector N, with basis |n_a, N - n_a>, the 50:50 splitter
 U_N = exp(-i pi/4 J), J = a^dag b + a b^dag, is an SU(2) rotation (Yurke,
-McCall and Klauder, Phys. Rev. A 33, 4033 (1986)). J is real symmetric and
-tridiagonal, and with S = diag(i^n_a) the matrix S^H J S is i times a real
-antisymmetric one, so R_N = S^H U_N S is real orthogonal. Each sector's R_N
-is built once per process from the spectral decomposition of J, stored in
-float64 and shared by every cutoff; the splitter gathers a sector's entries
-times S^H, takes one real product with R_N and scatters them back times S.
-The blocks of sectors 0..N take sum (k+1)^2 * 8 B: 10.7 MB up to N = 160,
-84.5 MB up to 320 and 553.4 MB up to SECTOR_LIMIT (MB = 2^20 B). They live
-in one slab, reserved for sectors 0..SECTOR_LIMIT at the first block build,
-so only the pages of built blocks become resident, and they are freed only
-when the process ends. In a fresh process (2 CPUs, numpy 2.4.6, one BLAS
-thread) building the blocks to 160, 320 and 600 raises the peak resident set
-by 14.6, 94.6 and 579.7 MB (1.37x, 1.12x and 1.05x their bytes); as one
-array per block, 160 and 320 raised it by 23.2 and 175.7 MB (2.17x and
-2.08x), because the blocks and their freed build temporaries fragmented one
-heap. The splitter's sector layout (n_a, n_b, the S^H and S phase
-columns and the sector bounds) is kept once, for the largest cutoff seen,
-about 0.6 MB at N = 160: sector order does not depend on the cutoff, so a
-smaller cutoff reads its prefixes and forms only its flat indices.
-Per-cutoff copies would miss on most calls of a sweep whose cutoffs vary,
-or grow with every cutoff visited.
+McCall and Klauder, Phys. Rev. A 33, 4033 (1986)). With S = diag(i^n_a),
+R_N = S^H U_N S is real orthogonal. R_0 = [[1]], and R_{N+1} follows from
+R_N by a four-term recurrence (`_next_block`), elementwise in O(N^2), each
+block checked to be orthogonal. The blocks are built once per process, in
+sector order, and kept as read-only float64 arrays in one list shared by
+every cutoff; the splitter gathers a sector's entries times S^H, takes one
+real product with R_N and scatters them back times S. The blocks of
+sectors 0..N take sum (k+1)^2 * 8 B: 10.7 MB up to N = 160, 84.5 MB up to
+320 and 553.4 MB up to SECTOR_LIMIT (MB = 2^20 B). The splitter's sector
+layout (n_a, n_b, the S^H and S phase columns and the sector bounds) is
+kept once, for the largest cutoff seen, about 0.6 MB at N = 160: sector
+order does not depend on the cutoff, so a smaller cutoff reads its
+prefixes and forms only its flat indices. Per-cutoff copies would miss on
+most calls of a sweep whose cutoffs vary, or grow with every cutoff
+visited. Norms and sums on the parity path are taken by `np.sum`, not by
+BLAS reductions, so its values do not depend on the BLAS thread count.
 
 `parity_signal_oracle` does not apply the second splitter: behind a 50:50
 splitter, b-port parity is a signed exchange of the two modes within each
@@ -60,7 +55,6 @@ Log-factorials come from one cached table of `math.lgamma` values.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,11 +87,21 @@ _SUPPORT_FLOOR = 1e-100
 _I_POW = np.array([1, 1j, -1, -1j])
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _norm(arr: np.ndarray) -> float:
+    """Euclidean norm of a complex array by numpy's own sum, whose order of
+    summation, unlike that of a BLAS reduction, does not depend on the thread
+    count. (`ndarray.sum` is `np.sum` with less call overhead.)"""
+    return math.sqrt(float(np.square(arr.real).sum() + np.square(arr.imag).sum()))
+
+
 @lru_cache(maxsize=None)
 def _log_factorial_table(size: int) -> np.ndarray:
-    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
-    table.flags.writeable = False
-    return table
+    return _read_only(np.array([math.lgamma(k + 1.0) for k in range(size)]))
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -110,62 +114,59 @@ def _log_factorials(n: int) -> np.ndarray:
 # -- beam splitter ----------------------------------------------------------
 
 
-# Every block R_N in one float64 slab, block N at offset N(N+1)(2N+1)/6. It is
-# reserved for sectors 0..SECTOR_LIMIT at the first block build: address space
-# only, its pages become resident as blocks are written into them. It is a
-# private anonymous map, not np.empty, because numpy advises huge pages for
-# arrays from 4 MB up, and those would make 2 MB resident at a time. Strict
-# overcommit and address-space limits count all 553.4 MB of it in each
-# process that builds a block.
-_slab = None
+# R_0, R_1, ...: every block built so far, each from the one before it, kept
+# for the life of the process and shared by every cutoff
+_blocks = [_read_only(np.ones((1, 1)))]
 
 
-def _block_offset(total: int) -> int:
-    return total * (total + 1) * (2 * total + 1) // 6
+def _next_block(rot: np.ndarray) -> np.ndarray:
+    """R_{N+1} of the 50:50 splitter from R_N = `rot`, read-only.
 
-
-@lru_cache(maxsize=None)
-def _bs_block(total: int) -> np.ndarray:
-    """Real rotation R = S^H U S of the 50:50 splitter on one sector.
-
-    U = exp(-i pi/4 (a^dag b + a b^dag)) on sector N (total photons), basis
-    |n_a, N - n_a>, n_a = 0..N, and S = diag(i^n_a). The coupling operator is
-    real symmetric tridiagonal there, so U is built from its spectral
-    decomposition; R is checked to be real and orthogonal to 1e-10 and
-    written to its place in the block slab. The block does not depend on the
-    grid cutoff; it is kept for the life of the process and returned as a
-    read-only view of the slab.
+    With M = N + 1, |n, M - n> = (sqrt(n) a^dag |n - 1, M - n> +
+    sqrt(M - n) b^dag |n, N - n>) / M, and the splitter takes a^dag to
+    (a^dag - i b^dag) / sqrt(2) and b^dag to (b^dag - i a^dag) / sqrt(2).
+    In the frame of S = diag(i^n_a) the factors i cancel:
+    R_{N+1}[k, n] = (sqrt(n k) R_N[k-1, n-1] + sqrt(n (M-k)) R_N[k, n-1]
+    + sqrt((M-n) (M-k)) R_N[k, n] - sqrt((M-n) k) R_N[k-1, n]) / (sqrt(2) M),
+    entries outside R_N taken as 0 (Risbo's recursion, J. Geodesy 70, 383
+    (1996), in Fock form). The block is checked to be orthogonal to 1e-10
+    in O(N^2): its column norms, and R^T (R x) = x for x of ones.
     """
-    global _slab
-    if _slab is None:
-        pages = mmap.mmap(-1, 8 * _block_offset(SECTOR_LIMIT + 1), flags=mmap.MAP_PRIVATE)
-        _slab = np.frombuffer(pages, dtype=np.float64)
-    na = np.arange(total + 1)
-    off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
-    j_op = np.diag(off, 1) + np.diag(off, -1)
-    vals, vecs = np.linalg.eigh(j_op)
-    u = (vecs * np.exp(-1j * (np.pi / 4) * vals)) @ vecs.T
-    s = _I_POW[na % 4]
-    u *= s.conj()[:, None]
-    u *= s
-    residue = np.max(np.abs(u.imag))
-    if not residue < 1e-10:
-        raise UnitarityDrift(f"sector {total} rotation has imaginary residue {residue:.3e}")
-    rot = _slab[_block_offset(total) : _block_offset(total + 1)].reshape(total + 1, total + 1)
-    rot[...] = u.real
-    defect = np.max(np.abs(rot.T @ rot - np.eye(total + 1)))
+    size = rot.shape[0]  # M
+    root = np.sqrt(np.arange(size + 1.0))  # sqrt(k), k = 0..M
+    back = root[::-1]  # sqrt(M - k)
+    # Each term is added into the new block through one scratch array: fresh
+    # temporaries of a growing size would fragment the heap around the kept
+    # blocks and leave it resident at about twice their bytes.
+    new = np.zeros((size + 1, size + 1))
+    term = np.empty_like(rot)
+    up, down = slice(1, None), slice(None, -1)  # new[k] from R_N[k - 1], and from R_N[k]
+    for rows, row_w, cols, col_w in (
+        (up, root[1:], up, root[1:]),
+        (up, root[1:], down, -back[:-1]),
+        (down, back[:-1], up, root[1:]),
+        (down, back[:-1], down, back[:-1]),
+    ):
+        np.multiply(rot, col_w, out=term)
+        term *= row_w[:, None]
+        new[rows, cols] += term
+    new *= 1.0 / (math.sqrt(2.0) * size)
+    ones = np.ones(size + 1)
+    norms = np.einsum("ij,ij->j", new, new)
+    defect = max(np.max(np.abs(norms - 1.0)), np.max(np.abs(new.T @ (new @ ones) - ones)))
     if not defect < 1e-10:
-        raise UnitarityDrift(f"sector {total} block orthogonality defect {defect:.3e}")
-    rot.flags.writeable = False
-    return rot
+        raise UnitarityDrift(f"sector {size} block orthogonality defect {defect:.3e}")
+    return _read_only(new)
 
 
 @lru_cache(maxsize=4)  # its cache_info() counts cutoff changes in the traced benchmark
 def _bs_blocks(cutoff: int) -> list:
-    """The shared blocks of sectors 0..cutoff, which the slab holds up to SECTOR_LIMIT."""
+    """The shared blocks of sectors 0..cutoff, those not built yet built in turn."""
     if cutoff > SECTOR_LIMIT:
         raise ParamOutOfRange(f"cutoff {cutoff} exceeds the oracle limit {SECTOR_LIMIT}")
-    return [_bs_block(total) for total in range(cutoff + 1)]
+    while len(_blocks) <= cutoff:
+        _blocks.append(_next_block(_blocks[-1]))
+    return _blocks[: cutoff + 1]
 
 
 @dataclass(frozen=True)
@@ -235,9 +236,7 @@ def _apply_bs_array(arr: np.ndarray, cutoff: int) -> np.ndarray:
 def _outside_sectors(cutoff: int) -> np.ndarray:
     """Read-only (d, d) mask of the grid corner n_a + n_b > cutoff."""
     n = np.arange(cutoff + 1)
-    mask = n[:, None] + n[None, :] > cutoff
-    mask.flags.writeable = False
-    return mask
+    return _read_only(n[:, None] + n[None, :] > cutoff)
 
 
 # -- loss -------------------------------------------------------------------
@@ -257,13 +256,13 @@ def _kraus_prefactors(arr: np.ndarray, l: float, total_in: float):
     n_log_eta = np.arange(size) * math.log(eta)
     colmass = np.sum(np.abs(arr) ** 2, axis=0)
     prefs = []
-    acc = float(np.vdot(arr, arr).real)
+    acc = _norm(arr) ** 2
     cum = 0.0
     for j in range(size):
         logw2 = (j * math.log(l) if j else 0.0) - lf[j] + n_log_eta[: size - j] + lf[j:] - lf[: size - j]
         pref = np.exp(0.5 * logw2)
         prefs.append(pref)
-        cum += float(np.dot(colmass[j:], pref * pref))
+        cum += float((colmass[j:] * (pref * pref)).sum())
         if acc - cum < 1e-14 * max(total_in, 1e-300):
             break
     return prefs, cum
@@ -365,15 +364,15 @@ def _prepared_after_first_splitter(p: ProbeParams, cutoff: int) -> np.ndarray:
     arr = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     np.outer(coherent_fock_amplitudes(p.alpha, cutoff), pasvs_fock_amplitudes(p.r, p.m, cutoff), out=arr.real)
     arr[_outside_sectors(cutoff)] = 0.0
-    nrm = float(np.linalg.norm(arr))
+    nrm = _norm(arr)
     if 1.0 - nrm * nrm > 1e-9:
         raise CutoffTooSmall(f"sector clip removed {1 - nrm * nrm:.3e} probability")
     arr /= nrm
-    before = float(np.linalg.norm(arr))
+    before = _norm(arr)
     if not math.isfinite(before):
         raise ConsistencyError(f"state has a non-finite squared norm ({before * before}): NaN or inf amplitude")
     _apply_bs_array(arr, cutoff)
-    after = float(np.linalg.norm(arr))
+    after = _norm(arr)
     drift = abs(after - before)
     if not drift < 1e-9 * max(before, 1e-300):
         raise UnitarityDrift(f"norm drifted by {drift:.3e} across the splitter")
@@ -410,7 +409,7 @@ def parity_signal_oracle(
     """
     nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
     after_bs1 = _prepared_after_first_splitter(p, nc)
-    total_in = float(np.linalg.norm(after_bs1)) ** 2
+    total_in = _norm(after_bs1) ** 2
     prefs, cum = _kraus_prefactors(after_bs1, p.loss, total_in)
     _loss_trace_check(cum, total_in)
     d = nc + 1
@@ -429,7 +428,7 @@ def parity_signal_oracle(
     h = g * _I_POW[delta % 4] * np.exp(1j * p.phi * delta)
     h[delta > 0] *= 2.0
     delta = delta.astype(float)
-    return float(np.sum(h.real)), float(-np.dot(delta, h.imag)), float(-np.dot(delta * delta, h.real))
+    return float(h.real.sum()), float(-(delta * h.imag).sum()), float(-(delta * delta * h.real).sum())
 
 
 def moments_oracle(p: ProbeParams, w: int, cutoff: int | None = None) -> float:
@@ -454,9 +453,7 @@ def _probe_marginal(alpha: float, r: float, m: int, weight: int, cutoff: int | N
     p = ProbeParams(alpha=alpha, r=r, m=m)
     nc = default_cutoff(p, weight=weight) if cutoff is None else cutoff
     amp = np.abs(_prepared_after_first_splitter(p, nc))
-    marg = np.sum(np.square(amp, out=amp), axis=0)
-    marg.flags.writeable = False
-    return marg
+    return _read_only(np.sum(np.square(amp, out=amp), axis=0))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Shared pytest plumbing: pins BLAS to one thread and collects acceptance
 summary lines.
 
-The Fock oracle's splitter blocks (`eigh` and a complex product) differ in
-their last bits between one and two BLAS threads, and the recorded `--oracle`
-preset digests are defined at one thread. The variables are set before
-anything imports numpy, which reads them once when it loads its BLAS.
+With BLAS at its default thread count, the Fock oracle's sector products
+slow badly when processes share the cores (the tests start subprocesses,
+and other work may run beside them); one thread per process avoids that
+oversubscription. No result depends on it: a test renders the `--oracle`
+presets at one and at two threads. The variables are set before anything
+imports numpy, which reads them once when it loads its BLAS.
 """
 
 import os

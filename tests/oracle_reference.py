@@ -5,16 +5,16 @@ parity off the exchange identity (b-port parity behind the splitter maps
 |n_a, n_b> to i^(n_b - n_a) |n_b, n_a>, checked on the blocks of every sector
 up to 160 in test_oracle.py), summing products of mirrored grid entries one
 loss branch at a time. Its splitter stores each sector's block as the real
-rotation R = S^H U S, S = diag(i^n_a), and `_apply_bs_array` takes a whole
-stack of grids. Here the same quantities are computed the way the package
-did before all three:
+rotation R = S^H U S, S = diag(i^n_a), built from the block before it by a
+recurrence, and `_apply_bs_array` takes a whole stack of grids. Here the
+same quantities are computed the way the package did before all three:
 
-- the complex splitter blocks U from the same spectral decomposition
-  (`bs_block_reference`), applied one sector and one grid at a time
-  (`apply_bs_reference`), each block conjugated as it is applied for the
-  second splitter;
-- the real rotation R built by the same arithmetic as `_bs_block`, in an
-  array of its own, neither cached nor written to the block slab
+- the complex splitter blocks U from the spectral decomposition of the
+  coupling operator (`bs_block_reference`), applied one sector and one grid
+  at a time (`apply_bs_reference`), each block conjugated as it is applied
+  for the second splitter;
+- the real rotation R from the same spectral decomposition, sector by
+  sector with no recurrence, in an array of its own
   (`bs_rotation_reference`);
 - the production splitter with its sector layout built per call for the
   cutoff at hand (`apply_bs_array_reference`), where `_apply_bs_array` reads
@@ -108,9 +108,10 @@ def bs_block_reference(total: int) -> np.ndarray:
 
 
 def bs_rotation_reference(total: int) -> np.ndarray:
-    """R = S^H U S, S = diag(i^n_a), on one sector by the arithmetic of
-    `oracle._bs_block` (the same `eigh` and checks, with its phase products
-    out of place), in a new array."""
+    """R = S^H U S, S = diag(i^n_a), on one sector from the spectral
+    decomposition of its coupling operator (`eigh`, as the package built its
+    blocks before its recurrence), checked to be real and orthogonal to
+    1e-10, in a new array."""
     na = np.arange(total + 1)
     off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
     j_op = np.diag(off, 1) + np.diag(off, -1)
@@ -230,9 +231,9 @@ def apply_beam_splitter(state, which: str):
         cutoff = state.shape[0] - 1
         arr = np.array(flip(state), dtype=np.complex128, order="C")
         _sector_mass_check(arr, cutoff)
-        before = float(np.linalg.norm(arr))
+        before = oracle._norm(arr)
         out = oracle._apply_bs_array(arr, cutoff)
-        after = float(np.linalg.norm(out))
+        after = oracle._norm(out)
         drift = abs(after - before)
         if not drift < 1e-9 * max(before, 1e-300):
             raise UnitarityDrift(f"norm drifted by {drift:.3e} across the splitter")
@@ -270,7 +271,7 @@ def apply_loss_channel(state, l: float) -> DensityGrid:
         raise ParamOutOfRange(f"loss must lie in [0, 1), got {l}")
     if isinstance(state, np.ndarray):
         cutoff, in_branches = state.shape[0] - 1, [state]
-        total_in = float(np.linalg.norm(state)) ** 2
+        total_in = oracle._norm(state) ** 2
     elif isinstance(state, DensityGrid):
         cutoff, in_branches = state.cutoff, state.branches
         total_in = state.trace()
@@ -326,7 +327,7 @@ def parity_signal_reference(p: ProbeParams, cutoff: int | None = None) -> tuple[
     order."""
     nc = default_cutoff(p, weight=0) if cutoff is None else cutoff
     after_bs1 = _prepared_after_first_splitter(p, nc)
-    total_in = float(np.linalg.norm(after_bs1)) ** 2
+    total_in = oracle._norm(after_bs1) ** 2
     prefs, cum = oracle._kraus_prefactors(after_bs1, p.loss, total_in)
     oracle._loss_trace_check(cum, total_in)
     branches = _loss_branches(after_bs1, prefs)
@@ -438,7 +439,7 @@ def prepared_after_first_splitter_reference(p: ProbeParams, cutoff: int) -> np.n
     flipped = arr[::-1, :]
     for k in range(1, cutoff + 1):
         np.fill_diagonal(flipped[:, k:], 0.0)
-    nrm = float(np.linalg.norm(arr))
+    nrm = oracle._norm(arr)
     if 1.0 - nrm * nrm > 1e-9:
         raise CutoffTooSmall(f"sector clip removed {1 - nrm * nrm:.3e} probability")
     arr /= nrm

@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,8 @@ from mzphase.oracle import (
     SECTOR_LIMIT,
     _I_POW,
     _apply_bs_array,
-    _bs_block,
     _bs_blocks,
+    _next_block,
     _pasvs_probs,
     _prepared_after_first_splitter,
     default_cutoff,
@@ -357,13 +361,11 @@ def test_parity_signal_matches_per_branch_reference(alpha, r, m, loss):
 def _unitary_block(total: int) -> np.ndarray:
     """S R S^H, S = diag(i^n_a): the complex block of the stored rotation R."""
     s = _I_POW[np.arange(total + 1) % 4]
-    return s[:, None] * _bs_block(total) * s.conj()[None, :]
+    return s[:, None] * _bs_blocks(160)[total] * s.conj()[None, :]
 
 
 def test_rotation_blocks_match_complex_blocks():
     for total in range(161):
-        rot = _bs_block(total)
-        assert rot.dtype == np.float64 and not rot.flags.writeable
         assert np.max(np.abs(_unitary_block(total) - bs_block_reference(total))) <= 1e-13, total
 
 
@@ -489,42 +491,51 @@ def test_splitter_layout_prefixes_match_per_call_layout(monkeypatch):
         assert layout.bounds == [k * (k + 1) // 2 for k in range(largest + 2)]
 
 
-def test_splitter_blocks_built_once_per_sector():
-    shared = _bs_blocks(160)
-    misses = _bs_block.cache_info().misses
-    assert all(a is b for a, b in zip(_bs_blocks(136), shared))
-    assert _bs_block.cache_info().misses == misses
-    assert not shared[40].flags.writeable
-    size = _bs_block.cache_info().currsize
-    _bs_blocks(168)
-    info = _bs_block.cache_info()
-    assert info.misses - misses == info.currsize - size <= 8
+@pytest.fixture
+def fresh_blocks(monkeypatch):
+    """The block list as a fresh process starts it, [R_0], for one test: the
+    blocks it builds are dropped after it, and no block list is cached."""
+    monkeypatch.setattr(oracle, "_blocks", oracle._blocks[:1])
+    _bs_blocks.cache_clear()
+    yield
+    _bs_blocks.cache_clear()
 
 
-def _block_at(total: int) -> np.ndarray:
-    """Where block `total` lies in the slab: offset N(N+1)(2N+1)/6, (N+1)^2 entries."""
-    start = total * (total + 1) * (2 * total + 1) // 6
-    return oracle._slab[start : start + (total + 1) ** 2]
-
-
-def test_splitter_blocks_are_read_only_views_into_one_slab():
-    blocks = _bs_blocks(160)
-    assert oracle._slab.size == (SECTOR_LIMIT + 1) * (SECTOR_LIMIT + 2) * (2 * SECTOR_LIMIT + 3) // 6
-    for total, rot in enumerate(blocks):
-        assert rot.shape == (total + 1, total + 1) and not rot.flags.writeable
-        assert np.shares_memory(rot, oracle._slab)
-        assert rot.ctypes.data == _block_at(total).ctypes.data
-        assert rot.tobytes() == bs_rotation_reference(total).tobytes(), total
-
-
-def test_larger_cutoff_moves_no_built_block():
-    built = [(rot.ctypes.data, rot.tobytes()) for rot in _bs_blocks(160)]
+def test_splitter_blocks_match_the_eigh_reference():
+    # blocks past 320 are walked one at a time, not kept: 0..600 would hold 553 MB
     blocks = _bs_blocks(320)
-    assert [(rot.ctypes.data, rot.tobytes()) for rot in blocks[:161]] == built
-    for total in (161, 250, 320):
-        assert np.shares_memory(blocks[total], oracle._slab)
-        assert blocks[total].ctypes.data == _block_at(total).ctypes.data
-        assert blocks[total].tobytes() == bs_rotation_reference(total).tobytes()
+    rot = blocks[0]
+    for total in range(SECTOR_LIMIT + 1):
+        rot = blocks[total] if total < len(blocks) else _next_block(rot)
+        if total <= 160 or total in (200, 320, SECTOR_LIMIT):
+            assert rot.dtype == np.float64 and rot.shape == (total + 1, total + 1) and not rot.flags.writeable
+            assert np.max(np.abs(rot - bs_rotation_reference(total))) <= 1e-13, total
+
+
+def test_splitter_blocks_built_once_per_sector(fresh_blocks, monkeypatch):
+    shared = _bs_blocks(160)
+    built, next_block = [], oracle._next_block
+    monkeypatch.setattr(oracle, "_next_block", lambda rot: built.append(rot.shape[0]) or next_block(rot))
+    assert all(a is b for a, b in zip(_bs_blocks(136), shared)) and not built
+    grown = _bs_blocks(168)
+    assert built == list(range(161, 169))  # R_161..R_168, each from the one before it
+    assert len(grown) == 169 and all(a is b for a, b in zip(grown, shared))
+
+
+def test_larger_cutoff_moves_no_built_block(fresh_blocks):
+    built = [(rot, rot.tobytes()) for rot in _bs_blocks(160)]
+    blocks = _bs_blocks(320)
+    assert len(blocks) == 321
+    assert all(new is rot and new.tobytes() == data for (rot, data), new in zip(built, blocks))
+
+
+def test_corrupted_block_stops_the_next_build(fresh_blocks, monkeypatch):
+    bad = _bs_blocks(40)[40].copy()
+    bad[3, 5] += 1e-8
+    monkeypatch.setattr(oracle, "_blocks", oracle._blocks[:40] + [bad])
+    _bs_blocks.cache_clear()
+    with pytest.raises(UnitarityDrift, match="sector 41"):
+        _bs_blocks(41)
 
 
 def test_block_lists_count_cutoff_changes():
@@ -535,11 +546,33 @@ def test_block_lists_count_cutoff_changes():
     assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
 
 
-def test_cutoff_past_the_slab_is_refused():
+def test_cutoff_past_the_limit_is_refused():
     p = ProbeParams(alpha=1.0, r=0.5, m=1, loss=0.1, phi=0.2)
     with pytest.raises(ParamOutOfRange, match="oracle limit"):
         parity_signal_oracle(p, cutoff=SECTOR_LIMIT + 1)
     parity_signal_oracle(p, cutoff=default_cutoff(p))
+
+
+# A first oracle call under an address-space limit of the process's size
+# after its imports plus 256 MB; the limit binds this child alone.
+FIRST_CALL_UNDER_LIMIT = """
+import resource
+from mzphase.oracle import parity_signal_oracle
+from mzphase.states import ProbeParams
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + 256 * 2**20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+print(parity_signal_oracle(ProbeParams(alpha=1.0, r=0.5, m=1, loss=0.1)))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize from /proc")
+def test_first_oracle_call_needs_no_large_address_space():
+    src = Path(oracle.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", FIRST_CALL_UNDER_LIMIT], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("(")
 
 
 @pytest.mark.parametrize("lost,raises", [(1e-8, True), (1e-10, False)])

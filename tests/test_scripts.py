@@ -77,6 +77,7 @@ def test_block_cache_runs_in_fresh_processes(monkeypatch):
         assert large["bytes"] == 8 * sum((k + 1) ** 2 for k in range(49))
         assert got[side]["import_maxrss_kb"][0] <= small["maxrss_kb"][0] <= large["maxrss_kb"][0]
         assert math.isfinite(large["resident_per_byte"]) and large["resident_per_byte"] >= 0
+        assert small["median_ms"] > 0 and large["median_ms"] > 0
 
 
 def test_both_loads_render_the_same_preset_csv(twice):
