@@ -32,7 +32,13 @@ The paired entries, by group:
   (on the probe's weight-2 marginal, at the probe's loss and at loss 0) and
   `default_cutoff` at r = 1. The probe-marginal cache is cleared before each
   `qfi_lossy_numeric_check` and `kerr_mu_opt_numeric` call, so both build
-  the marginal each time;
+  the marginal each time. These entries repeat one loss. Four more move it:
+  `loss_weight_table_fresh` and `parity_signal_fresh` (r = 1) take a loss
+  never seen before on every call, as each row of a loss sweep does, and
+  `loss_weight_table_sweep` and `parity_signal_sweep` take one pass per
+  call over the probes of a `xcheck` sweep (SWEEP_PROBES: the Kerr sweep's
+  weight-4 marginals, and the parity sweep's probes) in ascending order of
+  cutoff, all at one loss, a fresh one on each pass;
 - `rows`: `parity_signals` at 1, 48 and 1001 rows of one m (`kernel_*`),
   `optimal_phases` for groups of 1, 2 and 21 rows (`optimal_*`), the rendered
   `run_sweep` of figure presets 2a, 5a and 7a at `threads` 1 and 2 (each
@@ -84,6 +90,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -107,6 +114,11 @@ BUDGET_S = 2.0
 MIN_PAIRS = 40
 FIRST_RUNS = 5
 BLOCK_CUTOFFS = (160, 320)
+# (alpha, r values, phi) of the `xcheck` deck's Kerr and parity sweeps, m = 0..3
+SWEEP_PROBES = {
+    "loss_weight_table_sweep": (1.8, (0.3, 0.44, 0.58, 0.72, 0.86, 1.0), 0.0),
+    "parity_signal_sweep": (1.9, (0.3, 1.0), 0.37),
+}
 ORACLE_NAMES = (
     *(f"parity_signal_r{r}" for r in ORACLE_R),
     "qfi_lossy_numeric_check",
@@ -114,6 +126,9 @@ ORACLE_NAMES = (
     "loss_weight_table",
     "loss_weight_table_loss0",
     "default_cutoff",
+    "loss_weight_table_fresh",
+    "parity_signal_fresh",
+    *SWEEP_PROBES,
 )
 
 
@@ -182,7 +197,38 @@ def oracle_calls(t) -> dict:
     calls["loss_weight_table"] = lambda: o.loss_weight_table(marg(), p.loss)
     calls["loss_weight_table_loss0"] = lambda: o.loss_weight_table(marg(), 0.0)
     calls["default_cutoff"] = lambda: o.default_cutoff(p)
+    counter = itertools.count(1)
+
+    def fresh():
+        """A loss no call has used, 1e-9 from the last, so that every call costs the same."""
+        return p.loss + 1e-9 * next(counter)
+
+    calls["loss_weight_table_fresh"] = lambda: o.loss_weight_table(marg(), fresh())
+    calls["parity_signal_fresh"] = lambda: o.parity_signal_oracle(replace(p, loss=fresh()))
+
+    def table_sweep():
+        loss = fresh()
+        for marginal in sweep_inputs(t, "loss_weight_table_sweep"):
+            o.loss_weight_table(marginal, loss)
+
+    def parity_sweep():
+        loss = fresh()
+        for q in sweep_inputs(t, "parity_signal_sweep"):
+            o.parity_signal_oracle(replace(q, loss=loss))
+
+    calls["loss_weight_table_sweep"], calls["parity_signal_sweep"] = table_sweep, parity_sweep
     return calls
+
+
+@lru_cache(maxsize=None)
+def sweep_inputs(t, name: str) -> list:
+    """The inputs of the sweep-shaped entry `name` of tree `t`, in ascending
+    order of cutoff: weight-4 marginals for the table, probes for the parity."""
+    alpha, rs, phi = SWEEP_PROBES[name]
+    probes = [t.states.ProbeParams(alpha=alpha, r=r, m=m, phi=phi) for r in rs for m in range(4)]
+    if name == "parity_signal_sweep":
+        return sorted(probes, key=t.oracle.default_cutoff)
+    return sorted((t.oracle.probe_marginal(q, weight=4) for q in probes), key=len)
 
 
 def deck_specs(t, workload: str) -> list:
@@ -228,6 +274,8 @@ def measure_first(name: str) -> dict:
     if name.startswith("loss_weight_table"):
         # the table's input, untimed: the entry then finds it cached
         mzphase.oracle.probe_marginal(mzphase.states.ProbeParams(r=ORACLE_R[-1], **ORACLE_PROBE), weight=2)
+    if name in SWEEP_PROBES:
+        sweep_inputs(mzphase, name)
     t0 = time.perf_counter()
     fn()
     ms = (time.perf_counter() - t0) * 1e3

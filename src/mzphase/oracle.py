@@ -41,9 +41,28 @@ time. The identity is tested on every sector up to 160, and
 tests/oracle_reference.py keeps the explicit pipeline (mixed-state grids,
 full loss-branch grids, the phase and the second splitter) as the
 brute-force reference. `probe_marginal` keeps its last two marginals, so
-rows of a sweep that differ only in loss share one. At loss 0,
-`loss_weight_table` returns the marginal's nonzero entries with nothing lost,
-weight marginal * 1.0: what its recurrence gives there, with no recurrence.
+rows of a sweep that differ only in loss share one.
+
+The loss channel at one nonzero loss (`_LossChannel`) holds what depends on
+the loss and the photon numbers, never on the state, and every oracle row
+at that loss shares it: the binomial rows k = 0..K of the loss weight table
+(surviving, lost, Binom(k, j) l^j eta^(k-j), k-major with j ascending, and
+each row's entry count), which `loss_weight_table` reads by prefix and
+weights by the marginal, and the Kraus prefactor square pref[j, n] that
+`_kraus_prefactors` reads by rows. Row k's entries and pref[j, n] depend on
+(k, j) and (j, n) alone, so a table or a square built up to some size is a
+prefix of one built larger: the rows grow exactly to the largest cutoff
+asked for, appended after the rows before, and the square is rebuilt at
+its new size. At cutoff 160 the channel holds 0.29 MB at loss 0.01, 0.43
+MB at 0.21 and 0.50 MB at 0.9 (the square is 0.2 MB of it). Only the most
+recent loss's channel is kept: a row at a fresh loss builds a new one, as
+every row of a loss sweep does. At loss 0 no channel is built:
+`loss_weight_table` returns the marginal's nonzero entries with nothing
+lost, weight marginal * 1.0, what the binomial rows give there, and the
+parity path takes branch 0 alone, of prefactor 1. The parity path's
+triangle of grid entries (n_a <= n_b) and their mirrored indices are kept
+for the last cutoff, and its phase factors are taken per photon-number
+difference.
 `default_cutoff` convolves each input distribution only up to its last level
 of at least 1e-100 (_SUPPORT_FLOOR), with a zero appended so that the tail
 test can end past it: each level left out holds under 1e-100, and their
@@ -242,28 +261,118 @@ def _outside_sectors(cutoff: int) -> np.ndarray:
 # -- loss -------------------------------------------------------------------
 
 
+def _binomial_rows(ks: np.ndarray, loss: float):
+    """Rows k of `ks` of the binomial thinning at `loss`, as `LossWeightTable`
+    lays them out: (survived, lost, weight) k-major with j ascending, each row
+    ended as its docstring says, and each row's entry count. A row's entries
+    depend on its k alone, whatever other rows are built with it."""
+    eta = 1.0 - loss
+    kf = ks.astype(float)
+    width = int(ks[-1]) + 1
+    # w[j] = Binom(k, j) l^j eta^(k-j) over the rows k, by the recurrence in j.
+    # It is 0 from j = k + 1 on and never above 1, so every row runs to width.
+    # The start is Python float pow: numpy's power can differ in the last bit.
+    w = np.empty((width, ks.size))
+    w[0] = [eta**k for k in ks.tolist()]
+    scale = loss / eta
+    for j, (prev, nxt, k_minus_j) in enumerate(zip(w, w[1:], kf - np.arange(width - 1.0)[:, None])):
+        np.multiply(prev, k_minus_j, out=nxt)
+        np.divide(nxt, j + 1, out=nxt)
+        np.multiply(nxt, scale, out=nxt)
+    # rem[j] = w[j+1] + ... + w[width-1], summed from the top (the zeros past
+    # j = k add nothing), times gmax2: the kerr generator is O(k^2), squared
+    # and padded
+    rem = np.zeros_like(w)
+    rem[-2::-1] = np.cumsum(w[:0:-1], axis=0)
+    rem *= [float(k) ** 8 + 1.0 for k in ks.tolist()]
+    # a row ends at its first j with rem * gmax2 < 1e-14, or at j = k; rem
+    # never grows with j, so that first j is the count of the j with
+    # rem * gmax2 >= 1e-14
+    counts = np.minimum(np.count_nonzero(rem >= 1e-14, axis=0), ks) + 1
+    rows = np.repeat(np.arange(ks.size), counts)
+    lost = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    lostf = lost.astype(float)
+    return kf[rows] - lostf, lostf, w[lost, rows], counts
+
+
+def _prefactor_square(loss: float, size: int) -> np.ndarray:
+    """Read-only (size, size) Kraus prefactors of the loss channel,
+    pref[j, n] = sqrt(Binom(n + j, j) l^j eta^n), each entry by the same
+    operations in the same order as one branch's row alone:
+    exp((j log l - log j! + n log eta + log (n + j)! - log n!) / 2)."""
+    lf = _log_factorials(2 * size - 1)
+    lead = np.arange(size) * math.log(loss) - lf[:size]
+    hankel = np.lib.stride_tricks.sliding_window_view(lf, size)  # [j, n] = log (j + n)!
+    logw2 = lead[:, None] + np.arange(size) * math.log(1.0 - loss) + hankel - lf[:size]
+    return _read_only(np.exp(0.5 * logw2))
+
+
+class _LossChannel:
+    """What the loss channel at one nonzero loss holds that depends on photon
+    numbers only, never on the state, shared by every oracle row at that
+    loss: the binomial rows k = 0..K of `_binomial_rows` in one table, with
+    each row's entry count, and the Kraus prefactor square of
+    `_prefactor_square`. Each grows exactly to the size asked for and is
+    read by prefix: new binomial rows are appended after the rows before
+    them, and the square is rebuilt at its new size. All of it is read-only."""
+
+    def __init__(self, loss: float):
+        self.loss = loss
+        self.survived = self.lost = self.weight = np.zeros(0)
+        self.counts = self.ends = np.zeros(0, dtype=int)  # entries of each row, and the offset past it
+        self.square = np.zeros((0, 0))
+
+    def rows(self, top: int):
+        """Binomial rows 0..top: survived, lost, weight and the rows' entry counts."""
+        if top >= self.counts.size:
+            old = (self.survived, self.lost, self.weight, self.counts)
+            new = _binomial_rows(np.arange(self.counts.size, top + 1), self.loss)
+            self.survived, self.lost, self.weight, self.counts = (
+                _read_only(np.concatenate(pair)) for pair in zip(old, new)
+            )
+            self.ends = np.cumsum(self.counts)
+        n = int(self.ends[top])
+        return self.survived[:n], self.lost[:n], self.weight[:n], self.counts[: top + 1]
+
+    def prefactors(self, size: int) -> np.ndarray:
+        """The prefactor square, of at least `size` rows and columns."""
+        if size > self.square.shape[0]:
+            self.square = _prefactor_square(self.loss, size)
+        return self.square
+
+
+_channel = _LossChannel(0.0)  # a stand-in: no channel is built without loss
+
+
+def _loss_channel(loss: float) -> _LossChannel:
+    """The channel of the most recent nonzero loss asked for; another loss
+    replaces it, so at most one is kept."""
+    global _channel
+    if loss != _channel.loss:
+        _channel = _LossChannel(loss)
+    return _channel
+
+
 def _kraus_prefactors(arr: np.ndarray, l: float, total_in: float):
     """Loss-branch prefactors on the b mode of one pure branch, and their trace.
 
     Branch j maps arr[n_a, n_b + j] to arr[n_a, n_b + j] * pref_j[n_b], with
-    pref_j[n_b] = sqrt(Binom(n_b + j, j) l^j eta^n_b) for n_b = 0..cutoff - j.
-    Its weight is taken from the column masses of arr, and branches stop once
-    the rest of arr's norm is below 1e-14 of total_in.
+    pref_j[n_b] = sqrt(Binom(n_b + j, j) l^j eta^n_b) for n_b = 0..cutoff - j,
+    a row of the channel's prefactor square. Its weight is taken from the
+    column masses of arr, and branches stop once the rest of total_in, arr's
+    squared norm, is below 1e-14 of it. Without loss branch 0 alone, of
+    prefactor 1, carries weight, and no channel is built.
     """
     size = arr.shape[1]
-    eta = 1.0 - l
-    lf = _log_factorials(size)
-    n_log_eta = np.arange(size) * math.log(eta)
+    square = _loss_channel(l).prefactors(size) if l else np.ones((1, size))
     colmass = np.sum(np.abs(arr) ** 2, axis=0)
     prefs = []
-    acc = _norm(arr) ** 2
     cum = 0.0
-    for j in range(size):
-        logw2 = (j * math.log(l) if j else 0.0) - lf[j] + n_log_eta[: size - j] + lf[j:] - lf[: size - j]
-        pref = np.exp(0.5 * logw2)
+    for j, row in enumerate(square[:size]):
+        pref = row[: size - j]
         prefs.append(pref)
         cum += float((colmass[j:] * (pref * pref)).sum())
-        if acc - cum < 1e-14 * max(total_in, 1e-300):
+        if total_in - cum < 1e-14 * max(total_in, 1e-300):
             break
     return prefs, cum
 
@@ -384,6 +493,16 @@ def _prepared_after_first_splitter(p: ProbeParams, cutoff: int) -> np.ndarray:
 # -- pipeline observables -----------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _triangle(cutoff: int) -> tuple:
+    """Read-only n_a, n_b, flat index, mirrored flat index (n_b, n_a) and
+    delta = n_b - n_a of the grid entries with n_a <= n_b in sectors
+    0..cutoff, row-major."""
+    d = cutoff + 1
+    na, nb = np.nonzero(np.triu(~_outside_sectors(cutoff)))
+    return tuple(_read_only(a) for a in (na, nb, na * d + nb, nb * d + na, nb - na))
+
+
 def parity_signal_oracle(
     p: ProbeParams, cutoff: int | None = None
 ) -> tuple[float, float, float]:
@@ -413,8 +532,7 @@ def parity_signal_oracle(
     prefs, cum = _kraus_prefactors(after_bs1, p.loss, total_in)
     _loss_trace_check(cum, total_in)
     d = nc + 1
-    na, nb = np.nonzero(np.triu(~_outside_sectors(nc)))
-    here, mirror = na * d + nb, nb * d + na
+    na, nb, here, mirror, delta = _triangle(nc)
     # pad[n] = pref_j[n], 0 where n + j > cutoff; there the gathers read the
     # next grid row, but never past the grid's end
     pad = np.zeros(d)
@@ -423,9 +541,9 @@ def parity_signal_oracle(
     for j, pref in enumerate(prefs):
         pad[: pref.size] = pref
         pad[pref.size :] = 0.0
-        g += flat[here + j] * pad[nb] * np.conj(flat[mirror + j] * pad[na])
-    delta = nb - na
-    h = g * _I_POW[delta % 4] * np.exp(1j * p.phi * delta)
+        shifted = flat[j:]  # shifted[k] = flat[k + j]
+        g += shifted[here] * pad[nb] * np.conj(shifted[mirror] * pad[na])
+    h = g * _I_POW[delta % 4] * np.exp(1j * p.phi * np.arange(d))[delta]
     h[delta > 0] *= 2.0
     delta = delta.astype(float)
     return float(h.real.sum()), float(-(delta * h.imag).sum()), float(-(delta * delta * h.real).sum())
@@ -475,42 +593,24 @@ class LossWeightTable:
 
 
 def loss_weight_table(marginal: np.ndarray, loss: float) -> LossWeightTable:
+    """The table of `marginal` at `loss`: the channel's binomial rows k up to
+    the last nonzero P_k (only those of nonzero P_k where the support has
+    zeros), each entry's weight times its row's P_k."""
     _check_loss(loss)
-    eta = 1.0 - loss
+    marginal = np.asarray(marginal, dtype=float)
     ks = np.flatnonzero(marginal)
     if not ks.size:
         empty = np.zeros(0)
         return LossWeightTable(empty, empty, empty)
-    kf = ks.astype(float)
     if loss == 0:
-        # what the recurrence below gives: eta**k == 1.0, and every row ends at j = 0
-        return LossWeightTable(kf, np.zeros(ks.size), np.asarray(marginal, dtype=float)[ks] * 1.0)
-    width = int(ks[-1]) + 1
-    # w[j] = Binom(k, j) l^j eta^(k-j) over the rows k, by the recurrence in j.
-    # It is 0 from j = k + 1 on and never above 1, so every row runs to width.
-    # The start is Python float pow: numpy's power can differ in the last bit.
-    w = np.empty((width, ks.size))
-    w[0] = [eta**k for k in ks.tolist()]
-    scale = loss / eta
-    for j, (prev, nxt, k_minus_j) in enumerate(zip(w, w[1:], kf - np.arange(width - 1.0)[:, None])):
-        np.multiply(prev, k_minus_j, out=nxt)
-        np.divide(nxt, j + 1, out=nxt)
-        np.multiply(nxt, scale, out=nxt)
-    # rem after step j is w[j+1] + ... + w[width-1], summed from the top
-    rem = np.zeros_like(w)
-    np.cumsum(w[:0:-1], axis=0, out=rem[-2::-1])
-    w, rem = w.T, rem.T  # (row, j) from here on: k-major, j ascending
-    gmax2 = np.array([float(k) ** 8 + 1.0 for k in ks.tolist()])  # kerr generator is O(k^2); squared and padded
-    j = np.arange(width, dtype=float)
-    # a row ends at its first j with rem * gmax2 < 1e-14, or at j = k
-    last = np.argmax((rem * gmax2[:, None] < 1e-14) | (j >= kf[:, None]), axis=1)
-    kept = j <= last[:, None]
-    lost = np.broadcast_to(j, kept.shape)[kept]
-    return LossWeightTable(
-        np.broadcast_to(kf[:, None], kept.shape)[kept] - lost,
-        lost,
-        (np.asarray(marginal, dtype=float)[ks][:, None] * w)[kept],
-    )
+        # what the binomial rows give: eta**k == 1.0, and every row ends at j = 0
+        return LossWeightTable(ks.astype(float), np.zeros(ks.size), marginal[ks] * 1.0)
+    top = int(ks[-1])
+    survived, lost, binom, counts = _loss_channel(loss).rows(top)
+    if ks.size <= top:
+        keep = np.repeat(marginal[: top + 1] != 0, counts)
+        survived, lost, binom, counts = survived[keep], lost[keep], binom[keep], counts[ks]
+    return LossWeightTable(survived, lost, np.repeat(marginal[ks], counts) * binom)
 
 
 def cq_from_table(table: LossWeightTable, g: np.ndarray) -> float:

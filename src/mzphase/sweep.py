@@ -374,22 +374,25 @@ def _guarded_dev(a: float, o: float) -> float:
     return abs(a - o) / max(1.0, abs(a), abs(o))
 
 
-def _oracle_value(q: str, p: ProbeParams, fock=None) -> float:
+def _oracle_value(q: str, p: ProbeParams, fock=None, minima=None) -> float:
     """The oracle's value of q; `fock` is the row's `parity_signal_oracle`
     (None when the row asks for no parity-family quantity). The bounds are
-    the operator-level minima over the commutation parameters, at every loss."""
+    the operator-level minima over the commutation parameters, at every loss;
+    `minima`, a dict kept for one row, holds each minimum once taken, by
+    phase ("linear" or "kerr"), so that its qfi and qcrb columns share it."""
     if q == "parity":
         return fock[0]
     if q in ("sensitivity", "cfi"):
         fisher = _fisher(np.reshape(fock, (3, 1)))
         return (fisher if q == "cfi" else _sensitivities(fisher)).item()
-    if q in ("qfi_linear", "qcrb_linear"):
-        fq = qfi_lossy_numeric_check(p)
-        return fq if q == "qfi_linear" else (math.inf if fq <= 0 else fq**-0.5)
-    if q in ("qfi_kerr", "qcrb_kerr"):
-        fq = kerr_mu_opt_numeric(p)[0]
-        return fq if q == "qfi_kerr" else (math.inf if fq <= 0 else fq**-0.5)
-    raise SpecInvalid(f"no oracle for quantity {q!r}")
+    if q not in ("qfi_linear", "qcrb_linear", "qfi_kerr", "qcrb_kerr"):
+        raise SpecInvalid(f"no oracle for quantity {q!r}")
+    minima = {} if minima is None else minima
+    kind = q.partition("_")[2]
+    if kind not in minima:
+        minima[kind] = qfi_lossy_numeric_check(p) if kind == "linear" else kerr_mu_opt_numeric(p)[0]
+    fq = minima[kind]
+    return fq if q.startswith("qfi") else (math.inf if fq <= 0 else fq**-0.5)
 
 
 def _compute_row(task: _RowTask, parity=None) -> dict:
@@ -424,8 +427,9 @@ def _compute_row(task: _RowTask, parity=None) -> dict:
                 out["status"] = _code(e)
     if task.oracle and out["status"] in ("ok", "kerr_fallback"):
         fock = parity_signal_oracle(p) if cells else None
+        minima: dict = {}
         for q in task.quantities:
-            o = _oracle_value(q, p, fock)
+            o = _oracle_value(q, p, fock, minima)
             out["oracle"][q] = o
             out["dev"] = max(out["dev"], _guarded_dev(out["values"][q], o))
     return out

@@ -33,15 +33,16 @@ same quantities are computed the way the package did before all three:
   (`KrausFamily`), whose generator gives `cq_from_table` its phase exponents.
 
 The rest are the package's former Python loops, kept as the equality
-references of their array forms: the loss weight table, the photon-added
-squeezed-vacuum distribution, the corner clip by `fill_diagonal`, and the
-lossy linear bound found by a grid scan and a golden section; and the
-sector cutoff taken from distributions of the longest length the oracle
-builds. `kerr_cq_numeric` evaluates the operator-level Kerr C_Q at given
-commutation parameters on the same loss weight table the package's
-`kerr_mu_opt_numeric` minimizes over, and `kerr_gradient_check` certifies
-that the closed-form Kerr optimum is a stationary point of it by central
-differences.
+references of their array forms: the loss weight table, the loss-branch
+prefactors one branch at a time (the package keeps them in one square per
+loss), the photon-added squeezed-vacuum distribution, the corner clip by
+`fill_diagonal`, and the lossy linear bound found by a grid scan and a
+golden section; and the sector cutoff taken from distributions of the
+longest length the oracle builds. `kerr_cq_numeric` evaluates the
+operator-level Kerr C_Q at given commutation parameters on the same loss
+weight table the package's `kerr_mu_opt_numeric` minimizes over, and
+`kerr_gradient_check` certifies that the closed-form Kerr optimum is a
+stationary point of it by central differences.
 """
 
 import itertools
@@ -280,7 +281,7 @@ def apply_loss_channel(state, l: float) -> DensityGrid:
     out = []
     cum = 0.0
     for b in in_branches:
-        prefs, got = oracle._kraus_prefactors(b, l, total_in)
+        prefs, got = oracle._kraus_prefactors(b, l, oracle._norm(b) ** 2)
         out.extend(_loss_branches(b, prefs))
         cum += got
     oracle._loss_trace_check(cum, total_in)
@@ -416,6 +417,19 @@ def loss_weight_table_reference(marginal: np.ndarray, loss: float) -> LossWeight
         np.array(lost, dtype=float),
         np.array(weight, dtype=float),
     )
+
+
+def kraus_prefactors_reference(l: float, size: int) -> list:
+    """The loss-branch prefactor rows pref_j[n] = sqrt(Binom(n + j, j) l^j
+    eta^n), n = 0..size - 1 - j, for j = 0..size - 1, one branch at a time."""
+    eta = 1.0 - l
+    lf = oracle._log_factorials(size)
+    n_log_eta = np.arange(size) * math.log(eta)
+    rows = []
+    for j in range(size):
+        logw2 = (j * math.log(l) if j else 0.0) - lf[j] + n_log_eta[: size - j] + lf[j:] - lf[: size - j]
+        rows.append(np.exp(0.5 * logw2))
+    return rows
 
 
 def pasvs_probs_reference(r: float, m: int, length: int) -> np.ndarray:

@@ -50,6 +50,7 @@ from oracle_reference import (
     default_cutoff_reference,
     grid_marginal,
     input_grid,
+    kraus_prefactors_reference,
     loss_weight_table_reference,
     parity_expectation_oracle,
     parity_signal_reference,
@@ -416,6 +417,32 @@ def test_probe_marginal_shared_by_rows_that_differ_in_loss(monkeypatch):
     assert len(built) == 24
 
 
+@pytest.mark.parametrize("phase,minimum", [("kerr", "kerr_mu_opt_numeric"), ("linear", "qfi_lossy_numeric_check")])
+def test_each_oracle_minimum_taken_once_per_row(monkeypatch, phase, minimum):
+    # a row's qfi and qcrb oracle columns share one minimum, and print the
+    # bytes they printed when each column took its own
+    doc = {
+        "schema_version": 1,
+        "quantity": [f"qfi_{phase}", f"qcrb_{phase}"],
+        "sweep": {"name": "r", "start": 0.3, "stop": 0.9, "count": 3},
+        "fixed": {"alpha": 1.2},
+        "loss": [0.0, 0.2],
+        "m_list": [0, 2],
+        "oracle_check": True,
+        "oracle_stride": 2,
+    }
+    spec = parse_config(json.dumps(doc))
+    calls, taken = [], getattr(sweep, minimum)
+    monkeypatch.setattr(sweep, minimum, lambda p: calls.append(p) or taken(p))
+    once = run_sweep(spec).render()
+    assert len(calls) == 6  # 12 rows, every other one checked
+    value = sweep._oracle_value
+    monkeypatch.setattr(sweep, "_oracle_value", lambda q, p, fock=None, minima=None: value(q, p, fock))
+    calls.clear()
+    assert run_sweep(spec).render() == once
+    assert len(calls) == 12
+
+
 def test_kerr_oracle_column_does_not_read_the_moment_set(monkeypatch):
     # the oracle's Kerr bound is its own minimum over (mu1, mu2): moments
     # moved by 1% move the analytic column and leave the oracle's alone
@@ -625,15 +652,48 @@ def test_loss_weight_table_normalized():
 
 
 def test_loss_weight_table_matches_reference_loop():
+    def check(marg, loss):
+        got = loss_weight_table(marg, loss)
+        want = loss_weight_table_reference(marg, loss)
+        for name in ("survived", "lost", "weight"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (marg.size, loss, name)
+
+    # every loss in turn: a fresh channel on each call
     for alpha, r, m in itertools.product(GRID_ALPHA, GRID_R, GRID_M):
-        marg = grid_marginal(alpha, r, m)
         for loss in GRID_LOSS:
-            got = loss_weight_table(marg, loss)
-            want = loss_weight_table_reference(marg, loss)
-            for name in ("survived", "lost", "weight"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.shape == b.shape and np.array_equal(a, b), (alpha, r, m, loss, name)
+            check(grid_marginal(alpha, r, m), loss)
+    # one channel kept across calls: whatever the order of the cutoffs, each
+    # table is the one built alone. Two marginals have zeros inside their
+    # support: the photon-added squeezed vacuum fills every other level.
+    margs = {grid_marginal(alpha, r, 2).size: grid_marginal(alpha, r, 2) for alpha in (0.5, 1.9) for r in GRID_R}
+    margs = [margs[size] for size in sorted(margs)]
+    holes = [_pasvs_probs(0.7, 1, 50), _pasvs_probs(1.0, 2, 90)]
+    assert all(np.flatnonzero(h).size <= np.flatnonzero(h)[-1] for h in holes)
+    for loss, other in ((0.21, 0.6), (0.05, 0.9)):
+        oracle._loss_channel(other)
+        for marg in margs[::-1] + holes:  # grown once, then read by prefix
+            check(marg, loss)
+        oracle._loss_channel(other)
+        for marg in holes + margs:  # grown at each larger cutoff
+            check(marg, loss)
+        for marg in margs + holes:  # rebuilt on every call
+            check(marg, loss)
+            check(marg, other)
     assert loss_weight_table(np.zeros(5), 0.3).weight.size == 0
+
+
+@pytest.mark.parametrize("loss", [0.01, 0.21, 0.9])
+def test_prefactor_square_rows_match_per_branch_formula(loss):
+    # built at its own size, or read from the square of the largest size,
+    # each branch's row is the per-branch formula's, bit for bit
+    largest = oracle._LossChannel(loss).prefactors(600)
+    for size in [*range(8, 600, 37), 600]:
+        alone = oracle._LossChannel(loss).prefactors(size)
+        assert alone.shape == (size, size) and not alone.flags.writeable
+        for j, want in enumerate(kraus_prefactors_reference(loss, size)):
+            assert alone[j, : size - j].tobytes() == want.tobytes(), (size, j)
+            assert largest[j, : size - j].tobytes() == want.tobytes(), (size, j)
 
 
 def test_loss_weight_table_at_loss_zero_is_the_marginal():
