@@ -43,23 +43,27 @@ full loss-branch grids, the phase and the second splitter) as the
 brute-force reference. `probe_marginal` keeps its last two marginals, so
 rows of a sweep that differ only in loss share one.
 
-The loss channel at one nonzero loss (`_LossChannel`) holds what depends on
-the loss and the photon numbers, never on the state, and every oracle row
-at that loss shares it: the binomial rows k = 0..K of the loss weight table
-(surviving, lost, Binom(k, j) l^j eta^(k-j), k-major with j ascending, and
-each row's entry count), which `loss_weight_table` reads by prefix and
-weights by the marginal, and the Kraus prefactor square pref[j, n] that
-`_kraus_prefactors` reads by rows. Row k's entries and pref[j, n] depend on
-(k, j) and (j, n) alone, so a table or a square built up to some size is a
-prefix of one built larger: the rows grow exactly to the largest cutoff
-asked for, appended after the rows before, and the square is rebuilt at
-its new size. At cutoff 160 the channel holds 0.29 MB at loss 0.01, 0.43
-MB at 0.21 and 0.50 MB at 0.9 (the square is 0.2 MB of it). Only the most
-recent loss's channel is kept: a row at a fresh loss builds a new one, as
-every row of a loss sweep does. At loss 0 no channel is built:
-`loss_weight_table` returns the marginal's nonzero entries with nothing
-lost, weight marginal * 1.0, what the binomial rows give there, and the
-parity path takes branch 0 alone, of prefactor 1. The parity path's
+Every loss weight w(j, n) = Binom(n + j, j) l^j eta^n (j photons lost, n
+surviving) comes from one step, w(j, n) = w(j - 1, n) * (n + j) / j * l
+(`_lose_one`), applied to w(0, n) = eta^n. There is no prefactor square and
+no weight starts at eta^k of its whole sector k = n + j, which is subnormal
+at high loss (from k = 154 at loss 0.99) where the weights that matter have
+few survivors. The loss channel at one nonzero loss (`_LossChannel`) holds
+what depends on the loss and the photon numbers, never on the state, and
+every oracle row at that loss shares it: the rows k = 0..K of the loss
+weight table (surviving, lost, w, k-major with j ascending, and each row's
+entry count), which `loss_weight_table` reads by prefix and weights by the
+marginal. Sector k is built from the whole sector k - 1, so the channel
+keeps the whole of sector K and appends the sectors up to the largest
+cutoff asked for. At cutoff 160 it holds 0.09 MB at loss 0.01, 0.23 MB at
+0.21 and 0.30 MB at 0.9. `_kraus_prefactors` walks the branches j = 0, 1,
+... with the same step over all n at once, until its mass stop, so branch
+j's prefactors are the square roots of the channel's weights at lost = j,
+bit for bit. Only the most recent loss's channel is kept: a row at a
+fresh loss builds a new one, as every row of a loss sweep does. At loss 0
+no channel is built: `loss_weight_table` returns the marginal's nonzero
+entries with nothing lost, weight marginal * 1.0, what the rows give there,
+and the parity path takes branch 0 alone, of prefactor 1. The parity path's
 triangle of grid entries (n_a <= n_b) and their mirrored indices are kept
 for the last cutoff, and its phase factors are taken per photon-number
 difference.
@@ -68,7 +72,7 @@ of at least 1e-100 (_SUPPORT_FLOOR), with a zero appended so that the tail
 test can end past it: each level left out holds under 1e-100, and their
 subnormal products were most of a full-length convolution's time.
 
-Log-factorials come from one cached table of `math.lgamma` values.
+Log-factorials come from one cached table of `math.lgamma` values per length.
 """
 
 from __future__ import annotations
@@ -120,14 +124,9 @@ def _norm(arr: np.ndarray) -> float:
 
 @lru_cache(maxsize=None)
 def _log_factorial_table(size: int) -> np.ndarray:
+    """Read-only log k! for k = 0..size-1, each from `math.lgamma` (a running
+    sum of logs drifts by about 1e-11), built once per size."""
     return _read_only(np.array([math.lgamma(k + 1.0) for k in range(size)]))
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """Read-only log k! for k = 0..n-1, each from `math.lgamma` (a running sum
-    of logs drifts by about 1e-11). The table behind it is built once per
-    power-of-two size from 1024 up."""
-    return _log_factorial_table(max(1024, 1 << (n - 1).bit_length()))[:n]
 
 
 # -- beam splitter ----------------------------------------------------------
@@ -261,84 +260,72 @@ def _outside_sectors(cutoff: int) -> np.ndarray:
 # -- loss -------------------------------------------------------------------
 
 
-def _binomial_rows(ks: np.ndarray, loss: float):
-    """Rows k of `ks` of the binomial thinning at `loss`, as `LossWeightTable`
-    lays them out: (survived, lost, weight) k-major with j ascending, each row
-    ended as its docstring says, and each row's entry count. A row's entries
-    depend on its k alone, whatever other rows are built with it."""
-    eta = 1.0 - loss
+def _lose_one(w, total, lost, loss, out: np.ndarray) -> np.ndarray:
+    """Loss weights one lost photon on, into `out` (which may be `w`):
+    w(j, n) = w(j - 1, n) * (n + j) / j * l for total = n + j and lost = j,
+    where w(j, n) = Binom(n + j, j) l^j eta^n weighs j photons lost and n
+    surviving. Every loss weight is this step applied to w(0, n) = eta^n
+    (Python float pow: numpy's power can differ in the last bit)."""
+    np.multiply(w, total, out=out)
+    np.divide(out, lost, out=out)
+    return np.multiply(out, loss, out=out)
+
+
+def _loss_sectors(prev: np.ndarray, top: int, loss: float):
+    """Sectors k = prev.size..top of the loss weights, each built from the
+    whole sector before it (`prev`, sector prev.size - 1; empty before
+    sector 0), as `LossWeightTable` lays them out: (survived, lost, weight)
+    k-major with j ascending, each row ended as its docstring says, each
+    row's entry count, and the whole of sector top."""
+    ks = np.arange(prev.size, top + 1)
     kf = ks.astype(float)
-    width = int(ks[-1]) + 1
-    # w[j] = Binom(k, j) l^j eta^(k-j) over the rows k, by the recurrence in j.
-    # It is 0 from j = k + 1 on and never above 1, so every row runs to width.
-    # The start is Python float pow: numpy's power can differ in the last bit.
-    w = np.empty((width, ks.size))
-    w[0] = [eta**k for k in ks.tolist()]
-    scale = loss / eta
-    for j, (prev, nxt, k_minus_j) in enumerate(zip(w, w[1:], kf - np.arange(width - 1.0)[:, None])):
-        np.multiply(prev, k_minus_j, out=nxt)
-        np.divide(nxt, j + 1, out=nxt)
-        np.multiply(nxt, scale, out=nxt)
-    # rem[j] = w[j+1] + ... + w[width-1], summed from the top (the zeros past
+    w = np.zeros((ks.size, top + 1))  # w[i, j] = w(j, k - j), k = ks[i]; 0 past j = k
+    w[:, 0] = [(1.0 - loss) ** k for k in ks.tolist()]
+    lost = np.arange(1.0, top + 1)
+    scale = np.array(loss)  # 0-d arrays, as kf[i, ...], are cheaper ufunc operands than floats
+    for i, (row, k) in enumerate(zip(w, ks.tolist())):
+        _lose_one(prev, kf[i, ...], lost[:k], scale, out=row[1 : k + 1])
+        prev = row[: k + 1]
+    # rem[j] = w[j+1] + ... + w[top], summed from the top (the zeros past
     # j = k add nothing), times gmax2: the kerr generator is O(k^2), squared
-    # and padded
-    rem = np.zeros_like(w)
-    rem[-2::-1] = np.cumsum(w[:0:-1], axis=0)
-    rem *= [float(k) ** 8 + 1.0 for k in ks.tolist()]
+    # and padded; rem[top] = 0 is left out
+    rem = np.cumsum(w[:, :0:-1], axis=1)[:, ::-1]
+    rem *= np.array([float(k) ** 8 + 1.0 for k in ks.tolist()])[:, None]
     # a row ends at its first j with rem * gmax2 < 1e-14, or at j = k; rem
     # never grows with j, so that first j is the count of the j with
     # rem * gmax2 >= 1e-14
-    counts = np.minimum(np.count_nonzero(rem >= 1e-14, axis=0), ks) + 1
+    counts = np.minimum(np.count_nonzero(rem >= 1e-14, axis=1), ks) + 1
     rows = np.repeat(np.arange(ks.size), counts)
-    lost = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    lostf = lost.astype(float)
-    return kf[rows] - lostf, lostf, w[lost, rows], counts
-
-
-def _prefactor_square(loss: float, size: int) -> np.ndarray:
-    """Read-only (size, size) Kraus prefactors of the loss channel,
-    pref[j, n] = sqrt(Binom(n + j, j) l^j eta^n), each entry by the same
-    operations in the same order as one branch's row alone:
-    exp((j log l - log j! + n log eta + log (n + j)! - log n!) / 2)."""
-    lf = _log_factorials(2 * size - 1)
-    lead = np.arange(size) * math.log(loss) - lf[:size]
-    hankel = np.lib.stride_tricks.sliding_window_view(lf, size)  # [j, n] = log (j + n)!
-    logw2 = lead[:, None] + np.arange(size) * math.log(1.0 - loss) + hankel - lf[:size]
-    return _read_only(np.exp(0.5 * logw2))
+    lostj = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    lostf = lostj.astype(float)
+    return kf[rows] - lostf, lostf, w[rows, lostj], counts, prev.copy()
 
 
 class _LossChannel:
-    """What the loss channel at one nonzero loss holds that depends on photon
-    numbers only, never on the state, shared by every oracle row at that
-    loss: the binomial rows k = 0..K of `_binomial_rows` in one table, with
-    each row's entry count, and the Kraus prefactor square of
-    `_prefactor_square`. Each grows exactly to the size asked for and is
-    read by prefix: new binomial rows are appended after the rows before
-    them, and the square is rebuilt at its new size. All of it is read-only."""
+    """The loss weight table's rows at one nonzero loss, which depend on
+    photon numbers only, never on the state, shared by every oracle row at
+    that loss: sectors k = 0..K of `_loss_sectors` in one table, with each
+    row's entry count, read by prefix, and the whole of sector K, from which
+    the sectors past K are appended when a larger cutoff asks for them. All
+    of it is read-only."""
 
     def __init__(self, loss: float):
         self.loss = loss
-        self.survived = self.lost = self.weight = np.zeros(0)
+        self.survived = self.lost = self.weight = self.last = np.zeros(0)
         self.counts = self.ends = np.zeros(0, dtype=int)  # entries of each row, and the offset past it
-        self.square = np.zeros((0, 0))
 
     def rows(self, top: int):
-        """Binomial rows 0..top: survived, lost, weight and the rows' entry counts."""
+        """Sectors 0..top: survived, lost, weight and the rows' entry counts."""
         if top >= self.counts.size:
             old = (self.survived, self.lost, self.weight, self.counts)
-            new = _binomial_rows(np.arange(self.counts.size, top + 1), self.loss)
+            *new, last = _loss_sectors(self.last, top, self.loss)
             self.survived, self.lost, self.weight, self.counts = (
                 _read_only(np.concatenate(pair)) for pair in zip(old, new)
             )
             self.ends = np.cumsum(self.counts)
+            self.last = _read_only(last)
         n = int(self.ends[top])
         return self.survived[:n], self.lost[:n], self.weight[:n], self.counts[: top + 1]
-
-    def prefactors(self, size: int) -> np.ndarray:
-        """The prefactor square, of at least `size` rows and columns."""
-        if size > self.square.shape[0]:
-            self.square = _prefactor_square(self.loss, size)
-        return self.square
 
 
 _channel = _LossChannel(0.0)  # a stand-in: no channel is built without loss
@@ -357,21 +344,25 @@ def _kraus_prefactors(arr: np.ndarray, l: float, total_in: float):
     """Loss-branch prefactors on the b mode of one pure branch, and their trace.
 
     Branch j maps arr[n_a, n_b + j] to arr[n_a, n_b + j] * pref_j[n_b], with
-    pref_j[n_b] = sqrt(Binom(n_b + j, j) l^j eta^n_b) for n_b = 0..cutoff - j,
-    a row of the channel's prefactor square. Its weight is taken from the
-    column masses of arr, and branches stop once the rest of total_in, arr's
-    squared norm, is below 1e-14 of it. Without loss branch 0 alone, of
-    prefactor 1, carries weight, and no channel is built.
+    pref_j[n_b] = sqrt(w(j, n_b)) for n_b = 0..cutoff - j, the weights walked
+    branch by branch with `_lose_one`, as the channel's rows take them. Its
+    weight is taken from the column masses of arr, and branches stop once the
+    rest of total_in, arr's squared norm, is below 1e-14 of it. Without loss
+    branch 0 alone, of prefactor 1, carries weight.
     """
     size = arr.shape[1]
-    square = _loss_channel(l).prefactors(size) if l else np.ones((1, size))
     colmass = np.sum(np.abs(arr) ** 2, axis=0)
+    total = np.arange(size, dtype=float)  # n + j from j = 0, and total[j, ...] = j (0-d)
+    scale = np.array(l)
+    w = np.array([(1.0 - l) ** n for n in range(size)])
     prefs = []
     cum = 0.0
-    for j, row in enumerate(square[:size]):
-        pref = row[: size - j]
-        prefs.append(pref)
-        cum += float((colmass[j:] * (pref * pref)).sum())
+    for j in range(size if l else 1):
+        if j:
+            w = w[:-1]
+            _lose_one(w, total[j:], total[j, ...], scale, out=w)
+        prefs.append(np.sqrt(w))
+        cum += float((colmass[j:] * w).sum())
         if total_in - cum < 1e-14 * max(total_in, 1e-300):
             break
     return prefs, cum
@@ -410,7 +401,7 @@ def _coherent_probs(alpha: float, length: int) -> np.ndarray:
         out[0] = 1.0
         return out
     n = np.arange(length)
-    return np.exp(-alpha * alpha + n * (2.0 * math.log(alpha)) - _log_factorials(length))
+    return np.exp(-alpha * alpha + n * (2.0 * math.log(alpha)) - _log_factorial_table(length))
 
 
 def _support_end(probs: np.ndarray) -> int:
@@ -593,7 +584,7 @@ class LossWeightTable:
 
 
 def loss_weight_table(marginal: np.ndarray, loss: float) -> LossWeightTable:
-    """The table of `marginal` at `loss`: the channel's binomial rows k up to
+    """The table of `marginal` at `loss`: the channel's rows k up to
     the last nonzero P_k (only those of nonzero P_k where the support has
     zeros), each entry's weight times its row's P_k."""
     _check_loss(loss)
@@ -603,7 +594,7 @@ def loss_weight_table(marginal: np.ndarray, loss: float) -> LossWeightTable:
         empty = np.zeros(0)
         return LossWeightTable(empty, empty, empty)
     if loss == 0:
-        # what the binomial rows give: eta**k == 1.0, and every row ends at j = 0
+        # what the channel's rows give: eta**k == 1.0, and every row ends at j = 0
         return LossWeightTable(ks.astype(float), np.zeros(ks.size), marginal[ks] * 1.0)
     top = int(ks[-1])
     survived, lost, binom, counts = _loss_channel(loss).rows(top)

@@ -33,9 +33,8 @@ same quantities are computed the way the package did before all three:
   (`KrausFamily`), whose generator gives `cq_from_table` its phase exponents.
 
 The rest are the package's former Python loops, kept as the equality
-references of their array forms: the loss weight table, the loss-branch
-prefactors one branch at a time (the package keeps them in one square per
-loss), the photon-added squeezed-vacuum distribution, the corner clip by
+references of their array forms: the loss weight table, the
+photon-added squeezed-vacuum distribution, the corner clip by
 `fill_diagonal`, and the lossy linear bound found by a grid scan and a
 golden section; and the sector cutoff taken from distributions of the
 longest length the oracle builds. `kerr_cq_numeric` evaluates the
@@ -387,18 +386,20 @@ class KrausFamily:
 
 
 def loss_weight_table_reference(marginal: np.ndarray, loss: float) -> LossWeightTable:
-    """The weight table one entry at a time, k-major with j ascending."""
+    """The weight table one entry at a time, k-major with j ascending. Every
+    sector k is built from the whole sector k - 1, w(j, k - j) =
+    w(j - 1, k - j) * k / j * l, starting from w(0, k) = eta^k, whether or
+    not its P_k is 0."""
     eta = 1.0 - loss
     survived = []
     lost = []
     weight = []
+    ws = []
     for k in range(marginal.size):
+        ws = [eta**k] + [w * k / j * loss for j, w in enumerate(ws, start=1)]
         pk = float(marginal[k])
         if pk == 0.0:
             continue
-        ws = [eta**k]
-        for j in range(k):
-            ws.append(ws[-1] * (k - j) / (j + 1) * (loss / eta))
         # rest[j] = ws[j+1] + ... + ws[k], summed from the top
         rest = [0.0] * (k + 1)
         acc = 0.0
@@ -417,19 +418,6 @@ def loss_weight_table_reference(marginal: np.ndarray, loss: float) -> LossWeight
         np.array(lost, dtype=float),
         np.array(weight, dtype=float),
     )
-
-
-def kraus_prefactors_reference(l: float, size: int) -> list:
-    """The loss-branch prefactor rows pref_j[n] = sqrt(Binom(n + j, j) l^j
-    eta^n), n = 0..size - 1 - j, for j = 0..size - 1, one branch at a time."""
-    eta = 1.0 - l
-    lf = oracle._log_factorials(size)
-    n_log_eta = np.arange(size) * math.log(eta)
-    rows = []
-    for j in range(size):
-        logw2 = (j * math.log(l) if j else 0.0) - lf[j] + n_log_eta[: size - j] + lf[j:] - lf[: size - j]
-        rows.append(np.exp(0.5 * logw2))
-    return rows
 
 
 def pasvs_probs_reference(r: float, m: int, length: int) -> np.ndarray:

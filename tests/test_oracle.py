@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from scipy.special import gammaln
 
 from mzphase import oracle, sweep
 from mzphase.errors import ConsistencyError, CutoffTooSmall, ParamOutOfRange, TraceDrift, UnitarityDrift
+from mzphase.moments import moment_set
 from mzphase.oracle import (
     SECTOR_LIMIT,
     _I_POW,
@@ -29,6 +32,9 @@ from mzphase.oracle import (
     parity_signal_oracle,
     probe_marginal,
 )
+from mzphase.parity import parity_expectation
+from mzphase.qfi_kerr import kerr_mu_opt_numeric, qfi_lossy_kerr
+from mzphase.qfi_linear import qfi_lossy_linear, qfi_lossy_numeric_check
 from mzphase.states import ProbeParams
 from mzphase.sweep import _guarded_dev, parse_config, run_sweep
 import oracle_reference
@@ -50,7 +56,6 @@ from oracle_reference import (
     default_cutoff_reference,
     grid_marginal,
     input_grid,
-    kraus_prefactors_reference,
     loss_weight_table_reference,
     parity_expectation_oracle,
     parity_signal_reference,
@@ -330,8 +335,6 @@ def test_moments_oracle_converged_in_cutoff():
     [(2.0, 0.5, 1, 0.0, 0.3), (1.0, 1.0, 3, 0.3, 0.7), (2.0, 1.0, 0, 0.3, 0.0)],
 )
 def test_parity_signal_derivatives_match_analytic(alpha, r, m, l, phi):
-    from mzphase.parity import parity_expectation
-
     p = ProbeParams(alpha=alpha, r=r, m=m, loss=l, phi=phi)
     f, d1, d2 = parity_signal_oracle(p)
     sig = parity_expectation(p)
@@ -683,17 +686,88 @@ def test_loss_weight_table_matches_reference_loop():
     assert loss_weight_table(np.zeros(5), 0.3).weight.size == 0
 
 
-@pytest.mark.parametrize("loss", [0.01, 0.21, 0.9])
-def test_prefactor_square_rows_match_per_branch_formula(loss):
-    # built at its own size, or read from the square of the largest size,
-    # each branch's row is the per-branch formula's, bit for bit
-    largest = oracle._LossChannel(loss).prefactors(600)
+def _walk_every_branch(loss: float, size: int) -> list:
+    """The `_kraus_prefactors` rows of a probe whose mass sits at n_b =
+    size - 1: the branch stop then waits for the binomial tail of that
+    whole sector."""
+    arr = np.zeros((1, size), dtype=np.complex128)
+    arr[0, -1] = 1.0
+    prefs, cum = oracle._kraus_prefactors(arr, loss, 1.0)
+    assert cum == pytest.approx(1.0, abs=1e-13)
+    assert [pref.size for pref in prefs] == list(range(size, size - len(prefs), -1))
+    return prefs
+
+
+@pytest.mark.parametrize("loss", [0.01, 0.21, 0.9, 0.99])
+def test_kraus_prefactors_are_roots_of_the_table_weights(loss):
+    # each branch's prefactor row is np.sqrt of the loss weight table's
+    # weights at lost = j, bit for bit, on every entry the table holds, at
+    # sizes read from one channel grown size after size
     for size in [*range(8, 600, 37), 600]:
-        alone = oracle._LossChannel(loss).prefactors(size)
-        assert alone.shape == (size, size) and not alone.flags.writeable
-        for j, want in enumerate(kraus_prefactors_reference(loss, size)):
-            assert alone[j, : size - j].tobytes() == want.tobytes(), (size, j)
-            assert largest[j, : size - j].tobytes() == want.tobytes(), (size, j)
+        table = loss_weight_table(np.ones(size), loss)
+        grid = np.full((size, size), np.nan)  # grid[j, n]: the table's weight at lost j, survived n
+        grid[table.lost.astype(int), table.survived.astype(int)] = table.weight
+        for j, pref in enumerate(_walk_every_branch(loss, size)):
+            held = ~np.isnan(grid[j, : size - j])
+            assert held.any(), (size, j)
+            assert pref[held].tobytes() == np.sqrt(grid[j, : size - j][held]).tobytes(), (size, j)
+
+
+@pytest.mark.parametrize("size", [161, 601])
+def test_loss_weights_match_exact_rationals(size):
+    # w(j, n) = Binom(n + j, j) l^j eta^n, with l and eta = 1 - l the exact
+    # values of their floats, rounded once: every table weight and every
+    # squared prefactor of at least 1e-100 lies within 1e-14 of it, on 24
+    # sectors spread evenly to the last
+    sectors = [*range(0, size - 1, size // 23), size - 1]
+    for loss in (0.01, 0.21, 0.5, 0.9, 0.99):
+        lf, ef = Fraction(loss), Fraction(1.0 - loss)
+        log_l, log_eta = math.log(loss), math.log1p(-loss)
+
+        @lru_cache(maxsize=None)
+        def exact(j, n):  # one correctly rounded division of exact integers
+            num = math.comb(n + j, j) * lf.numerator**j * ef.numerator**n
+            return num / (lf.denominator**j * ef.denominator**n)
+
+        def check(got, j, n):
+            # weights far below 1e-100 by their logarithm need no exact value
+            if math.lgamma(n + j + 1) - math.lgamma(j + 1) - math.lgamma(n + 1) + j * log_l + n * log_eta < -240.0:
+                return 0
+            want = exact(j, n)
+            if want >= 1e-100:
+                assert abs(got - want) <= 1e-14 * want, (size, loss, j, n, got, want)
+                return 1
+            return 0
+
+        table = loss_weight_table(np.ones(size), loss)
+        at = np.isin(table.survived + table.lost, sectors)
+        checked = 0
+        for w, j, n in zip(table.weight[at].tolist(), table.lost[at].astype(int).tolist(), table.survived[at].astype(int).tolist()):
+            checked += check(w, j, n)
+        for j, pref in enumerate(_walk_every_branch(loss, size)):
+            for k in sectors:
+                if k >= j:
+                    checked += check(float(pref[k - j]) ** 2, j, k - j)
+        assert checked > 2 * len(sectors), (size, loss)
+
+
+def test_high_loss_corner_keeps_the_table_mass():
+    # at loss 0.99, eta^k is subnormal from sector 154 on, below the cutoffs
+    # 392 and 440 of this probe's weight-2 and weight-4 marginals: walked from
+    # eta^n over the survivors, the table keeps its mass, and the oracle
+    # minima their closed forms
+    p = ProbeParams(alpha=4.0, r=1.5, m=3, loss=0.99, phi=0.3)
+    for weight in (2, 4):
+        marg = probe_marginal(p, weight=weight)
+        got = float(np.sum(loss_weight_table(marg, p.loss).weight))
+        assert got == pytest.approx(float(np.sum(marg)), rel=1e-13), weight
+    ms = moment_set(p)
+    assert qfi_lossy_numeric_check(p) == pytest.approx(qfi_lossy_linear(ms, p.loss).fq, rel=1e-10)
+    assert kerr_mu_opt_numeric(p)[0] == pytest.approx(qfi_lossy_kerr(ms, p.loss).fq, rel=1e-10)
+    sig = parity_expectation(p)
+    got = parity_signal_oracle(p, cutoff=default_cutoff(p, weight=2))
+    for a, want in zip(got, (sig.value, sig.dvalue, sig.ddvalue)):
+        assert _guarded_dev(a, want) <= 1e-12
 
 
 def test_loss_weight_table_at_loss_zero_is_the_marginal():
