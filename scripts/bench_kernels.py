@@ -41,11 +41,12 @@ The paired entries, by group:
   cutoff, all at one loss, a fresh one on each pass;
 - `rows`: `parity_signals` at 1, 48 and 1001 rows of one m (`kernel_*`),
   `optimal_phases` for groups of 1, 2 and 21 rows (`optimal_*`), the rendered
-  `run_sweep` of figure presets 2a, 5a and 7a at `threads` 1 and 2 (each
-  threaded call starts its own process pool, as the CLI does), and the first
-  12 sweeps of the perfbench `optimize` deck and the first 20 of its `xcheck`
-  deck (seed 1, every `xcheck` row cross-checked by the Fock oracle), run one
-  after another and rendered (`optimize_deck`, `xcheck_deck`).
+  `run_sweep` of figure presets 2a, 5a, 7a, 7b and 10b at `threads` 1 and 2
+  (each threaded call starts its own process pool, as the CLI does), and the
+  first 12 sweeps of the perfbench `optimize` deck, the first 16 of its
+  `bounds` deck and the first 20 of its `xcheck` deck (seed 1, every
+  `xcheck` row cross-checked by the Fock oracle), run one after another and
+  rendered (`optimize_deck`, `bounds_deck`, `xcheck_deck`).
 
 Not paired:
 
@@ -103,12 +104,12 @@ SERIES_BATCHES = (1, 1001)
 ROW_M = (0, 3)
 ROWS = (1, 48, 1001)
 GROUPS = (1, 2, 21)
-PRESETS = ((2, "a"), (5, "a"), (7, "a"))
+PRESETS = ((2, "a"), (5, "a"), (7, "a"), (7, "b"), (10, "b"))
 THREADS = (1, 2)
 ORACLE_PROBE = {"alpha": 1.9, "m": 3, "loss": 0.21, "phi": 0.37}
 ORACLE_R = (0.3, 0.65, 1.0)
 REFINE_PRESETS = ((5, "a"), (5, "b"), (9, "b"))
-DECK_SWEEPS = {"optimize": 12, "xcheck": 20}
+DECK_SWEEPS = {"optimize": 12, "bounds": 16, "xcheck": 20}
 DECK_SEED = 1
 BUDGET_S = 2.0
 MIN_PAIRS = 40

@@ -17,6 +17,13 @@ chunks of eight consecutive rows: at most min(threads, os.cpu_count(),
 chunks holding such a row) workers start, so a sweep whose such rows all
 fall in one chunk, or that has none, runs in the calling process. `threads`
 below 1 raises ParamOutOfRange.
+
+The moments describe the probe before loss acts, and a sweep point's loss
+scenarios are consecutive rows, so a row reuses the moment set of the row
+before it when the two share (alpha, r, m) (`_probe_moments`), as
+`oracle.probe_marginal` shares its marginal; a worker shares within its
+chunk. The energy target of a `fixed_total` sweep is likewise resolved once
+per (sweep value, m), not once per loss.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +47,7 @@ from .errors import (
     SpecInvalid,
     UnknownFigure,
 )
-from .moments import moment_set
+from .moments import MomentSet, moment_set
 from .oracle import parity_signal_oracle
 from .parity import (  # the one-row entry points stay importable here: tracing wraps them by name
     _fisher,
@@ -395,6 +403,14 @@ def _oracle_value(q: str, p: ProbeParams, fock=None, minima=None) -> float:
     return fq if q.startswith("qfi") else (math.inf if fq <= 0 else fq**-0.5)
 
 
+@lru_cache(maxsize=1)  # the loss rows of a sweep point follow each other
+def _probe_moments(alpha: float, r: float, m: int) -> MomentSet:
+    """`moment_set` of the pre-loss probe, kept until a row asks for another.
+    It is looked up as a module global, so a wrapped `moment_set` sees only
+    the calls that compute; an error it raises is not kept."""
+    return moment_set(ProbeParams(alpha, r, m))
+
+
 def _compute_row(task: _RowTask, parity=None) -> dict:
     """One CSV row. `parity` is the row's entry from `_parity_outcomes`; this
     adds the moments, bounds and oracle checks. The quantities are read in
@@ -406,7 +422,7 @@ def _compute_row(task: _RowTask, parity=None) -> dict:
         return out
     out["phi"], cells = parity or (None, {})
     p = ProbeParams(task.alpha, task.r, task.m, task.loss, 0.0 if out["phi"] is None else out["phi"])
-    ms = moment_set(p) if any(q.endswith(("_linear", "_kerr")) for q in task.quantities) else None
+    ms = _probe_moments(p.alpha, p.r, p.m) if any(q.endswith(("_linear", "_kerr")) for q in task.quantities) else None
     for q in task.quantities:
         try:
             if q in PHI_QUANTITIES:
@@ -588,21 +604,21 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> CsvTable:
     tasks: list[_RowTask] = []
     for value in spec.sweep_values:
         for m in spec.m_list:
+            status = "ok"
+            if spec.energy_mode == "fixed_total":
+                if spec.nbar is not None:
+                    alpha, r = fixed_energy[m]
+                else:
+                    try:
+                        alpha, r = _resolve_energy(spec, m, value)
+                    except (InfeasibleTarget, BracketExceeded) as e:
+                        alpha, r, status = 0.0, 0.0, _code(e)
+            else:
+                alpha = value if spec.sweep_name == "alpha" else spec.alpha
+                r = value if spec.sweep_name == "r" else spec.r
             for loss_val, phi_spec in pairs:
                 loss = value if spec.sweep_name == "l" else loss_val
                 phi = value if spec.sweep_name == "phi" else phi_spec
-                status = "ok"
-                if spec.energy_mode == "fixed_total":
-                    if spec.nbar is not None:
-                        alpha, r = fixed_energy[m]
-                    else:
-                        try:
-                            alpha, r = _resolve_energy(spec, m, value)
-                        except (InfeasibleTarget, BracketExceeded) as e:
-                            alpha, r, status = 0.0, 0.0, _code(e)
-                else:
-                    alpha = value if spec.sweep_name == "alpha" else spec.alpha
-                    r = value if spec.sweep_name == "r" else spec.r
                 tasks.append(
                     _RowTask(value, m, loss, phi, alpha, r, spec.quantity, False, status)
                 )

@@ -1,5 +1,5 @@
-"""Shared pytest plumbing: pins BLAS to one thread and collects acceptance
-summary lines.
+"""Shared pytest plumbing: pins BLAS to one thread, forgets the sweep's
+kept moment set after each test, and collects acceptance summary lines.
 
 With BLAS at its default thread count, the Fock oracle's sector products
 slow badly when processes share the cores (the tests start subprocesses,
@@ -17,6 +17,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import pytest  # noqa: E402
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def _forget_kept_moments():
+    """A sweep keeps its last row's moment set for the next row; a test that
+    patches `sweep.moment_set` must not hand its values to the next test."""
+    yield
+    from mzphase import sweep
+
+    sweep._probe_moments.cache_clear()
 
 
 @pytest.fixture(scope="session")

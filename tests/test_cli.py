@@ -204,12 +204,21 @@ def test_preset_shapes():
 
 def test_threads_reproduce_sequential_output(monkeypatch):
     # the second spec sends batched optimal-phase outcomes to the workers
-    # alongside per-row bound work: 10 rows, two chunks, so two workers
+    # alongside per-row bound work: 10 rows, two chunks, so two workers.
+    # In the third, each r value's two loss rows share one moment set, and
+    # the chunks of eight rows split some of those pairs
     optimal = cfg(
         quantity=["sensitivity", "qcrb_linear"],
         sweep={"name": "l", "values": [0.0, 0.1, 0.2, 0.3, 0.4]},
         fixed={"alpha": 2.0, "r": 0.5, "phi": "optimal"},
         m_list=[0, 2],
+    )
+    shared = cfg(
+        quantity="qfi_linear",
+        sweep={"name": "r", "start": 0.1, "stop": 1.0, "count": 8},
+        fixed={"alpha": 2.0},
+        loss=[0.0, 0.1],
+        m_list=[0, 1, 2, 3, 6],
     )
     pool = concurrent.futures.ProcessPoolExecutor
     started = []
@@ -217,10 +226,10 @@ def test_threads_reproduce_sequential_output(monkeypatch):
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers) or pool(max_workers)
     )
-    for text in (cfg(m_list=[0, 1]), optimal):
+    for text in (cfg(m_list=[0, 1]), optimal, shared):
         spec = parse_config(text)
         assert run_sweep(spec, threads=2).render() == run_sweep(spec, threads=1).render()
-    assert started == [2]
+    assert started == [2, 2]
 
 
 def test_threads_without_per_row_work_start_no_pool(monkeypatch):

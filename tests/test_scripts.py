@@ -85,6 +85,18 @@ def test_both_loads_render_the_same_preset_csv(twice):
     assert first == second
 
 
+def test_sweep_entries_render_the_same_bytes_on_both_loads(twice, monkeypatch):
+    # the preset and deck entries that `csv_identical` compares, cut down to
+    # one preset at one thread and the first two sweeps of the `bounds` deck
+    monkeypatch.setattr(bench_kernels, "PRESETS", ((7, "b"),))
+    monkeypatch.setattr(bench_kernels, "THREADS", (1,))
+    monkeypatch.setattr(bench_kernels, "DECK_SWEEPS", {"bounds": 2})
+    first, second = (bench_kernels.sweep_calls(t) for t in twice)
+    sweeps = [name for name in first if not name.startswith(("kernel_", "optimal_"))]
+    assert sweeps == ["preset_7b_t1", "bounds_deck"]
+    assert all(first[name]() == second[name]() for name in sweeps)
+
+
 def test_oracle_moves_on_one_probe(twice, monkeypatch):
     for name, grid in (("GRID_ALPHA", (1.6,)), ("GRID_R", (0.7,)), ("GRID_M", (2,)), ("GRID_LOSS", (0.21,))):
         monkeypatch.setattr(oracle_moves, name, grid)
